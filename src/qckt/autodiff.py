@@ -249,19 +249,6 @@ class Tape:
 
         return self._record("add_bias", x.value + b.value[:, None], (x, b), backward)
 
-    def scale_rows(self, x, w):
-        """Multiply row i of x by w[i] (elementwise weight vector)."""
-        if x.value.ndim != 2 or w.value.shape != (x.value.shape[0],):
-            raise ShapeError(f"scale_rows shapes: {x.value.shape} and {w.value.shape}")
-
-        def backward(g):
-            _ensure_grad(x)
-            x.grad += g * w.value[:, None]
-            _ensure_grad(w)
-            w.grad += (g * x.value).sum(axis=1)
-
-        return self._record("scale_rows", x.value * w.value[:, None], (x, w), backward)
-
     def scale_columns(self, x, coeffs):
         """Multiply column j of x by the constant coeffs[j] (no grad to coeffs)."""
         coeffs = as_tensor(coeffs)
@@ -285,16 +272,65 @@ class Tape:
 
         return self._record("as_row", x.value[None, :], (x,), backward)
 
-    def sum_columns(self, x):
-        """Column sums of a (r x B) matrix -> (B,)."""
-        if x.value.ndim != 2:
-            raise ShapeError(f"sum_columns requires a matrix, got {x.value.shape}")
+    def col_slice(self, x, start, stop):
+        """Columns start..stop-1 of a (r x N) matrix -> (r x (stop - start))."""
+        if x.value.ndim != 2 or not 0 <= start < stop <= x.value.shape[1]:
+            raise ShapeError(f"col_slice [{start}:{stop}] of shape {x.value.shape}")
 
         def backward(g):
             _ensure_grad(x)
-            x.grad += g[None, :]
+            x.grad[:, start:stop] += g
 
-        return self._record("sum_columns", x.value.sum(axis=0), (x,), backward)
+        return self._record("col_slice", x.value[:, start:stop], (x,), backward)
+
+    def hstack(self, parts):
+        """Axis-1 concatenation of matrices with equal row count."""
+        parts = tuple(parts)
+        out = np.concatenate([p.value for p in parts], axis=1)
+        sizes = [p.value.shape[1] for p in parts]
+
+        def backward(g):
+            off = 0
+            for p, k in zip(parts, sizes):
+                _ensure_grad(p)
+                p.grad += g[:, off : off + k]
+                off += k
+
+        return self._record("hstack", out, parts, backward)
+
+    def relu_pool(self, W, x, b, w):
+        """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
+
+        One node in place of matmul, add_bias, relu, a row scaling and a
+        column sum; only the (r x N) relu output is kept for the backward.
+        """
+        Wv, xv, bv, wv = W.value, x.value, b.value, w.value
+        if (
+            Wv.ndim != 2
+            or xv.ndim != 2
+            or Wv.shape[1] != xv.shape[0]
+            or bv.shape != (Wv.shape[0],)
+            or wv.shape != bv.shape
+        ):
+            raise ShapeError(f"relu_pool shapes: {Wv.shape}, {xv.shape}, {bv.shape}, {wv.shape}")
+        act = Wv @ xv
+        act += bv[:, None]
+        np.maximum(act, 0.0, out=act)
+
+        def backward(g):
+            _ensure_grad(w)
+            w.grad += act @ g
+            # the relu output is > 0 exactly where its preactivation is
+            ga = np.multiply.outer(wv, g)
+            ga *= act > 0.0
+            _ensure_grad(W)
+            W.grad += ga @ xv.T
+            _ensure_grad(b)
+            b.grad += ga.sum(axis=1)
+            _ensure_grad(x)
+            x.grad += Wv.T @ ga
+
+        return self._record("relu_pool", wv @ act, (W, x, b, w), backward)
 
     def dot_columns(self, w, x):
         """w . x[:, j] for each column -> (B,)."""

@@ -34,7 +34,7 @@ from .evaluation import (
     export_module_outputs,
     pairwise_t_matrix,
 )
-from .model import ModelConfig, Parameters, VARIANTS
+from .model import ModelConfig, Parameters, VARIANTS, forward_sequence
 from .training import (
     TrainConfig,
     grid_search,
@@ -357,8 +357,9 @@ def cmd_export(args):
     params = Parameters.load(path)
 
     kc_subset = args.kcs if args.kcs is not None else list(range(ds.n_kcs))
-    steps = export_module_outputs(params, seq)
-    states = export_knowledge_states(params, seq, kc_subset)
+    outputs = forward_sequence(seq, params)
+    steps = export_module_outputs(params, seq, outputs=outputs)
+    states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

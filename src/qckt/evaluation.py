@@ -34,16 +34,14 @@ class PredictionSet:
 
 
 def _midranks(x):
+    """1-based ranks of x with each group of tied values given its mean rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of ranks i+1..j+1
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    ends = np.append(starts[1:], x.size)  # one past each tie group
+    ranks = np.empty(x.size, dtype=np.float64)
+    # mean of the 1-based ranks start+1..end of each group
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -144,13 +142,18 @@ def pairwise_t_matrix(metric_rows):
     return names, mat
 
 
-def export_module_outputs(params, seq, config=None):
+def export_module_outputs(params, seq, config=None, outputs=None):
     """Per-step module outputs: one row per prediction with the overall
-    probability and the per-module sigmoid scores."""
-    outs = qmodel.forward_sequence(seq, params, config)
+    probability and the per-module sigmoid scores.
+
+    ``outputs`` may pass in the :func:`qckt.model.forward_sequence` result
+    of this sequence, so one forward serves several exports.
+    """
+    if outputs is None:
+        outputs = qmodel.forward_sequence(seq, params, config)
     interactions = getattr(seq, "interactions", seq)
     rows = []
-    for t, out in enumerate(outs, start=1):
+    for t, out in enumerate(outputs, start=1):
         target = interactions[t]
         rows.append(
             {
@@ -166,8 +169,11 @@ def export_module_outputs(params, seq, config=None):
     return rows
 
 
-def export_knowledge_states(params, seq, kc_subset, config=None):
-    """(L-1) x |kc_subset| matrix of per-KC mastery values in (0,1)."""
+def export_knowledge_states(params, seq, kc_subset, config=None, outputs=None):
+    """(L-1) x |kc_subset| matrix of per-KC mastery values in (0,1).
+
+    ``outputs`` is as in :func:`export_module_outputs`.
+    """
     kc_subset = list(kc_subset)
     if not kc_subset:
         raise MetricError("kc_subset must be non-empty")
@@ -175,5 +181,6 @@ def export_knowledge_states(params, seq, kc_subset, config=None):
     for k in kc_subset:
         if not (0 <= k < m):
             raise IndexError(f"KC id {k} out of range (m={m})")
-    outs = qmodel.forward_sequence(seq, params, config)
-    return np.array([[out.kc_mastery[k] for k in kc_subset] for out in outs])
+    if outputs is None:
+        outputs = qmodel.forward_sequence(seq, params, config)
+    return np.array([[out.kc_mastery[k] for k in kc_subset] for out in outputs])

@@ -9,8 +9,7 @@ every batch.  Two interchangeable implementations live here:
 
 The active backend is chosen at import time from the ``QCKT_BACKEND``
 environment variable (``numba`` or ``numpy``; default ``numba`` when
-importable) and can be switched at runtime with :func:`set_backend`, which
-``benchmarks/bench_backends.py`` uses to time both in one process.
+importable) and can be switched at runtime with :func:`set_backend`.
 
 All kernels take and return C-contiguous float64 arrays.  Within one backend
 results are bit-deterministic; across backends they agree to ~1 ulp (the two

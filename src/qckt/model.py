@@ -19,7 +19,11 @@ Two execution paths exist on purpose.  The value-level functions in this file
 (`lstm_step`, the ``*_score`` functions, `forward_sequence`, `joint_loss`)
 are straight-line float evaluations used for export and as an independent
 oracle.  Training goes through :func:`build_graph`, which records the same
-math on an autodiff tape over padded (feature x batch) arrays.
+math on an autodiff tape over padded (feature x column) arrays whose columns
+are step-major: column t*B + j is step t of sequence j in a batch of B.  Only
+the two recurrences loop over time; the embeddings, the input projections
+W x + b and the three heads each run once over all columns, the time-loop
+hoisting of Appleyard et al. (arXiv:1604.01946) applied to the heads too.
 """
 
 import json
@@ -411,9 +415,12 @@ def joint_loss(outputs, targets, lambda_aux, variant="full"):
 class Batch:
     """Padded step-major arrays for a group of sequences.
 
-    qids and responses are (L x B); mask marks real interactions.  KC groups
-    are pre-flattened per step for the mean-embedding scatter.  Built once
-    and reused across epochs.
+    qids and responses are (L x B); mask marks real interactions.  Column
+    t*B + j of the flattened (L*B) layout is step t of sequence j; the KC
+    groups of all those columns are pre-flattened into one ``kc_flat``
+    (rows, cols, wts) triple for the mean-embedding scatter.  Padded columns
+    hold question 0, KC 0 and response 0.  ``train`` builds fresh batches
+    every epoch from its shuffled order.
     """
 
     __slots__ = ("qids", "responses", "mask", "kc_flat", "length", "size", "n_preds")
@@ -430,14 +437,14 @@ class Batch:
         self.qids = np.zeros((L, B), dtype=np.int64)
         self.responses = np.zeros((L, B))
         self.mask = np.zeros((L, B))
-        groups = [[(0,)] * B for _ in range(L)]
+        groups = [(0,)] * (L * B)
         for j, s in enumerate(seq_lists):
             for t, it in enumerate(s):
                 self.qids[t, j] = it.question
                 self.responses[t, j] = _check_response(it.response)
                 self.mask[t, j] = 1.0
-                groups[t][j] = tuple(it.kcs)
-        self.kc_flat = [ad.flatten_groups(g) for g in groups]
+                groups[t * B + j] = tuple(it.kcs)
+        self.kc_flat = ad.flatten_groups(groups)
         self.n_preds = float(self.mask[1:].sum())
 
 
@@ -456,76 +463,90 @@ class GraphOutputs:
     masteries: list = field(default_factory=list)
 
 
-def _head_graph(tape, x, W1, b1, W2, b2, wv):
-    h1 = tape.relu(tape.add_bias(tape.matmul(W1, x), b1))
-    h2 = tape.relu(tape.add_bias(tape.matmul(W2, h1), b2))
-    return tape.scale_rows(h2, wv)
+def _relu_layer(tape, W, x, b):
+    return tape.relu(tape.add_bias(tape.matmul(W, x), b))
+
+
+def _lstm_track(tape, nodes, first, inputs, B):
+    """One recurrent track over the B-column step blocks of its inputs.
+
+    ``first`` names the track's gate tensors W_first..W_{first+3} (and U, b).
+    The input projection W x + b runs as one GEMM over all input columns;
+    the loop adds U h to a column slice of it and applies the fused gates.
+    Returns the hidden states stacked step-major, like the inputs.
+    """
+    ids = range(first, first + 4)
+    w = tape.vstack([nodes[f"W_{i}"] for i in ids])
+    u = tape.vstack([nodes[f"U_{i}"] for i in ids])
+    b = tape.concat([nodes[f"b_{i}"] for i in ids])
+    proj = tape.add_bias(tape.matmul(w, inputs), b)
+    d = u.value.shape[1]
+    h = tape.leaf(np.zeros((d, B)))
+    c = tape.leaf(np.zeros((d, B)))
+    hs = []
+    for t in range(inputs.value.shape[1] // B):
+        z = tape.add(tape.col_slice(proj, t * B, (t + 1) * B), tape.matmul(u, h))
+        h, c = tape.lstm_gates(z, c)
+        hs.append(h)
+    return tape.hstack(hs)
 
 
 def build_graph(tape, nodes, batch, config, collect_mastery=False):
     """Record the full batch forward pass on a tape.
 
-    ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  The
-    loss node follows the active variant; per-step score vectors are
-    concatenated step-major to align with ``batch.responses[1:].ravel()``.
+    ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  Only
+    the two recurrences loop over time.  Everything else runs once over
+    step-major columns (column t*B + j is step t of sequence j): the
+    embeddings over all L*B columns, the input encodings and their
+    projections over the (L-1)*B input columns, and the alpha/beta/zeta
+    heads over the (L-1)*B stacked hidden states, their last layer fused
+    into :meth:`Tape.relu_pool`.  Score vectors therefore align with
+    ``batch.responses[1:].ravel()``; the loss node follows the active variant.
     """
-    d, B, L = config.dim, batch.size, batch.length
+    B, L = batch.size, batch.length
+    cols = (L - 1) * B
     n = nodes
-    w_ka = tape.vstack([n["W_1"], n["W_2"], n["W_3"], n["W_4"]])
-    u_ka = tape.vstack([n["U_1"], n["U_2"], n["U_3"], n["U_4"]])
-    b_ka = tape.concat([n["b_1"], n["b_2"], n["b_3"], n["b_4"]])
     run_ks = config.needs_mastery_lstm or collect_mastery
+
+    q_all = tape.embed(n["Q"], batch.qids.ravel())
+    k_all = tape.embed_mean_flat(n["K"], *batch.kc_flat, L * B)
+    k_in = tape.col_slice(k_all, 0, cols)
+    r = batch.responses[:-1].ravel()
+
+    qk = tape.vstack([tape.col_slice(q_all, 0, cols), k_in])
+    e_ka = tape.vstack([tape.scale_columns(qk, r), tape.scale_columns(qk, 1.0 - r)])
+    h_ka = _lstm_track(tape, n, 1, e_ka, B)
+    hidden_a = _relu_layer(tape, n["W_a1"], h_ka, n["b_a1"])
+    alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
+
     if run_ks:
-        w_ks = tape.vstack([n["W_5"], n["W_6"], n["W_7"], n["W_8"]])
-        u_ks = tape.vstack([n["U_5"], n["U_6"], n["U_7"], n["U_8"]])
-        b_ks = tape.concat([n["b_5"], n["b_6"], n["b_7"], n["b_8"]])
-
-    q_embs = [tape.embed(n["Q"], batch.qids[t]) for t in range(L)]
-    kbars = [tape.embed_mean_flat(n["K"], *batch.kc_flat[t], B) for t in range(L)]
-
-    h_ka = tape.leaf(np.zeros((d, B)))
-    c_ka = tape.leaf(np.zeros((d, B)))
-    if run_ks:
-        h_ks = tape.leaf(np.zeros((d, B)))
-        c_ks = tape.leaf(np.zeros((d, B)))
-
-    alphas, betas, zetas = [], [], []
+        e_ks = tape.vstack([tape.scale_columns(k_in, r), tape.scale_columns(k_in, 1.0 - r)])
+        h_ks = _lstm_track(tape, n, 5, e_ks, B)
+    beta = zeta = None
     masteries = []
-    for t in range(L - 1):
-        r = batch.responses[t]
-        qk = tape.vstack([q_embs[t], kbars[t]])
-        e = tape.vstack([tape.scale_columns(qk, r), tape.scale_columns(qk, 1.0 - r)])
-        z = tape.add_bias(tape.add(tape.matmul(w_ka, e), tape.matmul(u_ka, h_ka)), b_ka)
-        h_ka, c_ka = tape.lstm_gates(z, c_ka)
-        alphas.append(tape.sum_columns(_head_graph(tape, h_ka, n["W_a1"], n["b_a1"], n["W_a2"], n["b_a2"], n["w_a"])))
-        if run_ks:
-            cin = tape.vstack([tape.scale_columns(kbars[t], r), tape.scale_columns(kbars[t], 1.0 - r)])
-            zk = tape.add_bias(tape.add(tape.matmul(w_ks, cin), tape.matmul(u_ks, h_ks)), b_ks)
-            h_ks, c_ks = tape.lstm_gates(zk, c_ks)
-        if config.uses_beta or collect_mastery:
-            v = _head_graph(tape, h_ks, n["W_g1"], n["b_g1"], n["W_g2"], n["b_g2"], n["w_g"])
-            betas.append(tape.sum_columns(v))
-            if collect_mastery:
-                masteries.append(ad.sigmoid(v.value))
-        if config.uses_zeta:
-            u = tape.vstack([h_ks, q_embs[t + 1], kbars[t + 1]])
-            h1 = tape.relu(tape.add_bias(tape.matmul(n["W_p1"], u), n["b_p1"]))
-            h2 = tape.relu(tape.add_bias(tape.matmul(n["W_p2"], h1), n["b_p2"]))
-            zetas.append(tape.add_scalar(tape.dot_columns(n["w_p"], h2), n["b_p"]))
-
-    alpha_all = tape.concat(alphas)
-    beta_all = tape.concat(betas) if (betas and config.uses_beta) else None
-    zeta_all = tape.concat(zetas) if zetas else None
+    if config.uses_beta or collect_mastery:
+        hidden_g = _relu_layer(tape, n["W_g1"], h_ks, n["b_g1"])
+        if config.uses_beta:
+            beta = tape.relu_pool(n["W_g2"], hidden_g, n["b_g2"], n["w_g"])
+        if collect_mastery:
+            # the per-KC terms that relu_pool sums, evaluated off the tape
+            pre = n["W_g2"].value @ hidden_g.value + n["b_g2"].value[:, None]
+            v = n["w_g"].value[:, None] * np.maximum(pre, 0.0)
+            masteries = np.split(ad.sigmoid(v), L - 1, axis=1)
+    if config.uses_zeta:
+        u = tape.vstack([h_ks, tape.col_slice(q_all, B, L * B), tape.col_slice(k_all, B, L * B)])
+        hidden_p = _relu_layer(tape, n["W_p1"], u, n["b_p1"])
+        zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
 
     if config.variant == "no_irt":
-        stacked = tape.vstack([tape.as_row(alpha_all), tape.as_row(beta_all), tape.as_row(zeta_all)])
+        stacked = tape.vstack([tape.as_row(alpha), tape.as_row(beta), tape.as_row(zeta)])
         logit = tape.add_scalar(tape.dot_columns(n["irt_w"], stacked), n["irt_b"])
     else:
-        logit = alpha_all
-        if beta_all is not None:
-            logit = tape.add(logit, beta_all)
-        if zeta_all is not None:
-            logit = tape.add(logit, zeta_all)
+        logit = alpha
+        if beta is not None:
+            logit = tape.add(logit, beta)
+        if zeta is not None:
+            logit = tape.add(logit, zeta)
     r_hat = tape.sigmoid(logit)
 
     targets = batch.responses[1:].ravel()
@@ -536,19 +557,19 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
 
     loss = tape.scale_const(tape.bce_sum(r_hat, targets, mask), 1.0 / n_preds)
     if config.lambda_aux > 0.0:
-        aux = tape.bce_sum(tape.sigmoid(alpha_all), targets, mask)
-        if beta_all is not None:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta_all), targets, mask))
-        if zeta_all is not None:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta_all), targets, mask))
+        aux = tape.bce_sum(tape.sigmoid(alpha), targets, mask)
+        if beta is not None:
+            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta), targets, mask))
+        if zeta is not None:
+            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta), targets, mask))
         loss = tape.add(loss, tape.scale_const(aux, config.lambda_aux / n_preds))
 
     return GraphOutputs(
         loss=loss,
         r_hat=r_hat,
-        alpha=alpha_all,
-        beta=beta_all,
-        zeta=zeta_all,
+        alpha=alpha,
+        beta=beta,
+        zeta=zeta,
         targets=targets,
         mask=mask,
         n_preds=n_preds,

@@ -126,6 +126,11 @@ def _shift_from_zero(x, margin=0.15):
     return x + np.sign(x) * margin + (x == 0) * margin
 
 
+def _matrix_sum(tape, x):
+    """Sum of all entries of a matrix node."""
+    return tape.sum_pool(tape.dot_columns(tape.leaf(np.ones(x.value.shape[0])), x))
+
+
 class TestFiniteDifferenceBattery:
     """Every op checked against central finite differences."""
 
@@ -166,21 +171,68 @@ class TestFiniteDifferenceBattery:
                 "W": rng.normal(size=(3, 4)),
                 "X": rng.normal(size=(4, 5)),
                 "bias": rng.normal(size=3),
-                "roww": rng.normal(size=3),
+                "roww": rng.normal(size=2),
                 "dotw": rng.normal(size=3),
             }
             coeffs = rng.normal(size=5)
 
             def build(tape, n):
                 y = tape.add_bias(tape.matmul(n["W"], n["X"]), n["bias"])
-                y = tape.scale_rows(tape.tanh(y), n["roww"])
-                y = tape.scale_columns(y, coeffs)
-                per_col = tape.add(tape.sum_columns(y), tape.dot_columns(n["dotw"], y))
-                back_up = tape.sum_columns(tape.vstack([tape.as_row(per_col)] * 2))
-                return tape.sum_pool(back_up)
+                y = tape.scale_columns(tape.tanh(y), coeffs)
+                per_col = tape.dot_columns(n["dotw"], y)
+                stacked = tape.vstack([tape.as_row(per_col), tape.as_row(tape.tanh(per_col))])
+                return tape.sum_pool(tape.dot_columns(n["roww"], stacked))
 
             report = grad_check(build, params)
             assert report.passed, (trial, report)
+
+    def test_column_slice_and_stack_ops(self):
+        rng = np.random.default_rng(13)
+        params = {"X": rng.normal(size=(3, 6)), "Y": rng.normal(size=(3, 2))}
+
+        def build(tape, n):
+            # overlapping slices accumulate; column 5 of X is in no slice
+            parts = [tape.col_slice(n["X"], 0, 3), tape.col_slice(n["X"], 2, 5), n["Y"]]
+            return _matrix_sum(tape, tape.tanh(tape.hstack(parts)))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+        tape = Tape()
+        x = tape.leaf(np.arange(12.0).reshape(2, 6))
+        np.testing.assert_array_equal(tape.col_slice(x, 2, 4).value, [[2, 3], [8, 9]])
+        joined = tape.hstack([tape.col_slice(x, 4, 6), tape.col_slice(x, 0, 1)])
+        np.testing.assert_array_equal(joined.value, [[4, 5, 0], [10, 11, 6]])
+        for start, stop in ((3, 3), (-1, 2), (4, 7)):
+            with pytest.raises(ShapeError):
+                tape.col_slice(x, start, stop)
+
+    def test_relu_pool_op(self):
+        rng = np.random.default_rng(17)
+        params = {
+            "W": rng.uniform(0.5, 1.5, size=(4, 3)),
+            "x": _shift_from_zero(rng.normal(size=(3, 5)), 0.5),
+            "b": rng.normal(size=4) * 0.1,
+            "w": rng.normal(size=4),
+        }
+        params["x"][:, 2] = -2.0  # with positive W, column 2 is inactive
+        pre = params["W"] @ params["x"] + params["b"][:, None]
+        assert np.all(pre[:, 2] < -1.0) and np.any(pre > 0.0)
+        assert np.abs(pre).min() > 1e-3  # no entry sits on the kink
+
+        def build(tape, n):
+            return tape.sum_pool(tape.tanh(tape.relu_pool(n["W"], n["x"], n["b"], n["w"])))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+
+        tape = Tape()
+        nodes = {k: tape.leaf(v) for k, v in params.items()}
+        out = tape.relu_pool(nodes["W"], nodes["x"], nodes["b"], nodes["w"])
+        np.testing.assert_allclose(out.value, params["w"] @ np.maximum(pre, 0.0), rtol=1e-14)
+        tape.backward(tape.sum_pool(out))
+        np.testing.assert_array_equal(nodes["x"].grad[:, 2], 0.0)
+        with pytest.raises(ShapeError):
+            tape.relu_pool(nodes["W"], nodes["x"], nodes["b"], tape.leaf(np.ones(3)))
 
     def test_scalar_param_ops(self):
         rng = np.random.default_rng(19)
@@ -210,7 +262,7 @@ class TestFiniteDifferenceBattery:
             e = tape.embed(n["M"], idx)
             em = tape.embed_mean(n["M"], groups)
             stacked = tape.vstack([e, em, n["X"]])
-            return tape.sum_pool(tape.sum_columns(tape.tanh(stacked)))
+            return _matrix_sum(tape, tape.tanh(stacked))
 
         report = grad_check(build, params)
         assert report.passed, report
@@ -249,7 +301,7 @@ class TestFiniteDifferenceBattery:
             h1, c1 = tape.lstm_gates(n["z1"], n["c0"])
             h2, c2 = tape.lstm_gates(n["z2"], c1)
             both = tape.add(h1, h2)
-            return tape.sum_pool(tape.sum_columns(tape.add(both, c2)))
+            return _matrix_sum(tape, tape.add(both, c2))
 
         report = grad_check(build, params)
         assert report.passed, report
@@ -260,7 +312,7 @@ class TestFiniteDifferenceBattery:
 
         def build(tape, n):
             _h, c = tape.lstm_gates(n["z"], n["c0"])
-            return tape.sum_pool(tape.sum_columns(c))
+            return _matrix_sum(tape, c)
 
         report = grad_check(build, params)
         assert report.passed, report
@@ -273,7 +325,7 @@ class TestDeterminism:
         tape = Tape()
         wn, xn = tape.leaf(w), tape.leaf(x)
         h, c = tape.lstm_gates(tape.vstack([xn] * 4), tape.tanh(tape.matmul(wn, xn)))
-        loss = tape.sum_pool(tape.sum_columns(tape.add(h, c)))
+        loss = _matrix_sum(tape, tape.add(h, c))
         tape.backward(loss)
         return float(loss.value), wn.grad.copy(), xn.grad.copy()
 

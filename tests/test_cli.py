@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+import qckt.cli
+import qckt.model
 from qckt.cli import main
 from qckt.model import Parameters
 
@@ -256,6 +258,24 @@ class TestExport:
         assert len(states) == n_rows - 1
         for row in steps:
             assert 0.0 < float(row["r_hat"]) < 1.0
+
+    def test_runs_the_value_forward_once(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        forward = qckt.model.forward_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(qckt.cli, "forward_sequence", counting)
+        monkeypatch.setattr(qckt.model, "forward_sequence", counting)
+        student = read_csv(workspace["data"])[0]["student_id"]
+        rc = main(
+            ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
+             "--student", student, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_unknown_student_reports_count(self, workspace, tmp_path, capsys):
         rc = main(

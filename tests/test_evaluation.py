@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qckt.evaluation as qe
 import qckt.model as qm
@@ -50,6 +52,17 @@ class TestAuc:
                 labels[0] = 1 - labels[0]
             p = ps(preds, labels)
             np.testing.assert_allclose(qe.auc(p), qe.auc_bruteforce(p), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=80))
+    def test_equals_bruteforce_exactly_on_tie_heavy_inputs(self, pairs):
+        # five distinct scores, so almost every prediction is tied; ranks are
+        # half-integers and both forms are exact in float arithmetic
+        preds = np.array([v / 4.0 for v, _ in pairs])
+        labels = np.array([lab for _, lab in pairs])
+        assume(labels.min() != labels.max())
+        p = ps(preds, labels)
+        assert qe.auc(p) == qe.auc_bruteforce(p)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(7)
@@ -180,6 +193,17 @@ class TestExports:
                 for c in ("sigma_alpha", "sigma_beta", "sigma_zeta")
             )
             np.testing.assert_allclose(row["r_hat"], sigmoid(logit), rtol=1e-9)
+
+    def test_precomputed_outputs_give_the_same_tables(self):
+        cfg = qm.ModelConfig(5, 3, 4)
+        p = qm.Parameters.init(cfg, seed=9)
+        seq = make_seq(np.random.default_rng(9), 6, 5, 3)
+        outs = qm.forward_sequence(seq, p)
+        assert qe.export_module_outputs(p, seq, outputs=outs) == qe.export_module_outputs(p, seq)
+        np.testing.assert_array_equal(
+            qe.export_knowledge_states(p, seq, [0, 2], outputs=outs),
+            qe.export_knowledge_states(p, seq, [0, 2]),
+        )
 
     def test_knowledge_states_zero_params(self):
         p, cfg = self._zero_model()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qckt.model as qm
 from _support import FakeInteraction, make_seq, random_params
@@ -394,6 +396,44 @@ class TestBatchGraph:
             dict(p.items()),
         )
         assert report.passed, (variant, report)
+
+    def test_node_budget(self):
+        # only the recurrences loop over time; at L = 50, B = 64 the full
+        # model records 2 x 49 gate calls and at most 600 nodes in all
+        rng = np.random.default_rng(3)
+        lengths = [50] + [int(L) for L in rng.integers(2, 51, size=63)]
+        batch = qm.Batch([make_seq(rng, L, 20, 5) for L in lengths])
+        cfg = qm.ModelConfig(20, 5, 4)
+        p = qm.Parameters.init(cfg, seed=3)
+        tape = Tape()
+        qm.build_graph(tape, p.leaves(tape), batch, cfg)
+        assert len(tape.nodes) <= 600
+        assert sum(node.op == "lstm_gates" for node in tape.nodes) == 2 * 49
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        variant=st.sampled_from(qm.VARIANTS),
+        length=st.integers(2, 10),
+        others=st.lists(st.integers(2, 14), min_size=1, max_size=5),
+        slot=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_predictions_do_not_depend_on_batch_company(self, variant, length, others, slot, seed):
+        cfg = qm.ModelConfig(6, 4, 3, variant=variant)
+        p = random_params(cfg, seed=5, scale=0.3)
+        rng = np.random.default_rng(seed)
+        seq = make_seq(rng, length, 6, 4)
+        seqs = [make_seq(rng, L, 6, 4) for L in others]
+        slot = min(slot, len(seqs))
+        seqs.insert(slot, seq)
+
+        alone, _ = qm.batch_predictions(p, qm.Batch([seq]), cfg)
+        batch = qm.Batch(seqs)
+        preds, _ = qm.batch_predictions(p, batch, cfg)
+        keep = batch.mask[1:] > 0.0
+        grid = np.full(keep.shape, np.nan)
+        grid[keep] = preds  # predictions come back step-major
+        np.testing.assert_allclose(grid[: length - 1, slot], alone, rtol=0.0, atol=1e-10)
 
     def test_batch_rejects_too_short(self):
         with pytest.raises(DataError):
