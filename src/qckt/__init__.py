@@ -1,8 +1,7 @@
 """Question-centric knowledge tracing with an additive IRT prediction layer."""
 
 from .autodiff import Tape, grad_check, sigmoid
-from .kernels import get_backend, set_backend
 
 __version__ = "0.1.0"
 
-__all__ = ["Tape", "grad_check", "sigmoid", "get_backend", "set_backend", "__version__"]
+__all__ = ["Tape", "grad_check", "sigmoid", "__version__"]

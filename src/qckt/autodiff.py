@@ -66,9 +66,19 @@ class Node:
 
 
 def _ensure_grad(node):
+    """Give node a zeroed gradient buffer if it has none yet."""
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
     return node.grad
+
+
+def _accumulate(node, g):
+    """Add gradient contribution g (shaped like node.value) to node.grad.
+    The first one is copied, so no two nodes ever share a gradient buffer."""
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
 
 
 def flatten_groups(groups):
@@ -116,28 +126,18 @@ class Tape:
         out = wv @ xv
 
         def backward(g):
-            _ensure_grad(w)
-            if xv.ndim == 1:
-                w.grad += np.outer(g, xv)
-            else:
-                w.grad += g @ xv.T
-            _ensure_grad(x)
-            x.grad += wv.T @ g
+            _accumulate(w, np.outer(g, xv) if xv.ndim == 1 else g @ xv.T)
+            _accumulate(x, wv.T @ g)
 
         return self._record("matmul", out, (w, x), backward)
-
-    # spec name for the vector case
-    matvec = matmul
 
     def add(self, a, b):
         if a.value.shape != b.value.shape:
             raise ShapeError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
 
         def backward(g):
-            _ensure_grad(a)
-            a.grad += g
-            _ensure_grad(b)
-            b.grad += g
+            _accumulate(a, g)
+            _accumulate(b, g)
 
         return self._record("add", a.value + b.value, (a, b), backward)
 
@@ -146,10 +146,8 @@ class Tape:
             raise ShapeError(f"mul shapes differ: {a.value.shape} vs {b.value.shape}")
 
         def backward(g):
-            _ensure_grad(a)
-            a.grad += g * b.value
-            _ensure_grad(b)
-            b.grad += g * a.value
+            _accumulate(a, g * b.value)
+            _accumulate(b, g * a.value)
 
         return self._record("mul", a.value * b.value, (a, b), backward)
 
@@ -157,8 +155,7 @@ class Tape:
         y = sigmoid(x.value)
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g * y * (1.0 - y)
+            _accumulate(x, g * y * (1.0 - y))
 
         return self._record("sigmoid", y, (x,), backward)
 
@@ -166,8 +163,7 @@ class Tape:
         y = np.tanh(x.value)
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g * (1.0 - y * y)
+            _accumulate(x, g * (1.0 - y * y))
 
         return self._record("tanh", y, (x,), backward)
 
@@ -177,23 +173,12 @@ class Tape:
         pos = x.value > 0
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g * pos
+            _accumulate(x, g * pos)
 
         return self._record("relu", y, (x,), backward)
 
-    def concat(self, parts):
-        """Join rank-1 tensors in order; backward slices the gradient back."""
-        for p in parts:
-            if p.value.ndim != 1:
-                raise ShapeError(f"concat requires vectors, got shape {p.value.shape}")
-        return self._concat0(parts, "concat")
-
     def vstack(self, parts):
         """Axis-0 concatenation of matrices/vectors with equal trailing shape."""
-        return self._concat0(parts, "vstack")
-
-    def _concat0(self, parts, op):
         parts = tuple(parts)
         out = np.concatenate([p.value for p in parts], axis=0)
         sizes = [p.value.shape[0] for p in parts]
@@ -201,11 +186,10 @@ class Tape:
         def backward(g):
             off = 0
             for p, k in zip(parts, sizes):
-                _ensure_grad(p)
-                p.grad += g[off : off + k]
+                _accumulate(p, g[off : off + k])
                 off += k
 
-        return self._record(op, out, parts, backward)
+        return self._record("vstack", out, parts, backward)
 
     def sum_pool(self, x):
         """Sum of a rank-1 tensor; gradient broadcasts 1 to every entry."""
@@ -213,26 +197,9 @@ class Tape:
             raise ShapeError(f"sum_pool requires a vector, got shape {x.value.shape}")
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g
+            _accumulate(x, np.broadcast_to(g, x.value.shape))
 
         return self._record("sum_pool", x.value.sum(), (x,), backward)
-
-    def bce(self, pred, target):
-        """Binary cross entropy of a scalar probability against a 0/1 target."""
-        if target not in (0, 1):
-            raise DomainError(f"bce target must be 0 or 1, got {target!r}")
-        if pred.value.ndim != 0:
-            raise ShapeError(f"bce expects a scalar prediction, got {pred.value.shape}")
-        t = float(target)
-        p = np.clip(pred.value, EPS_PROB, 1.0 - EPS_PROB)
-        inside = (pred.value > EPS_PROB) & (pred.value < 1.0 - EPS_PROB)
-
-        def backward(g):
-            _ensure_grad(pred)
-            pred.grad += g * inside * (p - t) / (p * (1.0 - p))
-
-        return self._record("bce", bce_value(p, t), (pred,), backward)
 
     # -- batched extensions --------------------------------------------------
 
@@ -242,10 +209,8 @@ class Tape:
             raise ShapeError(f"add_bias shapes: {x.value.shape} and {b.value.shape}")
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g
-            _ensure_grad(b)
-            b.grad += g.sum(axis=1)
+            _accumulate(x, g)
+            _accumulate(b, g.sum(axis=1))
 
         return self._record("add_bias", x.value + b.value[:, None], (x, b), backward)
 
@@ -256,8 +221,7 @@ class Tape:
             raise ShapeError(f"scale_columns shapes: {x.value.shape} and {coeffs.shape}")
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g * coeffs[None, :]
+            _accumulate(x, g * coeffs[None, :])
 
         return self._record("scale_columns", x.value * coeffs[None, :], (x,), backward)
 
@@ -267,8 +231,7 @@ class Tape:
             raise ShapeError(f"as_row requires a vector, got {x.value.shape}")
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g[0]
+            _accumulate(x, g[0])
 
         return self._record("as_row", x.value[None, :], (x,), backward)
 
@@ -292,8 +255,7 @@ class Tape:
         def backward(g):
             off = 0
             for p, k in zip(parts, sizes):
-                _ensure_grad(p)
-                p.grad += g[:, off : off + k]
+                _accumulate(p, g[:, off : off + k])
                 off += k
 
         return self._record("hstack", out, parts, backward)
@@ -318,17 +280,13 @@ class Tape:
         np.maximum(act, 0.0, out=act)
 
         def backward(g):
-            _ensure_grad(w)
-            w.grad += act @ g
+            _accumulate(w, act @ g)
             # the relu output is > 0 exactly where its preactivation is
             ga = np.multiply.outer(wv, g)
             ga *= act > 0.0
-            _ensure_grad(W)
-            W.grad += ga @ xv.T
-            _ensure_grad(b)
-            b.grad += ga.sum(axis=1)
-            _ensure_grad(x)
-            x.grad += Wv.T @ ga
+            _accumulate(W, ga @ xv.T)
+            _accumulate(b, ga.sum(axis=1))
+            _accumulate(x, Wv.T @ ga)
 
         return self._record("relu_pool", wv @ act, (W, x, b, w), backward)
 
@@ -338,25 +296,10 @@ class Tape:
             raise ShapeError(f"dot_columns shapes: {w.value.shape} and {x.value.shape}")
 
         def backward(g):
-            _ensure_grad(w)
-            w.grad += x.value @ g
-            _ensure_grad(x)
-            x.grad += np.outer(w.value, g)
+            _accumulate(w, x.value @ g)
+            _accumulate(x, np.outer(w.value, g))
 
         return self._record("dot_columns", w.value @ x.value, (w, x), backward)
-
-    def mul_scalar(self, x, s):
-        """Multiply x by a scalar parameter node."""
-        if s.value.ndim != 0:
-            raise ShapeError("mul_scalar expects a scalar node")
-
-        def backward(g):
-            _ensure_grad(x)
-            x.grad += g * s.value
-            _ensure_grad(s)
-            s.grad += (g * x.value).sum()
-
-        return self._record("mul_scalar", x.value * s.value, (x, s), backward)
 
     def add_scalar(self, x, s):
         """Add a scalar parameter node to every entry of x."""
@@ -364,10 +307,8 @@ class Tape:
             raise ShapeError("add_scalar expects a scalar node")
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g
-            _ensure_grad(s)
-            s.grad += g.sum()
+            _accumulate(x, g)
+            _accumulate(s, g.sum())
 
         return self._record("add_scalar", x.value + s.value, (x, s), backward)
 
@@ -376,8 +317,7 @@ class Tape:
         c = float(c)
 
         def backward(g):
-            _ensure_grad(x)
-            x.grad += g * c
+            _accumulate(x, g * c)
 
         return self._record("scale_const", x.value * c, (x,), backward)
 
@@ -392,16 +332,12 @@ class Tape:
 
         return self._record("embed", out, (table,), backward)
 
-    def embed_mean(self, table, groups):
-        """Average row groups of an (n x d) table -> columns of (d x B).
-
-        ``groups`` is a sequence of non-empty index collections, one per
-        output column.
-        """
-        return self.embed_mean_flat(table, *flatten_groups(groups), len(groups))
-
     def embed_mean_flat(self, table, rows, cols, wts, n_cols):
-        """:meth:`embed_mean` with groups pre-flattened by :func:`flatten_groups`."""
+        """Average row groups of an (n x d) table -> columns of (d x n_cols).
+
+        The groups, one non-empty index collection per output column, come
+        pre-flattened by :func:`flatten_groups`.
+        """
         d = table.value.shape[1]
         out = np.zeros((d, n_cols))
         np.add.at(out.T, cols, table.value[rows] * wts[:, None])
@@ -416,8 +352,8 @@ class Tape:
         """Fused gate pass: z (4d x B) stacked preactivations, c_prev (d x B).
 
         Returns (h, c) nodes.  All four gates are logistic; the cell is
-        f*c_prev + i*cand and h is o*tanh(c).  Forward and backward run in the
-        active kernel backend.
+        f*c_prev + i*cand and h is o*tanh(c).  Forward and backward run in
+        :mod:`qckt.kernels`.
         """
         zv, cv = z.value, c_prev.value
         if zv.ndim != 2 or cv.ndim != 2 or zv.shape != (4 * cv.shape[0], cv.shape[1]):
@@ -430,10 +366,8 @@ class Tape:
             if dc is None:
                 dc = np.zeros_like(c)
             dz, dcp = kernels.gates_backward(g, dc, gates, tc, cv)
-            _ensure_grad(z)
-            z.grad += dz
-            _ensure_grad(c_prev)
-            c_prev.grad += dcp
+            _accumulate(z, dz)
+            _accumulate(c_prev, dcp)
 
         h_node = self._record("lstm_gates", h, (z, c_prev), backward_h)
 
@@ -459,8 +393,7 @@ class Tape:
         val = float((m * bce_value(p, targets)).sum())
 
         def backward(g):
-            _ensure_grad(pred)
-            pred.grad += g * m * inside * (p - targets) / (p * (1.0 - p))
+            _accumulate(pred, g * m * inside * (p - targets) / (p * (1.0 - p)))
 
         return self._record("bce_sum", val, (pred,), backward)
 

@@ -34,10 +34,11 @@ from .evaluation import (
     export_module_outputs,
     pairwise_t_matrix,
 )
-from .model import ModelConfig, Parameters, VARIANTS, forward_sequence
+from .model import ModelConfig, Parameters, VARIANTS, sequence_outputs
 from .training import (
     TrainConfig,
     grid_search,
+    mean_std,
     predictions_over,
     run_ablation,
     run_cv,
@@ -303,21 +304,13 @@ def cmd_eval(args):
     out.mkdir(parents=True, exist_ok=True)
     report_rows = []
     for name, rows in per_run.items():
-        aucs = [r["auc"] for r in rows]
-        accs = [r["acc"] for r in rows]
+        mean_auc, std_auc = mean_std([r["auc"] for r in rows])
+        mean_acc, std_acc = mean_std([r["acc"] for r in rows])
         for r in rows:
             report_rows.append({"run": name, **r})
-        n = len(rows)
-
-        def std(xs):
-            mean = sum(xs) / n
-            return (sum((x - mean) ** 2 for x in xs) / n) ** 0.5
-
-        report_rows.append(
-            {"run": name, "fold": "mean", "auc": sum(aucs) / n, "acc": sum(accs) / n}
-        )
-        report_rows.append({"run": name, "fold": "std", "auc": std(aucs), "acc": std(accs)})
-        print(f"{name}: auc {sum(aucs) / n:.4f} acc {sum(accs) / n:.4f} ({n} folds)")
+        report_rows.append({"run": name, "fold": "mean", "auc": mean_auc, "acc": mean_acc})
+        report_rows.append({"run": name, "fold": "std", "auc": std_auc, "acc": std_acc})
+        print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
     _write_csv(out / REPORT_CSV, ["run", "fold", "auc", "acc"], report_rows)
     outputs = [REPORT_CSV]
 
@@ -357,7 +350,7 @@ def cmd_export(args):
     params = Parameters.load(path)
 
     kc_subset = args.kcs if args.kcs is not None else list(range(ds.n_kcs))
-    outputs = forward_sequence(seq, params)
+    outputs = sequence_outputs(params, seq)
     steps = export_module_outputs(params, seq, outputs=outputs)
     states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
 

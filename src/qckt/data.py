@@ -64,8 +64,11 @@ class Dataset:
 
 def load_dataset(path):
     """Parse an interaction log; ids become dense 0-based ranges."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ParseError(f"{path} is empty")
     if lines[0].strip() != HEADER:

@@ -58,16 +58,6 @@ def auc(ps):
     return float(u / (n_pos * n_neg))
 
 
-def auc_bruteforce(ps):
-    """O(P*N) pairwise definition; retained as the oracle for :func:`auc`."""
-    pos = ps.preds[ps.labels == 1.0]
-    neg = ps.preds[ps.labels == 0.0]
-    if pos.size == 0 or neg.size == 0:
-        raise MetricError("AUC undefined for single-class labels")
-    wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-    return float(wins / (pos.size * neg.size))
-
-
 def accuracy(ps, threshold=0.5):
     """Fraction predicted on the correct side; a prediction exactly at the
     threshold counts as positive."""
@@ -146,27 +136,31 @@ def export_module_outputs(params, seq, config=None, outputs=None):
     """Per-step module outputs: one row per prediction with the overall
     probability and the per-module sigmoid scores.
 
-    ``outputs`` may pass in the :func:`qckt.model.forward_sequence` result
+    ``outputs`` may pass in the :func:`qckt.model.sequence_outputs` result
     of this sequence, so one forward serves several exports.
     """
     if outputs is None:
-        outputs = qmodel.forward_sequence(seq, params, config)
+        outputs = qmodel.sequence_outputs(params, seq, config)
     interactions = getattr(seq, "interactions", seq)
-    rows = []
-    for t, out in enumerate(outputs, start=1):
-        target = interactions[t]
-        rows.append(
-            {
-                "step": t,
-                "question": int(target.question),
-                "response": int(target.response),
-                "r_hat": out.r_hat,
-                "sigma_alpha": float(sigmoid(out.alpha)),
-                "sigma_beta": float(sigmoid(out.beta)),
-                "sigma_zeta": float(sigmoid(out.zeta)),
-            }
-        )
-    return rows
+    columns = zip(
+        interactions[1:],
+        outputs.r_hat.value,
+        sigmoid(outputs.alpha.value),
+        sigmoid(outputs.beta.value),
+        sigmoid(outputs.zeta.value),
+    )
+    return [
+        {
+            "step": t,
+            "question": int(target.question),
+            "response": int(target.response),
+            "r_hat": float(r_hat),
+            "sigma_alpha": float(s_alpha),
+            "sigma_beta": float(s_beta),
+            "sigma_zeta": float(s_zeta),
+        }
+        for t, (target, r_hat, s_alpha, s_beta, s_zeta) in enumerate(columns, start=1)
+    ]
 
 
 def export_knowledge_states(params, seq, kc_subset, config=None, outputs=None):
@@ -182,5 +176,5 @@ def export_knowledge_states(params, seq, kc_subset, config=None, outputs=None):
         if not (0 <= k < m):
             raise IndexError(f"KC id {k} out of range (m={m})")
     if outputs is None:
-        outputs = qmodel.forward_sequence(seq, params, config)
-    return np.array([[out.kc_mastery[k] for k in kc_subset] for out in outputs])
+        outputs = qmodel.sequence_outputs(params, seq, config)
+    return outputs.mastery[kc_subset].T

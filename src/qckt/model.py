@@ -15,20 +15,19 @@ swap the fixed sum for a learned affine one.
 Both recurrent cells use logistic activations on all four gates, including
 the candidate; that is the model definition here, not an oversight.
 
-Two execution paths exist on purpose.  The value-level functions in this file
-(`lstm_step`, the ``*_score`` functions, `forward_sequence`, `joint_loss`)
-are straight-line float evaluations used for export and as an independent
-oracle.  Training goes through :func:`build_graph`, which records the same
-math on an autodiff tape over padded (feature x column) arrays whose columns
-are step-major: column t*B + j is step t of sequence j in a batch of B.  Only
-the two recurrences loop over time; the embeddings, the input projections
-W x + b and the three heads each run once over all columns, the time-loop
-hoisting of Appleyard et al. (arXiv:1604.01946) applied to the heads too.
+One forward implementation serves training, scoring and export:
+:func:`build_graph` records the model on an autodiff tape over padded
+(feature x column) arrays whose columns are step-major: column t*B + j is
+step t of sequence j in a batch of B.  Only the two recurrences loop over
+time; the embeddings, the input projections W x + b and the three heads each
+run once over all columns, the time-loop hoisting of Appleyard et al.
+(arXiv:1604.01946) applied to the heads too.  Scoring and export run it
+without a backward pass.
 """
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,11 +127,6 @@ def param_shapes(config):
     return shapes
 
 
-def irt_param_count(config):
-    """Trainable parameters inside the prediction layer (0 except no_irt)."""
-    return 4 if config.variant == "no_irt" else 0
-
-
 class Parameters:
     """Named tensor store for one model; iteration order is fixed."""
 
@@ -178,11 +172,6 @@ class Parameters:
                 tensors[name] = rng.uniform(-lim, lim, size=shape)
         return cls(config, tensors)
 
-    @classmethod
-    def zeros(cls, config):
-        """All-zero tensors; handy for the analytic edge-case tests."""
-        return cls(config, {k: np.zeros(s) for k, s in param_shapes(config).items()})
-
     def __getitem__(self, name):
         return self.tensors[name]
 
@@ -221,192 +210,40 @@ class Parameters:
 
     @classmethod
     def load(cls, path):
+        """Read a :meth:`save` file; malformed content raises DataError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise DataError(f"not a checkpoint file: bad magic {magic!r} in {path}")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            config = ModelConfig(**header["config"])
-            tensors = {}
-            for name, shape in header["tensors"]:
-                shape = tuple(shape)
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise DataError(f"checkpoint truncated while reading {name}")
-                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise DataError("checkpoint has trailing bytes")
-        return cls(config, tensors)
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zero(cls, d):
-        return cls(np.zeros(d), np.zeros(d))
-
-
-@dataclass
-class StepOutputs:
-    """Scores and prediction for one step; mastery is the per-KC sigmoid."""
-
-    alpha: float
-    beta: float
-    zeta: float
-    r_hat: float
-    kc_mastery: np.ndarray
-
-
-# -- value-level ops (straight-line floats; export path and test oracle) ----
-
-
-def avg_kc_embedding(kcs, K):
-    """Mean of the KC embedding rows selected by the id set."""
-    ids = sorted(set(kcs))
-    if not ids:
-        raise DataError("question without KCs")
-    if ids[-1] >= K.shape[0] or ids[0] < 0:
-        raise IndexError(f"KC id out of range: {ids} with {K.shape[0]} KCs")
-    return K[ids].mean(axis=0)
+            size = fh.read(4)
+            if len(size) != 4:
+                raise DataError(f"checkpoint truncated in its header: {path}")
+            try:
+                header = json.loads(fh.read(struct.unpack("<I", size)[0]).decode("utf-8"))
+                config = ModelConfig(**header["config"])
+                tensors = {}
+                for name, shape in header["tensors"]:
+                    shape = tuple(shape)
+                    count = int(np.prod(shape)) if shape else 1
+                    raw = fh.read(count * 8)
+                    if len(raw) != count * 8:
+                        raise DataError(f"checkpoint truncated while reading {name}")
+                    tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                if fh.read(1):
+                    raise DataError("checkpoint has trailing bytes")
+                return cls(config, tensors)
+            except (ValueError, TypeError, KeyError) as exc:
+                # bad UTF-8 or JSON, missing, unknown or invalid config keys,
+                # or tensor names and shapes that do not fit the config
+                raise DataError(
+                    f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+                ) from exc
 
 
 def _check_response(r):
     if r not in (0, 1):
         raise DomainError(f"response must be 0 or 1, got {r!r}")
     return float(r)
-
-
-def encode_ka(q_emb, kbar, r):
-    """Interaction encoding for the acquisition cell: correct responses fill
-    the first half, incorrect ones the second, the rest is zeros."""
-    r = _check_response(r)
-    qk = np.concatenate([q_emb, kbar])
-    return np.concatenate([qk * r, qk * (1.0 - r)])
-
-
-def encode_ks(kbar, r):
-    """Interaction encoding for the mastery cell (question-agnostic)."""
-    r = _check_response(r)
-    return np.concatenate([kbar * r, kbar * (1.0 - r)])
-
-
-def lstm_step(x, state, W, U, b):
-    """One recurrent step from per-gate tensors in (input, forget, output,
-    candidate) order; all gates logistic.  Pure float evaluation."""
-    if W[0].shape[1] != x.shape[0]:
-        raise ShapeError(f"gate weight {W[0].shape} does not accept input {x.shape}")
-    gates = [ad.sigmoid(W[k] @ x + U[k] @ state.h + b[k]) for k in range(4)]
-    i, f, o, cand = gates
-    c = f * state.c + i * cand
-    return LstmState(o * np.tanh(c), c)
-
-
-def _two_layer_relu(x, W1, b1, W2, b2):
-    return np.maximum(W2 @ np.maximum(W1 @ x + b1, 0.0) + b2, 0.0)
-
-
-def ka_score(a_t, params):
-    """Pooled acquisition score over all question slots."""
-    v = params["w_a"] * _two_layer_relu(a_t, params["W_a1"], params["b_a1"], params["W_a2"], params["b_a2"])
-    return float(v.sum())
-
-
-def ks_score(g_t, params):
-    """(pooled mastery score, per-KC mastery in (0,1))."""
-    v = params["w_g"] * _two_layer_relu(g_t, params["W_g1"], params["b_g1"], params["W_g2"], params["b_g2"])
-    return float(v.sum()), ad.sigmoid(v)
-
-
-def ps_score(g_t, q_next, kbar_next, params):
-    """Application score of the mastery state against the next question."""
-    u = np.concatenate([g_t, q_next, kbar_next])
-    hidden = _two_layer_relu(u, params["W_p1"], params["b_p1"], params["W_p2"], params["b_p2"])
-    return float(params["w_p"] @ hidden + params["b_p"])
-
-
-def irt_predict(alpha, beta, zeta):
-    """Parameter-free fusion: probability sigmoid(alpha + beta + zeta)."""
-    return float(ad.sigmoid(alpha + beta + zeta))
-
-
-def _fuse(alpha, beta, zeta, config, params):
-    if config.variant == "no_irt":
-        w, b = params["irt_w"], params["irt_b"]
-        return float(ad.sigmoid(w[0] * alpha + w[1] * beta + w[2] * zeta + b))
-    logit = alpha
-    if config.uses_beta:
-        logit = logit + beta
-    if config.uses_zeta:
-        logit = logit + zeta
-    return float(ad.sigmoid(logit))
-
-
-def forward_sequence(seq, params, config=None):
-    """Run one student sequence; returns L-1 StepOutputs aligned to targets
-    r_2..r_L.  All scores are computed for export purposes even when the
-    active variant excludes some of them from the prediction."""
-    config = config or params.config
-    interactions = getattr(seq, "interactions", seq)
-    if len(interactions) < 2:
-        raise DataError(f"sequence needs >= 2 interactions, got {len(interactions)}")
-    p = params
-    d = config.dim
-    Wka = [p[f"W_{i}"] for i in range(1, 5)]
-    Uka = [p[f"U_{i}"] for i in range(1, 5)]
-    bka = [p[f"b_{i}"] for i in range(1, 5)]
-    Wks = [p[f"W_{i}"] for i in range(5, 9)]
-    Uks = [p[f"U_{i}"] for i in range(5, 9)]
-    bks = [p[f"b_{i}"] for i in range(5, 9)]
-
-    q_embs = [p["Q"][it.question] for it in interactions]
-    kbars = [avg_kc_embedding(it.kcs, p["K"]) for it in interactions]
-
-    ka_state = LstmState.zero(d)
-    ks_state = LstmState.zero(d)
-    outputs = []
-    for t in range(len(interactions) - 1):
-        it = interactions[t]
-        ka_state = lstm_step(encode_ka(q_embs[t], kbars[t], it.response), ka_state, Wka, Uka, bka)
-        ks_state = lstm_step(encode_ks(kbars[t], it.response), ks_state, Wks, Uks, bks)
-        alpha = ka_score(ka_state.h, p)
-        beta, mastery = ks_score(ks_state.h, p)
-        zeta = ps_score(ks_state.h, q_embs[t + 1], kbars[t + 1], p)
-        r_hat = _fuse(alpha, beta, zeta, config, p)
-        outputs.append(StepOutputs(alpha, beta, zeta, r_hat, mastery))
-    return outputs
-
-
-def joint_loss(outputs, targets, lambda_aux, variant="full"):
-    """Float re-evaluation of the training objective for aligned outputs.
-
-    Mean prediction BCE plus lambda times the mean BCEs of the per-module
-    sigmoid scores, all against the same targets; scores excluded by the
-    variant contribute no auxiliary term.
-    """
-    if len(outputs) != len(targets):
-        raise ShapeError(f"{len(outputs)} outputs vs {len(targets)} targets")
-    if not outputs:
-        raise DataError("joint_loss needs at least one prediction")
-    cfg_beta = variant not in ("no_ks", "no_ks_ps")
-    cfg_zeta = variant not in ("no_ps", "no_ks_ps")
-    total = 0.0
-    for out, r in zip(outputs, targets):
-        r = _check_response(r)
-        step = ad.bce_value(out.r_hat, r)
-        if lambda_aux > 0.0:
-            aux = ad.bce_value(ad.sigmoid(out.alpha), r)
-            if cfg_beta:
-                aux += ad.bce_value(ad.sigmoid(out.beta), r)
-            if cfg_zeta:
-                aux += ad.bce_value(ad.sigmoid(out.zeta), r)
-            step += lambda_aux * aux
-        total += step
-    return float(total / len(outputs))
 
 
 # -- batched differentiable graph -------------------------------------------
@@ -450,7 +287,12 @@ class Batch:
 
 @dataclass
 class GraphOutputs:
-    """Tape nodes of one batch forward pass plus flat targets and mask."""
+    """Tape nodes of one batch forward pass plus flat targets and mask.
+
+    ``beta`` and ``zeta`` are None where the variant leaves them out, unless
+    the graph was built for export; ``mastery`` is the (m x (L-1)*B) per-KC
+    mastery matrix of an export graph, else None.
+    """
 
     loss: object
     r_hat: object
@@ -460,7 +302,7 @@ class GraphOutputs:
     targets: np.ndarray
     mask: np.ndarray
     n_preds: float
-    masteries: list = field(default_factory=list)
+    mastery: np.ndarray = None
 
 
 def _relu_layer(tape, W, x, b):
@@ -478,7 +320,7 @@ def _lstm_track(tape, nodes, first, inputs, B):
     ids = range(first, first + 4)
     w = tape.vstack([nodes[f"W_{i}"] for i in ids])
     u = tape.vstack([nodes[f"U_{i}"] for i in ids])
-    b = tape.concat([nodes[f"b_{i}"] for i in ids])
+    b = tape.vstack([nodes[f"b_{i}"] for i in ids])
     proj = tape.add_bias(tape.matmul(w, inputs), b)
     d = u.value.shape[1]
     h = tape.leaf(np.zeros((d, B)))
@@ -491,7 +333,7 @@ def _lstm_track(tape, nodes, first, inputs, B):
     return tape.hstack(hs)
 
 
-def build_graph(tape, nodes, batch, config, collect_mastery=False):
+def build_graph(tape, nodes, batch, config, export=False):
     """Record the full batch forward pass on a tape.
 
     ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  Only
@@ -501,12 +343,13 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
     projections over the (L-1)*B input columns, and the alpha/beta/zeta
     heads over the (L-1)*B stacked hidden states, their last layer fused
     into :meth:`Tape.relu_pool`.  Score vectors therefore align with
-    ``batch.responses[1:].ravel()``; the loss node follows the active variant.
+    ``batch.responses[1:].ravel()``.  The fusion and the loss follow the
+    active variant; ``export`` also records the scores the variant leaves out
+    and the per-KC masteries, which exports report for every variant.
     """
     B, L = batch.size, batch.length
     cols = (L - 1) * B
     n = nodes
-    run_ks = config.needs_mastery_lstm or collect_mastery
 
     q_all = tape.embed(n["Q"], batch.qids.ravel())
     k_all = tape.embed_mean_flat(n["K"], *batch.kc_flat, L * B)
@@ -519,21 +362,18 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
     hidden_a = _relu_layer(tape, n["W_a1"], h_ka, n["b_a1"])
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
 
-    if run_ks:
+    if config.needs_mastery_lstm or export:
         e_ks = tape.vstack([tape.scale_columns(k_in, r), tape.scale_columns(k_in, 1.0 - r)])
         h_ks = _lstm_track(tape, n, 5, e_ks, B)
-    beta = zeta = None
-    masteries = []
-    if config.uses_beta or collect_mastery:
+    beta = zeta = mastery = None
+    if config.uses_beta or export:
         hidden_g = _relu_layer(tape, n["W_g1"], h_ks, n["b_g1"])
-        if config.uses_beta:
-            beta = tape.relu_pool(n["W_g2"], hidden_g, n["b_g2"], n["w_g"])
-        if collect_mastery:
+        beta = tape.relu_pool(n["W_g2"], hidden_g, n["b_g2"], n["w_g"])
+        if export:
             # the per-KC terms that relu_pool sums, evaluated off the tape
             pre = n["W_g2"].value @ hidden_g.value + n["b_g2"].value[:, None]
-            v = n["w_g"].value[:, None] * np.maximum(pre, 0.0)
-            masteries = np.split(ad.sigmoid(v), L - 1, axis=1)
-    if config.uses_zeta:
+            mastery = ad.sigmoid(n["w_g"].value[:, None] * np.maximum(pre, 0.0))
+    if config.uses_zeta or export:
         u = tape.vstack([h_ks, tape.col_slice(q_all, B, L * B), tape.col_slice(k_all, B, L * B)])
         hidden_p = _relu_layer(tape, n["W_p1"], u, n["b_p1"])
         zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
@@ -543,9 +383,9 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
         logit = tape.add_scalar(tape.dot_columns(n["irt_w"], stacked), n["irt_b"])
     else:
         logit = alpha
-        if beta is not None:
+        if config.uses_beta:
             logit = tape.add(logit, beta)
-        if zeta is not None:
+        if config.uses_zeta:
             logit = tape.add(logit, zeta)
     r_hat = tape.sigmoid(logit)
 
@@ -558,9 +398,9 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
     loss = tape.scale_const(tape.bce_sum(r_hat, targets, mask), 1.0 / n_preds)
     if config.lambda_aux > 0.0:
         aux = tape.bce_sum(tape.sigmoid(alpha), targets, mask)
-        if beta is not None:
+        if config.uses_beta:
             aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta), targets, mask))
-        if zeta is not None:
+        if config.uses_zeta:
             aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta), targets, mask))
         loss = tape.add(loss, tape.scale_const(aux, config.lambda_aux / n_preds))
 
@@ -573,7 +413,7 @@ def build_graph(tape, nodes, batch, config, collect_mastery=False):
         targets=targets,
         mask=mask,
         n_preds=n_preds,
-        masteries=masteries,
+        mastery=mastery,
     )
 
 
@@ -586,6 +426,14 @@ def batch_loss_and_grads(params, batch, config=None):
     tape.backward(graph.loss)
     grads = {name: Tape.grad(node) for name, node in nodes.items()}
     return float(graph.loss.value), grads
+
+
+def sequence_outputs(params, seq, config=None):
+    """Export graph of one sequence (B = 1, no backward pass): every score
+    and the per-KC masteries, one column per prediction."""
+    config = config or params.config
+    tape = Tape()
+    return build_graph(tape, params.leaves(tape), Batch([seq]), config, export=True)
 
 
 def batch_predictions(params, batch, config=None):

@@ -210,6 +210,12 @@ class FoldResult:
     report: TrainReport
 
 
+def mean_std(values):
+    """(mean, population std) of per-fold metrics, as mean+/-std tables show."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std())
+
+
 @dataclass
 class CvReport:
     folds: list
@@ -220,15 +226,9 @@ class CvReport:
 
     @classmethod
     def from_folds(cls, folds):
-        aucs = np.array([f.test_auc for f in folds])
-        accs = np.array([f.test_acc for f in folds])
-        return cls(
-            folds=folds,
-            mean_auc=float(aucs.mean()),
-            std_auc=float(aucs.std()),  # population std, matching mean+/-std tables
-            mean_acc=float(accs.mean()),
-            std_acc=float(accs.std()),
-        )
+        mean_auc, std_auc = mean_std([f.test_auc for f in folds])
+        mean_acc, std_acc = mean_std([f.test_acc for f in folds])
+        return cls(folds, mean_auc, std_auc, mean_acc, std_acc)
 
     def rows(self):
         out = [

@@ -1,0 +1,186 @@
+"""Value-level reference model, the test oracle for the batch graph:
+straight-line float evaluation of one sequence, one step at a time, written
+independently of :func:`qckt.model.build_graph`."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import qckt.autodiff as ad
+import qckt.model as qm
+from qckt.errors import DataError, MetricError, ShapeError
+from qckt.model import _check_response
+
+
+def zero_params(config):
+    """All-zero tensors; handy for the analytic edge-case tests."""
+    return qm.Parameters(config, {k: np.zeros(s) for k, s in qm.param_shapes(config).items()})
+
+
+def auc_bruteforce(ps):
+    """O(P*N) pairwise definition; the oracle for :func:`qckt.evaluation.auc`."""
+    pos = ps.preds[ps.labels == 1.0]
+    neg = ps.preds[ps.labels == 0.0]
+    if pos.size == 0 or neg.size == 0:
+        raise MetricError("AUC undefined for single-class labels")
+    wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+    return float(wins / (pos.size * neg.size))
+
+
+@dataclass
+class LstmState:
+    h: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def zero(cls, d):
+        return cls(np.zeros(d), np.zeros(d))
+
+
+@dataclass
+class StepOutputs:
+    """Scores and prediction for one step; mastery is the per-KC sigmoid."""
+
+    alpha: float
+    beta: float
+    zeta: float
+    r_hat: float
+    kc_mastery: np.ndarray
+
+
+def avg_kc_embedding(kcs, K):
+    """Mean of the KC embedding rows selected by the id set."""
+    ids = sorted(set(kcs))
+    if not ids:
+        raise DataError("question without KCs")
+    if ids[-1] >= K.shape[0] or ids[0] < 0:
+        raise IndexError(f"KC id out of range: {ids} with {K.shape[0]} KCs")
+    return K[ids].mean(axis=0)
+
+
+def encode_ka(q_emb, kbar, r):
+    """Interaction encoding for the acquisition cell: correct responses fill
+    the first half, incorrect ones the second, the rest is zeros."""
+    r = _check_response(r)
+    qk = np.concatenate([q_emb, kbar])
+    return np.concatenate([qk * r, qk * (1.0 - r)])
+
+
+def encode_ks(kbar, r):
+    """Interaction encoding for the mastery cell (question-agnostic)."""
+    r = _check_response(r)
+    return np.concatenate([kbar * r, kbar * (1.0 - r)])
+
+
+def lstm_step(x, state, W, U, b):
+    """One recurrent step from per-gate tensors in (input, forget, output,
+    candidate) order; all gates logistic.  Pure float evaluation."""
+    if W[0].shape[1] != x.shape[0]:
+        raise ShapeError(f"gate weight {W[0].shape} does not accept input {x.shape}")
+    gates = [ad.sigmoid(W[k] @ x + U[k] @ state.h + b[k]) for k in range(4)]
+    i, f, o, cand = gates
+    c = f * state.c + i * cand
+    return LstmState(o * np.tanh(c), c)
+
+
+def _two_layer_relu(x, W1, b1, W2, b2):
+    return np.maximum(W2 @ np.maximum(W1 @ x + b1, 0.0) + b2, 0.0)
+
+
+def ka_score(a_t, params):
+    """Pooled acquisition score over all question slots."""
+    v = params["w_a"] * _two_layer_relu(a_t, params["W_a1"], params["b_a1"], params["W_a2"], params["b_a2"])
+    return float(v.sum())
+
+
+def ks_score(g_t, params):
+    """(pooled mastery score, per-KC mastery in (0,1))."""
+    v = params["w_g"] * _two_layer_relu(g_t, params["W_g1"], params["b_g1"], params["W_g2"], params["b_g2"])
+    return float(v.sum()), ad.sigmoid(v)
+
+
+def ps_score(g_t, q_next, kbar_next, params):
+    """Application score of the mastery state against the next question."""
+    u = np.concatenate([g_t, q_next, kbar_next])
+    hidden = _two_layer_relu(u, params["W_p1"], params["b_p1"], params["W_p2"], params["b_p2"])
+    return float(params["w_p"] @ hidden + params["b_p"])
+
+
+def irt_predict(alpha, beta, zeta):
+    """Parameter-free fusion: probability sigmoid(alpha + beta + zeta)."""
+    return float(ad.sigmoid(alpha + beta + zeta))
+
+
+def _fuse(alpha, beta, zeta, config, params):
+    if config.variant == "no_irt":
+        w, b = params["irt_w"], params["irt_b"]
+        return float(ad.sigmoid(w[0] * alpha + w[1] * beta + w[2] * zeta + b))
+    logit = alpha
+    if config.uses_beta:
+        logit = logit + beta
+    if config.uses_zeta:
+        logit = logit + zeta
+    return float(ad.sigmoid(logit))
+
+
+def forward_sequence(seq, params, config=None):
+    """Run one student sequence; returns L-1 StepOutputs aligned to targets
+    r_2..r_L.  All scores are computed for export purposes even when the
+    active variant excludes some of them from the prediction."""
+    config = config or params.config
+    interactions = getattr(seq, "interactions", seq)
+    if len(interactions) < 2:
+        raise DataError(f"sequence needs >= 2 interactions, got {len(interactions)}")
+    p = params
+    d = config.dim
+    Wka = [p[f"W_{i}"] for i in range(1, 5)]
+    Uka = [p[f"U_{i}"] for i in range(1, 5)]
+    bka = [p[f"b_{i}"] for i in range(1, 5)]
+    Wks = [p[f"W_{i}"] for i in range(5, 9)]
+    Uks = [p[f"U_{i}"] for i in range(5, 9)]
+    bks = [p[f"b_{i}"] for i in range(5, 9)]
+
+    q_embs = [p["Q"][it.question] for it in interactions]
+    kbars = [avg_kc_embedding(it.kcs, p["K"]) for it in interactions]
+
+    ka_state = LstmState.zero(d)
+    ks_state = LstmState.zero(d)
+    outputs = []
+    for t in range(len(interactions) - 1):
+        it = interactions[t]
+        ka_state = lstm_step(encode_ka(q_embs[t], kbars[t], it.response), ka_state, Wka, Uka, bka)
+        ks_state = lstm_step(encode_ks(kbars[t], it.response), ks_state, Wks, Uks, bks)
+        alpha = ka_score(ka_state.h, p)
+        beta, mastery = ks_score(ks_state.h, p)
+        zeta = ps_score(ks_state.h, q_embs[t + 1], kbars[t + 1], p)
+        r_hat = _fuse(alpha, beta, zeta, config, p)
+        outputs.append(StepOutputs(alpha, beta, zeta, r_hat, mastery))
+    return outputs
+
+
+def joint_loss(outputs, targets, lambda_aux, variant="full"):
+    """Float re-evaluation of the training objective for aligned outputs.
+
+    Mean prediction BCE plus lambda times the mean BCEs of the per-module
+    sigmoid scores, all against the same targets; scores excluded by the
+    variant contribute no auxiliary term.
+    """
+    if len(outputs) != len(targets):
+        raise ShapeError(f"{len(outputs)} outputs vs {len(targets)} targets")
+    if not outputs:
+        raise DataError("joint_loss needs at least one prediction")
+    cfg_beta = variant not in ("no_ks", "no_ks_ps")
+    cfg_zeta = variant not in ("no_ps", "no_ks_ps")
+    total = 0.0
+    for out, r in zip(outputs, targets):
+        r = _check_response(r)
+        step = ad.bce_value(out.r_hat, r)
+        if lambda_aux > 0.0:
+            aux = ad.bce_value(ad.sigmoid(out.alpha), r)
+            if cfg_beta:
+                aux += ad.bce_value(ad.sigmoid(out.beta), r)
+            if cfg_zeta:
+                aux += ad.bce_value(ad.sigmoid(out.zeta), r)
+            step += lambda_aux * aux
+        total += step
+    return float(total / len(outputs))

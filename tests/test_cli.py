@@ -7,13 +7,14 @@ codes, the fixed output file names, and the documented error buckets
 
 import csv
 import json
+import shutil
+import struct
 
 import pytest
 
-import qckt.cli
 import qckt.model
 from qckt.cli import main
-from qckt.model import Parameters
+from qckt.model import CHECKPOINT_MAGIC, Parameters
 
 SYNTH = [
     "synth",
@@ -260,15 +261,15 @@ class TestExport:
             assert 0.0 < float(row["r_hat"]) < 1.0
 
     def test_runs_the_value_forward_once(self, workspace, tmp_path, monkeypatch):
+        # both tables come from one forward graph of the student's sequence
         calls = []
-        forward = qckt.model.forward_sequence
+        build = qckt.model.build_graph
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return forward(*args, **kwargs)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(qckt.cli, "forward_sequence", counting)
-        monkeypatch.setattr(qckt.model, "forward_sequence", counting)
+        monkeypatch.setattr(qckt.model, "build_graph", counting)
         student = read_csv(workspace["data"])[0]["student_id"]
         rc = main(
             ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
@@ -292,6 +293,43 @@ class TestExport:
              "--student", student, "--kcs", "0,99", "--out", str(tmp_path / "o")]
         )
         assert rc == 1
+
+
+def _with_header(blob, edit):
+    """A checkpoint whose JSON header has gone through ``edit``."""
+    start = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    header = json.loads(blob[start : start + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[start + hlen :]
+
+
+# case -> (file to corrupt, corruption of its bytes)
+MALFORMED = {
+    "checkpoint cut after its magic": ("checkpoint", lambda b: b[: len(CHECKPOINT_MAGIC)]),
+    "unknown config key": ("checkpoint", lambda b: _with_header(b, lambda h: h["config"].update(x=1))),
+    "header without config": ("checkpoint", lambda b: _with_header(b, lambda h: h.pop("config"))),
+    "header not JSON": ("checkpoint", lambda b: CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"{nope" + b),
+    "CSV not UTF-8": ("data", lambda b: b.replace(b"s", b"\xff", 1)),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exit_2_with_one_error_line(self, workspace, tmp_path, capsys, case):
+        target, corrupt = MALFORMED[case]
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run0"], run)
+        data = tmp_path / "data.csv"
+        shutil.copy(workspace["data"], data)
+        path = run / "checkpoint.bin" if target == "checkpoint" else data
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--run", str(run), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2, err
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestAblate:

@@ -4,9 +4,10 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import qckt.evaluation as qe
 import qckt.model as qm
-from _support import make_seq
+from _support import make_seq, random_params
 from qckt.autodiff import sigmoid
 from qckt.errors import MetricError, ShapeError
 
@@ -51,7 +52,7 @@ class TestAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             p = ps(preds, labels)
-            np.testing.assert_allclose(qe.auc(p), qe.auc_bruteforce(p), atol=1e-12)
+            np.testing.assert_allclose(qe.auc(p), oracle.auc_bruteforce(p), atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2, max_size=80))
@@ -62,7 +63,7 @@ class TestAuc:
         labels = np.array([lab for _, lab in pairs])
         assume(labels.min() != labels.max())
         p = ps(preds, labels)
-        assert qe.auc(p) == qe.auc_bruteforce(p)
+        assert qe.auc(p) == oracle.auc_bruteforce(p)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(7)
@@ -169,7 +170,7 @@ class TestPairwiseMatrix:
 class TestExports:
     def _zero_model(self):
         cfg = qm.ModelConfig(n_questions=4, n_kcs=3, dim=2)
-        return qm.Parameters.zeros(cfg), cfg
+        return oracle.zero_params(cfg), cfg
 
     def test_module_outputs_zero_params(self):
         p, cfg = self._zero_model()
@@ -194,11 +195,28 @@ class TestExports:
             )
             np.testing.assert_allclose(row["r_hat"], sigmoid(logit), rtol=1e-9)
 
+    @pytest.mark.parametrize("variant", list(qm.VARIANTS))
+    def test_matches_value_level_oracle(self, variant):
+        # every variant exports all three scores and the masteries, though
+        # its fusion uses only some of them
+        cfg = qm.ModelConfig(5, 3, 4, variant=variant)
+        p = random_params(cfg, seed=31, scale=0.3)
+        seq = make_seq(np.random.default_rng(31), 9, 5, 3)
+        rows = qe.export_module_outputs(p, seq)
+        states = qe.export_knowledge_states(p, seq, [2, 0, 1])
+        outs = oracle.forward_sequence(seq, p)
+        assert len(rows) == len(states) == len(outs) == 8
+        for row, state, out in zip(rows, states, outs):
+            got = [row[c] for c in ("r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta")]
+            want = [out.r_hat] + [float(sigmoid(v)) for v in (out.alpha, out.beta, out.zeta)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(state, out.kc_mastery[[2, 0, 1]], rtol=0.0, atol=1e-11)
+
     def test_precomputed_outputs_give_the_same_tables(self):
         cfg = qm.ModelConfig(5, 3, 4)
         p = qm.Parameters.init(cfg, seed=9)
         seq = make_seq(np.random.default_rng(9), 6, 5, 3)
-        outs = qm.forward_sequence(seq, p)
+        outs = qm.sequence_outputs(p, seq)
         assert qe.export_module_outputs(p, seq, outputs=outs) == qe.export_module_outputs(p, seq)
         np.testing.assert_array_equal(
             qe.export_knowledge_states(p, seq, [0, 2], outputs=outs),

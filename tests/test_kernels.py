@@ -1,15 +1,6 @@
 import numpy as np
-import pytest
 
 from qckt import kernels
-from qckt.errors import ConfigError
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    saved = kernels.get_backend()
-    yield
-    kernels.set_backend(saved)
 
 
 def _random_case(rng, d=5, batch=7):
@@ -25,7 +16,7 @@ class TestNumpyKernelMath:
         rng = np.random.default_rng(42)
         z, c_prev, _, _ = _random_case(rng)
         d = c_prev.shape[0]
-        gates, tc, c, h = kernels._np_gates_forward(z, c_prev)
+        gates, tc, c, h = kernels.gates_forward(z, c_prev)
 
         sig = 1.0 / (1.0 + np.exp(-z))
         i, f, o, cand = sig[:d], sig[d : 2 * d], sig[2 * d : 3 * d], sig[3 * d :]
@@ -39,7 +30,7 @@ class TestNumpyKernelMath:
         # candidate block must be in (0, 1), not (-1, 1)
         z = np.full((8, 3), -4.0)
         c_prev = np.zeros((2, 3))
-        gates, _, c, _ = kernels._np_gates_forward(z, c_prev)
+        gates, _, c, _ = kernels.gates_forward(z, c_prev)
         assert np.all(gates > 0.0) and np.all(gates < 0.05)
         assert np.all(c > 0.0)
 
@@ -48,11 +39,11 @@ class TestNumpyKernelMath:
         z, c_prev, dh, dc_in = _random_case(rng, d=3, batch=2)
 
         def objective(zv, cv):
-            _, tc, c, h = kernels._np_gates_forward(zv, cv)
+            _, tc, c, h = kernels.gates_forward(zv, cv)
             return float((dh * h).sum() + (dc_in * c).sum())
 
-        gates, tc, c, h = kernels._np_gates_forward(z, c_prev)
-        dz, dc_prev = kernels._np_gates_backward(dh, dc_in, gates, tc, c_prev)
+        gates, tc, c, h = kernels.gates_forward(z, c_prev)
+        dz, dc_prev = kernels.gates_backward(dh, dc_in, gates, tc, c_prev)
 
         eps = 1e-6
         for arr, grad in ((z, dz), (c_prev, dc_prev)):
@@ -67,59 +58,8 @@ class TestNumpyKernelMath:
                 fd = (up - down) / (2.0 * eps)
                 np.testing.assert_allclose(gflat[idx], fd, rtol=1e-5, atol=1e-8)
 
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-class TestBackendEquivalence:
-    def test_forward_and_backward_agree(self):
-        rng = np.random.default_rng(11)
-        for trial in range(4):
-            z, c_prev, dh, dc_in = _random_case(rng, d=4, batch=6)
-            out_np = kernels._np_gates_forward(z, c_prev)
-            out_nb = kernels._nb_gates_forward(z, c_prev)
-            for a, b in zip(out_np, out_nb):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-            back_np = kernels._np_gates_backward(dh, dc_in, out_np[0], out_np[1], c_prev)
-            back_nb = kernels._nb_gates_backward(dh, dc_in, out_nb[0], out_nb[1], c_prev)
-            for a, b in zip(back_np, back_nb):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-
-    def test_dispatch_follows_active_backend(self):
-        z = np.zeros((4, 1))
-        c = np.full((1, 1), 0.5)
-        kernels.set_backend("numpy")
-        ref = kernels.gates_forward(z, c)
-        kernels.set_backend("numba")
-        alt = kernels.gates_forward(z, c)
-        for a, b in zip(ref, alt):
-            np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    def test_warmup_compiles_without_error(self):
-        kernels.set_backend("numba")
-        kernels.warmup()
-
-
-class TestBackendSelection:
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            kernels.set_backend("cupy")
-
-    def test_env_override_numpy(self, monkeypatch):
-        monkeypatch.setenv("QCKT_BACKEND", "numpy")
-        assert kernels._default_backend() == "numpy"
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("QCKT_BACKEND", "torch")
-        with pytest.raises(ConfigError):
-            kernels._default_backend()
-
-    def test_env_unset_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("QCKT_BACKEND", raising=False)
-        expected = "numba" if kernels.HAS_NUMBA else "numpy"
-        assert kernels._default_backend() == expected
-
     def test_zero_gates_half_open_cell(self):
         # all-zero preactivations: every gate is 1/2, so c = (c_prev + 1/2)/2
-        kernels.set_backend("numpy")
         c_prev = np.array([[0.0, 1.0]])
         _, _, c, h = kernels.gates_forward(np.zeros((4, 2)), c_prev)
         np.testing.assert_allclose(c, [[0.25, 0.75]], rtol=1e-14)

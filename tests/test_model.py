@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import qckt.model as qm
 from _support import FakeInteraction, make_seq, random_params
+from oracle import zero_params
 from qckt.autodiff import Tape, grad_check, sigmoid
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
 
@@ -40,8 +42,12 @@ class TestParameters:
         assert "irt_w" not in shapes
 
     def test_prediction_layer_parameter_count(self):
-        assert qm.irt_param_count(qm.ModelConfig(3, 2, 2)) == 0
-        assert qm.irt_param_count(qm.ModelConfig(3, 2, 2, variant="no_irt")) == 4
+        # only the learned-fusion variant adds tensors beyond the three modules
+        full = qm.param_shapes(qm.ModelConfig(3, 2, 2))
+        for variant in qm.VARIANTS:
+            shapes = qm.param_shapes(qm.ModelConfig(3, 2, 2, variant=variant))
+            extra = {k: s for k, s in shapes.items() if k not in full}
+            assert sum(int(np.prod(s)) for s in extra.values()) == (4 if variant == "no_irt" else 0)
 
     def test_init_is_seed_deterministic(self):
         cfg = qm.ModelConfig(5, 3, 4)
@@ -86,37 +92,37 @@ class TestParameters:
 class TestEncoders:
     def test_avg_kc_embedding(self):
         K = np.array([[2.0, 0.0], [0.0, 2.0], [4.0, 4.0]])
-        np.testing.assert_array_equal(qm.avg_kc_embedding({1}, K), [0.0, 2.0])
-        np.testing.assert_array_equal(qm.avg_kc_embedding({0, 1}, K), [1.0, 1.0])
+        np.testing.assert_array_equal(oracle.avg_kc_embedding({1}, K), [0.0, 2.0])
+        np.testing.assert_array_equal(oracle.avg_kc_embedding({0, 1}, K), [1.0, 1.0])
         np.testing.assert_array_equal(
-            qm.avg_kc_embedding([1, 0], K), qm.avg_kc_embedding([0, 1], K)
+            oracle.avg_kc_embedding([1, 0], K), oracle.avg_kc_embedding([0, 1], K)
         )
         with pytest.raises(DataError):
-            qm.avg_kc_embedding(set(), K)
+            oracle.avg_kc_embedding(set(), K)
         with pytest.raises(IndexError):
-            qm.avg_kc_embedding({3}, K)
+            oracle.avg_kc_embedding({3}, K)
 
     def test_encode_ka_layout(self):
         np.testing.assert_array_equal(
-            qm.encode_ka(np.array([2.0]), np.array([3.0]), 1), [2, 3, 0, 0]
+            oracle.encode_ka(np.array([2.0]), np.array([3.0]), 1), [2, 3, 0, 0]
         )
         np.testing.assert_array_equal(
-            qm.encode_ka(np.array([2.0]), np.array([3.0]), 0), [0, 0, 2, 3]
+            oracle.encode_ka(np.array([2.0]), np.array([3.0]), 0), [0, 0, 2, 3]
         )
-        assert qm.encode_ka(np.zeros(5), np.zeros(5), 1).shape == (20,)
+        assert oracle.encode_ka(np.zeros(5), np.zeros(5), 1).shape == (20,)
         with pytest.raises(DomainError):
-            qm.encode_ka(np.zeros(1), np.zeros(1), 2)
+            oracle.encode_ka(np.zeros(1), np.zeros(1), 2)
 
     def test_encode_ks_layout(self):
         kbar = np.array([1.0, 4.0])
-        np.testing.assert_array_equal(qm.encode_ks(kbar, 1), [1, 4, 0, 0])
-        np.testing.assert_array_equal(qm.encode_ks(kbar, 0), [0, 0, 1, 4])
-        assert qm.encode_ks(np.zeros(3), 0).shape == (6,)
+        np.testing.assert_array_equal(oracle.encode_ks(kbar, 1), [1, 4, 0, 0])
+        np.testing.assert_array_equal(oracle.encode_ks(kbar, 0), [0, 0, 1, 4])
+        assert oracle.encode_ks(np.zeros(3), 0).shape == (6,)
 
     def test_flipping_response_swaps_blocks(self):
         rng = np.random.default_rng(5)
         q, k = rng.normal(size=3), rng.normal(size=3)
-        e1, e0 = qm.encode_ka(q, k, 1), qm.encode_ka(q, k, 0)
+        e1, e0 = oracle.encode_ka(q, k, 1), oracle.encode_ka(q, k, 0)
         np.testing.assert_array_equal(e1[:6], e0[6:])
         np.testing.assert_array_equal(e1[6:], e0[:6])
 
@@ -131,7 +137,7 @@ class TestLstmStep:
     def test_all_zero_weights_fixed_point(self):
         d = 3
         W, U, b = self._zero_gates(d, 4 * d)
-        state = qm.lstm_step(np.ones(4 * d), qm.LstmState.zero(d), W, U, b)
+        state = oracle.lstm_step(np.ones(4 * d), oracle.LstmState.zero(d), W, U, b)
         np.testing.assert_allclose(state.c, np.full(d, 0.25), rtol=1e-15)
         np.testing.assert_allclose(state.h, np.full(d, 0.5 * np.tanh(0.25)), rtol=1e-15)
 
@@ -139,7 +145,7 @@ class TestLstmStep:
         d = 2
         W, U, b = self._zero_gates(d, 2 * d)
         v = np.array([0.8, -0.4])
-        state = qm.lstm_step(np.zeros(2 * d), qm.LstmState(np.zeros(d), v), W, U, b)
+        state = oracle.lstm_step(np.zeros(2 * d), oracle.LstmState(np.zeros(d), v), W, U, b)
         np.testing.assert_allclose(state.c, 0.5 * v + 0.25, rtol=1e-14)
 
     def test_matches_fused_kernel_path(self):
@@ -152,7 +158,7 @@ class TestLstmStep:
         x = rng.normal(size=p)
         h0, c0 = rng.normal(size=d), rng.normal(size=d)
 
-        ref = qm.lstm_step(x, qm.LstmState(h0, c0), W, U, b)
+        ref = oracle.lstm_step(x, oracle.LstmState(h0, c0), W, U, b)
 
         tape = Tape()
         z = tape.leaf(np.vstack(W) @ x[:, None] + np.vstack(U) @ h0[:, None] + np.concatenate(b)[:, None])
@@ -163,17 +169,13 @@ class TestLstmStep:
     def test_shape_mismatch_raises(self):
         W, U, b = self._zero_gates(2, 8)
         with pytest.raises(ShapeError):
-            qm.lstm_step(np.zeros(5), qm.LstmState.zero(2), W, U, b)
-
-
-def zero_params(cfg):
-    return qm.Parameters.zeros(cfg)
+            oracle.lstm_step(np.zeros(5), oracle.LstmState.zero(2), W, U, b)
 
 
 class TestScoreHeads:
     def test_ka_score_zero_weights(self):
         cfg = qm.ModelConfig(4, 2, 3)
-        assert qm.ka_score(np.ones(3), zero_params(cfg)) == 0.0
+        assert oracle.ka_score(np.ones(3), zero_params(cfg)) == 0.0
 
     def test_ka_score_hand_evaluated(self):
         cfg = qm.ModelConfig(n_questions=2, n_kcs=1, dim=1)
@@ -181,11 +183,11 @@ class TestScoreHeads:
         for name in ("W_a1", "b_a1", "W_a2", "b_a2", "w_a"):
             p.tensors[name] = np.ones_like(p.tensors[name])
         # inner relu = 2, outer = [3, 3], weighted sum = 6
-        assert qm.ka_score(np.array([1.0]), p) == 6.0
+        assert oracle.ka_score(np.array([1.0]), p) == 6.0
 
     def test_ks_score_zero_weights(self):
         cfg = qm.ModelConfig(4, 2, 3)
-        beta, mastery = qm.ks_score(np.ones(3), zero_params(cfg))
+        beta, mastery = oracle.ks_score(np.ones(3), zero_params(cfg))
         assert beta == 0.0
         np.testing.assert_array_equal(mastery, [0.5, 0.5])
 
@@ -194,7 +196,7 @@ class TestScoreHeads:
         p = zero_params(cfg)
         p.tensors["b_g2"] = np.array([0.0, 1.0])
         p.tensors["w_g"] = np.array([1.0, 1.0])
-        beta, mastery = qm.ks_score(np.zeros(1), p)
+        beta, mastery = oracle.ks_score(np.zeros(1), p)
         assert beta == 1.0
         np.testing.assert_allclose(mastery, [0.5, 0.731059], atol=5e-7)
         # pooled score is the sum of the pre-sigmoid mastery logits
@@ -204,7 +206,7 @@ class TestScoreHeads:
         cfg = qm.ModelConfig(4, 2, 3)
         p = zero_params(cfg)
         p.tensors["b_p"] = np.array(0.7)
-        assert qm.ps_score(np.zeros(3), np.zeros(3), np.zeros(3), p) == pytest.approx(0.7)
+        assert oracle.ps_score(np.zeros(3), np.zeros(3), np.zeros(3), p) == pytest.approx(0.7)
 
     def test_ps_score_hand_evaluated(self):
         cfg = qm.ModelConfig(n_questions=2, n_kcs=2, dim=1)
@@ -213,47 +215,47 @@ class TestScoreHeads:
             p.tensors[name] = np.ones_like(p.tensors[name])
         one = np.array([1.0])
         # inner = [4,4,4], second = [13,13,13], 39 + 1 = 40
-        assert qm.ps_score(one, one, one, p) == 40.0
+        assert oracle.ps_score(one, one, one, p) == 40.0
 
     def test_ps_score_question_sensitivity(self):
         cfg = qm.ModelConfig(5, 2, 3)
         p = qm.Parameters.init(cfg, seed=3)
         g = np.ones(3) * 0.3
-        z1 = qm.ps_score(g, p["Q"][0], np.ones(3), p)
-        z2 = qm.ps_score(g, p["Q"][1], np.ones(3), p)
+        z1 = oracle.ps_score(g, p["Q"][0], np.ones(3), p)
+        z2 = oracle.ps_score(g, p["Q"][1], np.ones(3), p)
         assert z1 != z2
 
 
 class TestIrtPredict:
     def test_fixed_points(self):
-        assert qm.irt_predict(0.0, 0.0, 0.0) == 0.5
-        assert qm.irt_predict(1.0, 1.0, -2.0) == 0.5
-        np.testing.assert_allclose(qm.irt_predict(2.0, 1.0, 0.5), 0.970688, atol=5e-7)
+        assert oracle.irt_predict(0.0, 0.0, 0.0) == 0.5
+        assert oracle.irt_predict(1.0, 1.0, -2.0) == 0.5
+        np.testing.assert_allclose(oracle.irt_predict(2.0, 1.0, 0.5), 0.970688, atol=5e-7)
 
     def test_bit_exact_logistic_of_sum(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             a, b, z = rng.normal(size=3) * 4.0
-            assert qm.irt_predict(a, b, z) == sigmoid(a + b + z)
+            assert oracle.irt_predict(a, b, z) == sigmoid(a + b + z)
 
     def test_monotone_in_each_argument(self):
-        base = qm.irt_predict(0.3, -0.2, 0.1)
-        assert qm.irt_predict(0.4, -0.2, 0.1) > base
-        assert qm.irt_predict(0.3, -0.1, 0.1) > base
-        assert qm.irt_predict(0.3, -0.2, 0.2) > base
+        base = oracle.irt_predict(0.3, -0.2, 0.1)
+        assert oracle.irt_predict(0.4, -0.2, 0.1) > base
+        assert oracle.irt_predict(0.3, -0.1, 0.1) > base
+        assert oracle.irt_predict(0.3, -0.2, 0.2) > base
 
 
 class TestForwardSequence:
     def test_rejects_short_sequence(self):
         cfg = qm.ModelConfig(3, 2, 2)
         with pytest.raises(DataError):
-            qm.forward_sequence([FakeInteraction(0, (0,), 1)], zero_params(cfg))
+            oracle.forward_sequence([FakeInteraction(0, (0,), 1)], zero_params(cfg))
 
     def test_output_count_and_zero_param_value(self):
         cfg = qm.ModelConfig(3, 2, 2)
         rng = np.random.default_rng(1)
         seq = make_seq(rng, 6, 3, 2)
-        outs = qm.forward_sequence(seq, zero_params(cfg))
+        outs = oracle.forward_sequence(seq, zero_params(cfg))
         assert len(outs) == 5
         for o in outs:
             assert o.alpha == 0.0 and o.beta == 0.0 and o.zeta == 0.0
@@ -264,8 +266,8 @@ class TestForwardSequence:
         cfg = qm.ModelConfig(6, 3, 4)
         p = qm.Parameters.init(cfg, seed=2)
         seq = make_seq(np.random.default_rng(2), 8, 6, 3)
-        for o in qm.forward_sequence(seq, p):
-            assert o.r_hat == qm.irt_predict(o.alpha, o.beta, o.zeta)
+        for o in oracle.forward_sequence(seq, p):
+            assert o.r_hat == oracle.irt_predict(o.alpha, o.beta, o.zeta)
 
     def test_no_ks_ps_is_next_question_invariant(self):
         cfg = qm.ModelConfig(6, 3, 4, variant="no_ks_ps")
@@ -274,7 +276,7 @@ class TestForwardSequence:
         r_hats = set()
         for q in range(6):
             seq = hist + [FakeInteraction(q, (0,), 1)]
-            r_hats.add(qm.forward_sequence(seq, p)[-1].r_hat)
+            r_hats.add(oracle.forward_sequence(seq, p)[-1].r_hat)
         assert len(r_hats) == 1
 
     def test_question_sensitivity_per_variant(self):
@@ -293,15 +295,15 @@ class TestForwardSequence:
             r_hats = set()
             for q in range(6):
                 seq = hist + [FakeInteraction(q, (1,), 1)]
-                r_hats.add(qm.forward_sequence(seq, p)[-1].r_hat)
+                r_hats.add(oracle.forward_sequence(seq, p)[-1].r_hat)
             assert (len(r_hats) > 1) == sensitive, variant
 
     def test_deterministic_reruns(self):
         cfg = qm.ModelConfig(6, 3, 4)
         p = qm.Parameters.init(cfg, seed=6)
         seq = make_seq(np.random.default_rng(6), 7, 6, 3)
-        a = qm.forward_sequence(seq, p)
-        b = qm.forward_sequence(seq, p)
+        a = oracle.forward_sequence(seq, p)
+        b = oracle.forward_sequence(seq, p)
         for x, y in zip(a, b):
             assert x.r_hat == y.r_hat and x.alpha == y.alpha
             np.testing.assert_array_equal(x.kc_mastery, y.kc_mastery)
@@ -310,27 +312,27 @@ class TestForwardSequence:
 class TestJointLoss:
     def _outputs(self, scores):
         return [
-            qm.StepOutputs(a, b, z, qm.irt_predict(a, b, z), np.zeros(2)) for a, b, z in scores
+            oracle.StepOutputs(a, b, z, oracle.irt_predict(a, b, z), np.zeros(2)) for a, b, z in scores
         ]
 
     def test_all_zero_scores_single_target(self):
         outs = self._outputs([(0.0, 0.0, 0.0)])
-        np.testing.assert_allclose(qm.joint_loss(outs, [1], 1.0), 4 * np.log(2), rtol=1e-14)
+        np.testing.assert_allclose(oracle.joint_loss(outs, [1], 1.0), 4 * np.log(2), rtol=1e-14)
 
     def test_lambda_zero_reduces_to_prediction_loss(self):
         outs = self._outputs([(0.4, -0.2, 0.3), (1.0, 0.5, -0.8)])
-        got = qm.joint_loss(outs, [1, 0], 0.0)
+        got = oracle.joint_loss(outs, [1, 0], 0.0)
         manual = np.mean([-np.log(outs[0].r_hat), -np.log(1 - outs[1].r_hat)])
         np.testing.assert_allclose(got, manual, rtol=1e-12)
 
     def test_misaligned_lengths_raise(self):
         with pytest.raises(ShapeError):
-            qm.joint_loss(self._outputs([(0, 0, 0)]), [1, 0], 1.0)
+            oracle.joint_loss(self._outputs([(0, 0, 0)]), [1, 0], 1.0)
 
     def test_variant_drops_aux_terms(self):
         outs = self._outputs([(0.5, 0.7, -0.3)])
-        full = qm.joint_loss(outs, [1], 2.0, variant="full")
-        no_ks = qm.joint_loss(outs, [1], 2.0, variant="no_ks")
+        full = oracle.joint_loss(outs, [1], 2.0, variant="full")
+        no_ks = oracle.joint_loss(outs, [1], 2.0, variant="no_ks")
         # same r_hat in outputs; the difference is exactly the beta aux term
         diff = full - no_ks
         np.testing.assert_allclose(diff, 2.0 * -np.log(sigmoid(0.7)), rtol=1e-12)
@@ -340,9 +342,9 @@ class TestBatchGraph:
     def _value_path_pooled_loss(self, seqs, params, cfg):
         total, count = 0.0, 0
         for s in seqs:
-            outs = qm.forward_sequence(s, params, cfg)
+            outs = oracle.forward_sequence(s, params, cfg)
             targets = [it.response for it in s[1:]]
-            total += qm.joint_loss(outs, targets, cfg.lambda_aux, cfg.variant) * len(outs)
+            total += oracle.joint_loss(outs, targets, cfg.lambda_aux, cfg.variant) * len(outs)
             count += len(outs)
         return total / count
 
@@ -364,7 +366,7 @@ class TestBatchGraph:
         flat_value = []
         flat_targets = []
         for s in seqs:
-            for o, it in zip(qm.forward_sequence(s, p, cfg), s[1:]):
+            for o, it in zip(oracle.forward_sequence(s, p, cfg), s[1:]):
                 flat_value.append(o.r_hat)
                 flat_targets.append(it.response)
         # batch order is step-major; compare as sorted multisets plus counts
@@ -378,11 +380,11 @@ class TestBatchGraph:
         seq = make_seq(rng, 5, 4, 3)
         batch = qm.Batch([seq])
         tape = Tape()
-        graph = qm.build_graph(tape, p.leaves(tape), batch, cfg, collect_mastery=True)
-        outs = qm.forward_sequence(seq, p, cfg)
-        assert len(graph.masteries) == len(outs)
-        for got, out in zip(graph.masteries, outs):
-            np.testing.assert_allclose(got[:, 0], out.kc_mastery, rtol=1e-11)
+        graph = qm.build_graph(tape, p.leaves(tape), batch, cfg, export=True)
+        outs = oracle.forward_sequence(seq, p, cfg)
+        assert graph.mastery.shape == (3, len(outs))
+        for got, out in zip(graph.mastery.T, outs):
+            np.testing.assert_allclose(got, out.kc_mastery, rtol=1e-11)
 
     @pytest.mark.parametrize("variant", list(qm.VARIANTS))
     def test_gradients_match_finite_differences(self, variant):
