@@ -8,6 +8,8 @@ one tape is single-threaded, distinct tapes share nothing.
 
 Beyond the rank-1 core ops, most ops accept an extra trailing batch axis
 (columns), which is how sequence batches are pushed through the model graph.
+Time is folded into that axis too, step-major: :meth:`Tape.lstm_gates` runs a
+whole LSTM recurrence as one node, so no graph built here loops over time.
 """
 
 import numpy as np
@@ -24,17 +26,10 @@ def as_tensor(x):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: the gate kernel's,
+    for arrays of any shape and for scalars."""
     x = np.asarray(x, dtype=np.float64)
-    shape = x.shape
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out.reshape(shape) if shape else out[0]
+    return kernels._sigmoid(x.reshape(-1)).reshape(x.shape)[()]
 
 
 def bce_value(pred, target):
@@ -246,20 +241,6 @@ class Tape:
 
         return self._record("col_slice", x.value[:, start:stop], (x,), backward)
 
-    def hstack(self, parts):
-        """Axis-1 concatenation of matrices with equal row count."""
-        parts = tuple(parts)
-        out = np.concatenate([p.value for p in parts], axis=1)
-        sizes = [p.value.shape[1] for p in parts]
-
-        def backward(g):
-            off = 0
-            for p, k in zip(parts, sizes):
-                _accumulate(p, g[:, off : off + k])
-                off += k
-
-        return self._record("hstack", out, parts, backward)
-
     def relu_pool(self, W, x, b, w):
         """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
 
@@ -348,35 +329,44 @@ class Tape:
 
         return self._record("embed_mean", out, (table,), backward)
 
-    def lstm_gates(self, z, c_prev):
-        """Fused gate pass: z (4d x B) stacked preactivations, c_prev (d x B).
+    def lstm_gates(self, proj, u, B):
+        """A whole LSTM recurrence as one node -> (d x T*B) hidden states.
 
-        Returns (h, c) nodes.  All four gates are logistic; the cell is
-        f*c_prev + i*cand and h is o*tanh(c).  Forward and backward run in
-        :mod:`qckt.kernels`.
+        ``proj`` (4d x T*B) holds the input projections W x + b of T steps,
+        step-major (columns t*B..t*B+B-1 are step t); ``u`` (4d x d) is the
+        stacked U.  From zero h and c, step t runs :func:`kernels.gates_forward`
+        on its columns of proj plus u @ h; the backward is one reverse-time
+        sweep of :func:`kernels.gates_backward`.
         """
-        zv, cv = z.value, c_prev.value
-        if zv.ndim != 2 or cv.ndim != 2 or zv.shape != (4 * cv.shape[0], cv.shape[1]):
-            raise ShapeError(f"lstm_gates shapes: {zv.shape} and {cv.shape}")
-        gates, tc, c, h = kernels.gates_forward(zv, cv)
-        dc_box = [None]
+        pv, uv = proj.value, u.value
+        d = uv.shape[-1] if uv.ndim else 0
+        N = pv.shape[-1] if pv.ndim else 0
+        if pv.ndim != 2 or len(pv) != 4 * d or uv.shape != (4 * d, d) or not 0 < B <= N or N % B:
+            raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at B = {B}")
+        h = c = zero = np.zeros((d, B))
+        steps, hs = [], []  # (gates, tanh c, c_prev, h_prev) per step, as the kernel made them
+        for s in range(0, N, B):
+            gates, tc, c_next, h_next = kernels.gates_forward(pv[:, s : s + B] + uv @ h, c)
+            steps.append((gates, tc, c, h))
+            h, c = h_next, c_next
+            hs.append(h)
 
-        def backward_h(g):
-            dc = dc_box[0]
-            if dc is None:
-                dc = np.zeros_like(c)
-            dz, dcp = kernels.gates_backward(g, dc, gates, tc, cv)
-            _accumulate(z, dz)
-            _accumulate(c_prev, dcp)
+        def backward(g):
+            dproj, du = np.empty_like(pv), np.zeros_like(uv)
+            dh = dc = zero
+            for s, (gates, tc, c_prev, h_prev) in zip(range(N - B, -1, -B), reversed(steps)):
+                dz, dc = kernels.gates_backward(g[:, s : s + B] + dh, dc, gates, tc, c_prev)
+                dproj[:, s : s + B] = dz
+                du += dz @ h_prev.T
+                dh = uv.T @ dz
+            if proj.grad is None:
+                proj.grad = dproj  # fresh, so no other node shares it
+            else:
+                proj.grad += dproj
+            _accumulate(u, du)
 
-        h_node = self._record("lstm_gates", h, (z, c_prev), backward_h)
-
-        def backward_c(g):
-            dc_box[0] = g
-            _ensure_grad(h_node)  # guarantees backward_h runs even if h is unused
-
-        c_node = self._record("lstm_cell", c, (h_node,), backward_c)
-        return h_node, c_node
+        h = np.concatenate(hs, axis=1)
+        return self._record("lstm_gates", h, (proj, u), backward)
 
     def bce_sum(self, pred, targets, mask=None):
         """Sum of binary cross entropies of a (N,) prediction vector.

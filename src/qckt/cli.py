@@ -4,7 +4,8 @@ Every run resolves its flags up front (a --config key=value file supplies
 defaults, explicit flags win), validates before touching the output
 directory, and finishes by writing a manifest recording the command, the
 resolved configuration, input digests, and output names.  All randomness
-flows from --seed.
+flows from --seed.  eval and export take the folds and the preprocessing from
+each run's manifest and refuse data whose digest it does not record.
 """
 
 import argparse
@@ -13,12 +14,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .data import (
     SynthConfig,
+    atomic_write,
     gen_synthetic,
     kfold_split,
     load_dataset,
@@ -42,7 +43,7 @@ from .training import (
     predictions_over,
     run_ablation,
     run_cv,
-    train,
+    run_fold,
 )
 
 DATASET_CSV = "dataset.csv"
@@ -69,7 +70,7 @@ def _sha256(path):
 
 
 def _write_csv(path, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
@@ -80,7 +81,6 @@ def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")
     }
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()}
     doc = {
         "version": __version__,
         "command": command,
@@ -92,7 +92,7 @@ def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
     }
     if extra:
         doc.update(extra)
-    with open(Path(out) / MANIFEST, "w", encoding="utf-8") as fh:
+    with atomic_write(Path(out) / MANIFEST, encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -101,8 +101,28 @@ def _read_manifest(run_dir):
     path = Path(run_dir) / MANIFEST
     if not path.exists():
         raise DataError(f"no {MANIFEST} in run directory {run_dir}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DataError(f"malformed {path}: {exc}") from exc
+
+
+def _run_dataset(run_dir, raw, digest, data):
+    """A run's manifest and ``raw`` preprocessed as the run preprocessed it,
+    plus the run's (k, seed); refuses data whose SHA-256 the manifest does
+    not record among the run's inputs."""
+    manifest = _read_manifest(run_dir)
+    try:
+        trained_on = manifest["inputs"].values()
+        cfg = manifest["config"]
+        min_len, max_len, k = int(cfg["min_len"]), int(cfg["max_len"]), int(cfg["k"])
+        seed = int(manifest["seed"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"incomplete {MANIFEST} in run directory {run_dir}: {exc!r}") from exc
+    if digest not in trained_on:
+        raise DataError(f"{data} is not the data run {run_dir} was trained on (SHA-256 differs)")
+    return manifest, preprocess(raw, min_len=min_len, max_len=max_len), k, seed
 
 
 def _int_pair(text):
@@ -112,18 +132,14 @@ def _int_pair(text):
     return (int(parts[0]), int(parts[1]))
 
 
-def _int_list(text):
-    try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _float_list(text):
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+def _list_of(kind):
+    """argparse type: comma-separated ``kind`` values."""
+    def parse(text):
+        try:
+            return [kind(p) for p in text.split(",") if p != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__}s: {text!r}")
+    return parse
 
 
 def _load_dataset(args):
@@ -227,44 +243,21 @@ def cmd_train(args):
         outputs.append(EPOCHS_CSV)
         print(f"cv mean auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f} over {args.k} folds")
     else:
-        folds = kfold_split(ds, k=args.k, seed=args.seed)
-        train_idx, valid_idx, test_idx = folds[fold_i]
-        seqs = ds.sequences
-        report = train(
-            mcfg,
-            replace(tcfg, fold=fold_i),
-            [seqs[i] for i in train_idx],
-            [seqs[i] for i in valid_idx],
-        )
-        report.best_params.save(out / CHECKPOINT)
-        _write_csv(
-            out / EPOCHS_CSV,
-            ["epoch", "train_loss", "valid_auc"],
-            report.epoch_rows(),
-        )
-        preds, labels = predictions_over(
-            report.best_params, [seqs[i] for i in test_idx], tcfg.batch_size, mcfg
-        )
-        ps = PredictionSet(preds, labels)
-        row = {
-            "fold": fold_i,
-            "auc": auc(ps),
-            "acc": accuracy(ps),
-            "best_epoch": report.best_epoch,
-        }
-        _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [row])
+        fold = run_fold(ds, mcfg, tcfg, fold_i, kfold_split(ds, k=args.k, seed=args.seed)[fold_i])
+        fold.report.best_params.save(out / CHECKPOINT)
+        _write_csv(out / EPOCHS_CSV, ["epoch", "train_loss", "valid_auc"], fold.report.epoch_rows())
+        _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [fold.row()])
         outputs += [CHECKPOINT, EPOCHS_CSV]
-        print(f"fold {fold_i}: test auc {row['auc']:.4f} acc {row['acc']:.4f}")
+        print(f"fold {fold_i}: test auc {fold.test_auc:.4f} acc {fold.test_acc:.4f}")
 
     _write_manifest(out, "train", args, [args.data], outputs, started, extra)
 
 
-def _run_fold_metrics(run_dir, ds, args):
-    """Per-fold (auc, acc) for one run directory's checkpoints."""
-    manifest = _read_manifest(run_dir)
+def _run_fold_metrics(run_dir, raw, digest, data):
+    """Per-fold (auc, acc) for one run directory's checkpoints, on the folds
+    the run was trained with."""
+    manifest, ds, k, seed = _run_dataset(run_dir, raw, digest, data)
     cfg = manifest["config"]
-    k = int(cfg.get("k", 5))
-    seed = int(manifest.get("seed", 0))
     folds = kfold_split(ds, k=k, seed=seed)
     run = Path(run_dir)
 
@@ -292,13 +285,13 @@ def _run_fold_metrics(run_dir, ds, args):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    ds = _load_dataset(args)
+    raw, digest = load_dataset(args.data), _sha256(args.data)
     per_run = {}
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
         if name in per_run:
             name = str(run_dir)
-        per_run[name] = _run_fold_metrics(run_dir, ds, args)
+        per_run[name] = _run_fold_metrics(run_dir, raw, digest, args.data)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -333,7 +326,7 @@ def cmd_eval(args):
 
 def cmd_export(args):
     started = time.perf_counter()
-    ds = _load_dataset(args)
+    _, ds, _, _ = _run_dataset(args.run, load_dataset(args.data), _sha256(args.data), args.data)
     chunks = [s for s in ds.sequences if s.student_id == args.student]
     if not chunks:
         raise DataError(
@@ -459,29 +452,29 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--fold", default="all", help="fold index or 'all'")
     p.add_argument("--grid", action="store_true", help="run the 30-cell tuning grid")
-    p.add_argument("--grid-lambdas", type=_float_list, default=None, metavar="0,0.5,1",
+    p.add_argument("--grid-lambdas", type=_list_of(float), default=None, metavar="0,0.5,1",
                    help="override the lambda axis of --grid")
-    p.add_argument("--grid-lrs", type=_float_list, default=None, metavar="1e-3,1e-4",
+    p.add_argument("--grid-lrs", type=_list_of(float), default=None, metavar="1e-3,1e-4",
                    help="override the lr axis of --grid")
-    p.add_argument("--grid-dims", type=_int_list, default=None, metavar="64,256",
+    p.add_argument("--grid-dims", type=_list_of(int), default=None, metavar="64,256",
                    help="override the d axis of --grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value defaults file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate run directories on a dataset")
-    _add_data_flags(p)
+    p = sub.add_parser("eval", help="evaluate run directories on their test folds")
+    p.add_argument("--data", required=True, help="the CSV the runs were trained on")
     p.add_argument("--run", action="append", required=True, help="run directory (repeatable)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value defaults file")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="per-step module outputs and knowledge states")
-    _add_data_flags(p)
+    p.add_argument("--data", required=True, help="the CSV the run was trained on")
     p.add_argument("--run", required=True, help="run directory with a checkpoint")
     p.add_argument("--student", required=True, help="student id as it appears in the data")
-    p.add_argument("--kcs", type=_int_list, default=None, metavar="0,1,2",
+    p.add_argument("--kcs", type=_list_of(int), default=None, metavar="0,1,2",
                    help="KC subset for the state matrix (default: all)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value defaults file")

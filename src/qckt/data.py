@@ -3,11 +3,13 @@ synthetic generator with known ground-truth probabilities.
 
 The one ingestion format is a UTF-8 CSV with header
 ``student_id,question_id,kc_ids,response,timestamp`` where kc_ids joins KC
-labels with underscores.  Question and KC labels are remapped to dense
-0-based ids at load time; the label tables ride along on the Dataset so
-files can be written back losslessly.
+labels with underscores (a repeated label counts once).  Question and KC
+labels are remapped to dense 0-based ids at load time; the label tables ride
+along on the Dataset so files can be written back losslessly.
 """
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +100,8 @@ def load_dataset(path):
             raise ParseError(f"bad timestamp {ts_s!r}", line=lineno)
 
         q = qmap.setdefault(qlabel, len(qmap))
-        kcs = tuple(sorted(kmap.setdefault(k, len(kmap)) for k in kc_field.split("_")))
+        # a label repeated within a row counts once, so KC sets compare as sets
+        kcs = tuple(sorted({kmap.setdefault(k, len(kmap)) for k in kc_field.split("_")}))
         if q in qmatrix:
             if qmatrix[q] != kcs:
                 raise DataError(
@@ -117,11 +120,26 @@ def load_dataset(path):
     return Dataset(sequences, len(q_labels), len(k_labels), qmatrix, q_labels, k_labels)
 
 
+@contextmanager
+def atomic_write(path, mode="w", **kwargs):
+    """Write to a temporary file renamed over ``path`` when the block ends;
+    on failure it is removed and an earlier ``path`` stays as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(ds, path):
     """Inverse of :func:`load_dataset` up to row grouping by student."""
     q_labels = ds.question_labels or [f"q{i}" for i in range(ds.n_questions)]
     k_labels = ds.kc_labels or [f"k{i}" for i in range(ds.n_kcs)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write(HEADER + "\n")
         for seq in ds.sequences:
             for it in seq.interactions:

@@ -2,9 +2,9 @@
 
 The per-timestep gate math of the two recurrent cells is the inner loop of
 training: a dozen elementwise passes over (4d x B) arrays for every step of
-every batch.  :meth:`qckt.autodiff.Tape.lstm_gates` records one call of
-:func:`gates_forward` per step and runs :func:`gates_backward` in the
-reverse sweep.
+every batch.  :meth:`qckt.autodiff.Tape.lstm_gates`, one tape node per
+recurrence, calls :func:`gates_forward` once per step in its forward loop and
+:func:`gates_backward` once per step in its reverse-time sweep.
 
 Both take and return C-contiguous float64 arrays and are bit-deterministic.
 

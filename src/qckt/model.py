@@ -18,14 +18,17 @@ the candidate; that is the model definition here, not an oversight.
 One forward implementation serves training, scoring and export:
 :func:`build_graph` records the model on an autodiff tape over padded
 (feature x column) arrays whose columns are step-major: column t*B + j is
-step t of sequence j in a batch of B.  Only the two recurrences loop over
-time; the embeddings, the input projections W x + b and the three heads each
-run once over all columns, the time-loop hoisting of Appleyard et al.
-(arXiv:1604.01946) applied to the heads too.  Scoring and export run it
-without a backward pass.
+step t of sequence j in a batch of B.  The graph has no loop over time: the
+embeddings, the input projections W x + b and the three heads each run once
+over all columns, the time-loop hoisting of Appleyard et al.
+(arXiv:1604.01946) applied to the heads too, and each recurrence is one
+:meth:`Tape.lstm_gates` node that steps through time inside its own forward
+and backward.  Scoring and export run it without a backward pass.
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, as_tensor
+from .data import atomic_write
 from .errors import ConfigError, DataError, DomainError, ShapeError
 
 VARIANTS = ("full", "no_irt", "no_ks", "no_ps", "no_ks_ps")
@@ -181,10 +185,6 @@ class Parameters:
     def items(self):
         return self.tensors.items()
 
-    @property
-    def n_params(self):
-        return sum(int(np.prod(s)) if s else 1 for s in (a.shape for a in self.tensors.values()))
-
     def copy(self):
         return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
@@ -195,13 +195,14 @@ class Parameters:
     # -- checkpoint IO -----------------------------------------------------
 
     def save(self, path):
-        """Write magic + JSON header + raw little-endian float64 payload."""
+        """Write magic + JSON header + raw little-endian float64 payload,
+        atomically: a failed save leaves any earlier file at path intact."""
         header = {
             "config": self.config.to_dict(),
             "tensors": [[name, list(arr.shape)] for name, arr in self.tensors.items()],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
@@ -210,31 +211,36 @@ class Parameters:
 
     @classmethod
     def load(cls, path):
-        """Read a :meth:`save` file; malformed content raises DataError."""
+        """Read a :meth:`save` file; malformed content raises DataError.
+
+        The header must declare exactly the tensors of its config, and the
+        file must hold exactly their bytes, before any payload is read.
+        """
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise DataError(f"not a checkpoint file: bad magic {magic!r} in {path}")
             size = fh.read(4)
-            if len(size) != 4:
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if len(size) != 4 or struct.unpack("<I", size)[0] > left:
                 raise DataError(f"checkpoint truncated in its header: {path}")
             try:
-                header = json.loads(fh.read(struct.unpack("<I", size)[0]).decode("utf-8"))
+                raw = fh.read(struct.unpack("<I", size)[0])
+                header = json.loads(raw.decode("utf-8"))
                 config = ModelConfig(**header["config"])
-                tensors = {}
-                for name, shape in header["tensors"]:
-                    shape = tuple(shape)
-                    count = int(np.prod(shape)) if shape else 1
-                    raw = fh.read(count * 8)
-                    if len(raw) != count * 8:
-                        raise DataError(f"checkpoint truncated while reading {name}")
-                    tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-                if fh.read(1):
-                    raise DataError("checkpoint has trailing bytes")
+                shapes = param_shapes(config)
+                if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
+                    raise DataError(f"checkpoint tensors do not fit its config: {path}")
+                counts = {name: math.prod(shape) for name, shape in shapes.items()}
+                if 8 * sum(counts.values()) != left - len(raw):
+                    raise DataError(f"checkpoint payload does not fit its header: {path}")
+                tensors = {
+                    name: np.frombuffer(fh.read(8 * counts[name]), "<f8").reshape(shape).copy()
+                    for name, shape in shapes.items()
+                }
                 return cls(config, tensors)
-            except (ValueError, TypeError, KeyError) as exc:
-                # bad UTF-8 or JSON, missing, unknown or invalid config keys,
-                # or tensor names and shapes that do not fit the config
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                # bad UTF-8 or JSON, missing, unknown or invalid config keys
                 raise DataError(
                     f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
                 ) from exc
@@ -313,36 +319,27 @@ def _lstm_track(tape, nodes, first, inputs, B):
     """One recurrent track over the B-column step blocks of its inputs.
 
     ``first`` names the track's gate tensors W_first..W_{first+3} (and U, b).
-    The input projection W x + b runs as one GEMM over all input columns;
-    the loop adds U h to a column slice of it and applies the fused gates.
-    Returns the hidden states stacked step-major, like the inputs.
+    One GEMM projects all input columns (W x + b), one :meth:`Tape.lstm_gates`
+    runs the recurrence on them; hidden states come back step-major.
     """
     ids = range(first, first + 4)
     w = tape.vstack([nodes[f"W_{i}"] for i in ids])
     u = tape.vstack([nodes[f"U_{i}"] for i in ids])
     b = tape.vstack([nodes[f"b_{i}"] for i in ids])
-    proj = tape.add_bias(tape.matmul(w, inputs), b)
-    d = u.value.shape[1]
-    h = tape.leaf(np.zeros((d, B)))
-    c = tape.leaf(np.zeros((d, B)))
-    hs = []
-    for t in range(inputs.value.shape[1] // B):
-        z = tape.add(tape.col_slice(proj, t * B, (t + 1) * B), tape.matmul(u, h))
-        h, c = tape.lstm_gates(z, c)
-        hs.append(h)
-    return tape.hstack(hs)
+    return tape.lstm_gates(tape.add_bias(tape.matmul(w, inputs), b), u, B)
 
 
 def build_graph(tape, nodes, batch, config, export=False):
     """Record the full batch forward pass on a tape.
 
-    ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  Only
-    the two recurrences loop over time.  Everything else runs once over
-    step-major columns (column t*B + j is step t of sequence j): the
-    embeddings over all L*B columns, the input encodings and their
-    projections over the (L-1)*B input columns, and the alpha/beta/zeta
-    heads over the (L-1)*B stacked hidden states, their last layer fused
-    into :meth:`Tape.relu_pool`.  Score vectors therefore align with
+    ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  No op
+    is recorded per step, so the tape length does not depend on L.  Every
+    op runs once over step-major columns (column t*B + j is step t of
+    sequence j): the embeddings over all L*B columns, the input encodings
+    and their projections over the (L-1)*B input columns, one
+    :meth:`Tape.lstm_gates` recurrence per track, and the alpha/beta/zeta
+    heads over its (L-1)*B hidden states, their last layer fused into
+    :meth:`Tape.relu_pool`.  Score vectors therefore align with
     ``batch.responses[1:].ravel()``.  The fusion and the loss follow the
     active variant; ``export`` also records the scores the variant leaves out
     and the per-KC masteries, which exports report for every variant.

@@ -146,7 +146,6 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
     state = AdamState(params)
     stopper = EarlyStopping(train_cfg.patience)
     best_params = params.copy()
-    best_auc = -np.inf
 
     train_losses, valid_aucs = [], []
     updates = 0
@@ -156,7 +155,6 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         order = rng.permutation(len(train_seqs))
         loss_sum = 0.0
         weight_sum = 0.0
-        hit_update_limit = False
         for batch in _epoch_batches(train_seqs, order, train_cfg.batch_size):
             loss, grads = batch_loss_and_grads(params, batch, model_cfg)
             if not np.isfinite(loss):
@@ -172,7 +170,6 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
                 stop_reason = "train_loss"
                 break
             if train_cfg.max_updates and updates >= train_cfg.max_updates:
-                hit_update_limit = True
                 stop_reason = "max_updates"
                 break
 
@@ -180,11 +177,10 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         preds, labels = predictions_over(params, valid_seqs, train_cfg.batch_size, model_cfg)
         epoch_auc = auc(PredictionSet(preds, labels))
         valid_aucs.append(epoch_auc)
-        if epoch_auc > best_auc:
-            best_auc = epoch_auc
+        if epoch_auc > stopper.best_value:
             best_params = params.copy()
         keep_going = stopper.update(epoch, epoch_auc)
-        if stop_reason in ("train_loss",) or hit_update_limit:
+        if stop_reason in ("train_loss", "max_updates"):
             break
         if not keep_going:
             stop_reason = "early_stop"
@@ -197,7 +193,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         stop_reason=stop_reason,
         train_losses=train_losses,
         valid_aucs=valid_aucs,
-        best_valid_auc=float(best_auc),
+        best_valid_auc=float(stopper.best_value),
         best_params=best_params,
     )
 
@@ -208,6 +204,10 @@ class FoldResult:
     test_auc: float
     test_acc: float
     report: TrainReport
+
+    def row(self):
+        return {"fold": self.fold, "auc": self.test_auc, "acc": self.test_acc,
+                "best_epoch": self.report.best_epoch}
 
 
 def mean_std(values):
@@ -231,17 +231,14 @@ class CvReport:
         return cls(folds, mean_auc, std_auc, mean_acc, std_acc)
 
     def rows(self):
-        out = [
-            {"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc, "best_epoch": f.report.best_epoch}
-            for f in self.folds
-        ]
+        out = [f.row() for f in self.folds]
         out.append({"fold": "mean", "auc": self.mean_auc, "acc": self.mean_acc, "best_epoch": ""})
         out.append({"fold": "std", "auc": self.std_auc, "acc": self.std_acc, "best_epoch": ""})
         return out
 
 
-def _run_fold(args):
-    ds, model_cfg, train_cfg, fold_i, fold_idx = args
+def run_fold(ds, model_cfg, train_cfg, fold_i, fold_idx):
+    """Train on one fold's (train, valid, test) index split; test metrics."""
     train_idx, valid_idx, test_idx = fold_idx
     seqs = ds.sequences
     report = train(
@@ -255,6 +252,10 @@ def _run_fold(args):
     )
     ps = PredictionSet(preds, labels)
     return FoldResult(fold_i, auc(ps), accuracy(ps), report)
+
+
+def _run_fold(args):
+    return run_fold(*args)
 
 
 def _map_jobs(fn, argss, jobs):

@@ -1,10 +1,18 @@
 """Shared helpers for the test modules."""
 
 import collections
+import json
+import struct
 
 import numpy as np
 
+import qckt.errors
 import qckt.model as qm
+
+# every exception class the package defines: the only ones its loaders raise
+PACKAGE_ERRORS = tuple(
+    v for v in vars(qckt.errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
 
 FakeInteraction = collections.namedtuple("FakeInteraction", "question kcs response")
 
@@ -33,3 +41,13 @@ def random_params(cfg, seed, scale=0.05):
     return qm.Parameters(
         cfg, {k: v + rng.normal(0.0, scale, size=v.shape) for k, v in p.items()}
     )
+
+
+def with_header(blob, edit):
+    """A checkpoint whose JSON header has gone through ``edit``."""
+    start = len(qm.CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", blob, len(qm.CHECKPOINT_MAGIC))
+    header = json.loads(blob[start : start + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    return qm.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[start + hlen :]

@@ -189,20 +189,20 @@ class TestFiniteDifferenceBattery:
 
     def test_column_slice_and_stack_ops(self):
         rng = np.random.default_rng(13)
-        params = {"X": rng.normal(size=(3, 6)), "Y": rng.normal(size=(3, 2))}
+        params = {"X": rng.normal(size=(3, 6)), "Y": rng.normal(size=(2, 3))}
 
         def build(tape, n):
             # overlapping slices accumulate; column 5 of X is in no slice
             parts = [tape.col_slice(n["X"], 0, 3), tape.col_slice(n["X"], 2, 5), n["Y"]]
-            return _matrix_sum(tape, tape.tanh(tape.hstack(parts)))
+            return _matrix_sum(tape, tape.tanh(tape.vstack(parts)))
 
         report = grad_check(build, params)
         assert report.passed, report
         tape = Tape()
         x = tape.leaf(np.arange(12.0).reshape(2, 6))
         np.testing.assert_array_equal(tape.col_slice(x, 2, 4).value, [[2, 3], [8, 9]])
-        joined = tape.hstack([tape.col_slice(x, 4, 6), tape.col_slice(x, 0, 1)])
-        np.testing.assert_array_equal(joined.value, [[4, 5, 0], [10, 11, 6]])
+        joined = tape.vstack([tape.col_slice(x, 4, 6), tape.col_slice(x, 0, 2)])
+        np.testing.assert_array_equal(joined.value, [[4, 5], [10, 11], [0, 1], [6, 7]])
         for start, stop in ((3, 3), (-1, 2), (4, 7)):
             with pytest.raises(ShapeError):
                 tape.col_slice(x, start, stop)
@@ -287,33 +287,28 @@ class TestFiniteDifferenceBattery:
         np.testing.assert_allclose(loss.value, ad.bce_value(0.2, 1.0), rtol=1e-14)
 
     def test_lstm_gates_two_step_chain(self):
+        # two steps of B = 2 columns: the gradient of step 1's hidden state
+        # flows back through U and through the cell state into step 0
         rng = np.random.default_rng(31)
         d, batch = 3, 2
         params = {
-            "z1": rng.normal(size=(4 * d, batch)),
-            "z2": rng.normal(size=(4 * d, batch)),
-            "c0": rng.normal(size=(d, batch)),
+            "proj": rng.normal(size=(4 * d, 2 * batch)),
+            "u": rng.normal(size=(4 * d, d)),
+            "w": rng.normal(size=d),
         }
 
         def build(tape, n):
-            h1, c1 = tape.lstm_gates(n["z1"], n["c0"])
-            h2, c2 = tape.lstm_gates(n["z2"], c1)
-            both = tape.add(h1, h2)
-            return _matrix_sum(tape, tape.add(both, c2))
+            h = tape.lstm_gates(n["proj"], n["u"], batch)
+            return tape.sum_pool(tape.dot_columns(n["w"], h))
 
         report = grad_check(build, params)
         assert report.passed, report
-
-    def test_lstm_gates_cell_only_use_still_flows(self):
-        rng = np.random.default_rng(37)
-        params = {"z": rng.normal(size=(4, 2)), "c0": rng.normal(size=(1, 2))}
-
-        def build(tape, n):
-            _h, c = tape.lstm_gates(n["z"], n["c0"])
-            return _matrix_sum(tape, c)
-
-        report = grad_check(build, params)
-        assert report.passed, report
+        tape = Tape()
+        proj, u = tape.leaf(params["proj"]), tape.leaf(params["u"])
+        wrong_u = tape.leaf(np.ones((4 * d, 2)))
+        for bad in ((proj, u, 3), (proj, u, 0), (u, proj, 1), (proj, wrong_u, 2)):
+            with pytest.raises(ShapeError):
+                tape.lstm_gates(*bad)
 
 
 class TestDeterminism:
@@ -322,8 +317,9 @@ class TestDeterminism:
         w, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
         tape = Tape()
         wn, xn = tape.leaf(w), tape.leaf(x)
-        h, c = tape.lstm_gates(tape.vstack([xn] * 4), tape.tanh(tape.matmul(wn, xn)))
-        loss = _matrix_sum(tape, tape.add(h, c))
+        proj = tape.vstack([tape.tanh(tape.matmul(wn, xn)), xn, xn, xn])
+        h = tape.lstm_gates(proj, tape.vstack([wn] * 4), 1)
+        loss = _matrix_sum(tape, h)
         tape.backward(loss)
         return float(loss.value), wn.grad.copy(), xn.grad.copy()
 

@@ -13,6 +13,7 @@ import struct
 import pytest
 
 import qckt.model
+from _support import with_header
 from qckt.cli import main
 from qckt.model import CHECKPOINT_MAGIC, Parameters
 
@@ -232,14 +233,57 @@ class TestEval:
     def test_run_dir_without_checkpoint_is_runtime_error(self, workspace, tmp_path):
         stub = tmp_path / "stub"
         stub.mkdir()
-        (stub / "manifest.json").write_text(
-            json.dumps({"command": "train", "seed": 1, "config": {"k": 2, "fold": 0}})
-        )
+        shutil.copy(workspace["run0"] / "manifest.json", stub)
         rc = main(
             ["eval", "--data", str(workspace["data"]),
              "--run", str(stub), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+    def test_uses_the_runs_folds_and_preprocessing(self, tmp_path):
+        # trained with --min-len 30, the run's test fold exists only under
+        # that preprocessing; eval must reproduce the training report exactly
+        data_dir, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--students", "24", "--questions", "8", "--kcs", "4",
+                     "--seq-len", "12,45", "--seed", "4", "--out", str(data_dir)]) == 0
+        data = data_dir / "dataset.csv"
+        assert main(["train", "--data", str(data), "--fold", "0", "--min-len", "30",
+                     "--out", str(run)] + TRAIN_FAST) == 0
+        rc = main(["eval", "--data", str(data), "--run", str(run), "--out", str(tmp_path / "ev")])
+        assert rc == 0
+        trained = read_csv(run / "report.csv")[0]
+        evaluated = read_csv(tmp_path / "ev" / "report.csv")[0]
+        assert (evaluated["fold"], evaluated["auc"]) == (trained["fold"], trained["auc"])
+        # a student with fewer than 30 interactions is not in the run's data
+        lengths = {}
+        for row in read_csv(data):
+            lengths[row["student_id"]] = lengths.get(row["student_id"], 0) + 1
+        short = min(lengths, key=lengths.get)
+        assert lengths[short] < 30
+        rc = main(["export", "--data", str(data), "--run", str(run), "--student", short,
+                   "--out", str(tmp_path / "ex")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_data_the_run_was_not_trained_on_exits_2(self, workspace, tmp_path, capsys, command):
+        lines = workspace["data"].read_text(encoding="utf-8").splitlines(keepends=True)
+        student = lines[1].split(",")[0]
+        edited = tmp_path / "data.csv"
+        edited.write_text("".join(lines[:-1]), encoding="utf-8")  # one row fewer
+        argv = [command, "--data", str(edited), "--run", str(workspace["run0"]),
+                "--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        rc = main(argv + (["--student", student] if command == "export" else []))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "SHA-256" in err[0], err
+        assert not (tmp_path / "o").exists()
+
+    def test_preprocessing_flags_are_gone(self, workspace, tmp_path, capsys):
+        rc = main(["eval", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
+                   "--min-len", "3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unrecognized arguments: --min-len" in capsys.readouterr().err
 
 
 class TestExport:
@@ -295,21 +339,11 @@ class TestExport:
         assert rc == 1
 
 
-def _with_header(blob, edit):
-    """A checkpoint whose JSON header has gone through ``edit``."""
-    start = len(CHECKPOINT_MAGIC) + 4
-    (hlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
-    header = json.loads(blob[start : start + hlen])
-    edit(header)
-    text = json.dumps(header).encode("utf-8")
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[start + hlen :]
-
-
 # case -> (file to corrupt, corruption of its bytes)
 MALFORMED = {
     "checkpoint cut after its magic": ("checkpoint", lambda b: b[: len(CHECKPOINT_MAGIC)]),
-    "unknown config key": ("checkpoint", lambda b: _with_header(b, lambda h: h["config"].update(x=1))),
-    "header without config": ("checkpoint", lambda b: _with_header(b, lambda h: h.pop("config"))),
+    "unknown config key": ("checkpoint", lambda b: with_header(b, lambda h: h["config"].update(x=1))),
+    "header without config": ("checkpoint", lambda b: with_header(b, lambda h: h.pop("config"))),
     "header not JSON": ("checkpoint", lambda b: CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"{nope" + b),
     "CSV not UTF-8": ("data", lambda b: b.replace(b"s", b"\xff", 1)),
 }
@@ -330,6 +364,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2, err
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestAtomicWrites:
+    def test_failed_manifest_write_keeps_the_old_one(self, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        assert main(SYNTH + ["--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        assert main(SYNTH + ["--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestAblate:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qckt.data as qd
 import qckt.evaluation as qe
+from _support import PACKAGE_ERRORS
 from qckt.errors import ConfigError, DataError, DomainError, ParseError
 
 EXAMPLE = """student_id,question_id,kc_ids,response,timestamp
@@ -68,6 +71,32 @@ class TestLoadDataset:
         text = EXAMPLE + "bob,A,Y,1,0\n"
         with pytest.raises(DataError, match="conflicting"):
             qd.load_dataset(write(tmp_path, text))
+
+    def test_repeated_kc_label_counts_once(self, tmp_path):
+        ds = qd.load_dataset(write(tmp_path, "student_id,question_id,kc_ids,response,timestamp\n"
+                                   "s,A,a_a_b,1,0\ns,B,b_b,0,1\n"))
+        assert [it.kcs for it in ds.sequences[0].interactions] == [(0, 1), (1,)]
+        assert ds.n_kcs == 2 and ds.kc_labels == ["a", "b"]
+
+    def test_kc_sets_compare_as_sets(self, tmp_path):
+        same = EXAMPLE + "bob,B,Y_X_X,1,0\nbob,A,X_X,0,1\n"
+        assert qd.load_dataset(write(tmp_path, same)).qmatrix == {0: (0,), 1: (0, 1)}
+        with pytest.raises(DataError, match="conflicting"):
+            qd.load_dataset(write(tmp_path, EXAMPLE + "bob,B,Y_Y,1,0\n"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=300),
+        st.text(alphabet="ab,_01 9\n\r-\xe9\x00", max_size=200).map(
+            lambda t: (qd.HEADER + "\n" + t).encode("utf-8")),
+    ))
+    def test_arbitrary_bytes_raise_only_package_errors(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        path.write_bytes(blob)
+        try:
+            qd.load_dataset(path)
+        except PACKAGE_ERRORS:
+            pass
 
     def test_round_trip(self, tmp_path):
         ds = qd.load_dataset(write(tmp_path, EXAMPLE))

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import oracle
 import qckt.model as qm
-from _support import FakeInteraction, make_seq, random_params
+from _support import PACKAGE_ERRORS, FakeInteraction, make_seq, random_params, with_header
 from oracle import zero_params
+from qckt import kernels
 from qckt.autodiff import Tape, grad_check, sigmoid
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
 
@@ -149,22 +150,23 @@ class TestLstmStep:
         np.testing.assert_allclose(state.c, 0.5 * v + 0.25, rtol=1e-14)
 
     def test_matches_fused_kernel_path(self):
-        # straight-line scalar evaluation vs the tape/kernel route
+        # straight-line scalar steps from the zero state vs the tape/kernel
+        # route: T = 3 steps of B = 2 sequences, columns step-major
         rng = np.random.default_rng(42)
-        d, p = 3, 12
+        d, p, T, B = 3, 12, 3, 2
         W = [rng.normal(size=(d, p)) for _ in range(4)]
         U = [rng.normal(size=(d, d)) for _ in range(4)]
         b = [rng.normal(size=d) for _ in range(4)]
-        x = rng.normal(size=p)
-        h0, c0 = rng.normal(size=d), rng.normal(size=d)
-
-        ref = oracle.lstm_step(x, oracle.LstmState(h0, c0), W, U, b)
+        x = rng.normal(size=(p, T * B))
 
         tape = Tape()
-        z = tape.leaf(np.vstack(W) @ x[:, None] + np.vstack(U) @ h0[:, None] + np.concatenate(b)[:, None])
-        h_node, c_node = tape.lstm_gates(z, tape.leaf(c0[:, None]))
-        np.testing.assert_allclose(h_node.value[:, 0], ref.h, rtol=1e-12)
-        np.testing.assert_allclose(c_node.value[:, 0], ref.c, rtol=1e-12)
+        proj = tape.leaf(np.vstack(W) @ x + np.concatenate(b)[:, None])
+        h = tape.lstm_gates(proj, tape.leaf(np.vstack(U)), B).value
+        for j in range(B):
+            state = oracle.LstmState.zero(d)
+            for t in range(T):
+                state = oracle.lstm_step(x[:, t * B + j], state, W, U, b)
+                np.testing.assert_allclose(h[:, t * B + j], state.h, rtol=1e-12)
 
     def test_shape_mismatch_raises(self):
         W, U, b = self._zero_gates(2, 8)
@@ -399,18 +401,27 @@ class TestBatchGraph:
         )
         assert report.passed, (variant, report)
 
-    def test_node_budget(self):
-        # only the recurrences loop over time; at L = 50, B = 64 the full
-        # model records 2 x 49 gate calls and at most 600 nodes in all
-        rng = np.random.default_rng(3)
-        lengths = [50] + [int(L) for L in rng.integers(2, 51, size=63)]
-        batch = qm.Batch([make_seq(rng, L, 20, 5) for L in lengths])
+    def test_node_budget(self, monkeypatch):
+        # nothing loops over time on the tape: at B = 64 the graph has the
+        # same node count at L = 5 as at L = 50, one lstm_gates node per
+        # track, and the gate kernel runs once per step of each track
+        calls = []
+        forward = kernels.gates_forward
+        monkeypatch.setattr(kernels, "gates_forward", lambda *a: calls.append(1) or forward(*a))
         cfg = qm.ModelConfig(20, 5, 4)
         p = qm.Parameters.init(cfg, seed=3)
-        tape = Tape()
-        qm.build_graph(tape, p.leaves(tape), batch, cfg)
-        assert len(tape.nodes) <= 600
-        assert sum(node.op == "lstm_gates" for node in tape.nodes) == 2 * 49
+        counts = {}
+        for L in (5, 50):
+            rng = np.random.default_rng(3)
+            lengths = [L] + [int(n) for n in rng.integers(2, L + 1, size=63)]
+            batch = qm.Batch([make_seq(rng, n, 20, 5) for n in lengths])
+            tape = Tape()
+            calls.clear()
+            qm.build_graph(tape, p.leaves(tape), batch, cfg)
+            counts[L] = len(tape.nodes)
+            assert sum(node.op == "lstm_gates" for node in tape.nodes) == 2
+            assert len(calls) == 2 * (L - 1)
+        assert counts[5] == counts[50] <= 100
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -471,6 +482,74 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             qm.Parameters.load(path)
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = qm.ModelConfig(3, 2, 2)
+        path = tmp_path / "checkpoint.bin"
+        qm.Parameters.init(cfg, seed=1).save(path)
+        before = path.read_bytes()
+        calls = []
+        contiguous = np.ascontiguousarray
+
+        def fail_on_third(*args, **kwargs):  # the header and two tensors are written
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return contiguous(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_third)
+        with pytest.raises(OSError):
+            qm.Parameters.init(cfg, seed=2).save(path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+    @pytest.mark.parametrize("shape", [[1e10, 1e10], [10**6, 10**6], [2, 2, 2]])
+    def test_declared_shapes_are_checked_before_reading(self, tmp_path, shape):
+        cfg = qm.ModelConfig(3, 2, 2)
+        path = tmp_path / "checkpoint.bin"
+        qm.Parameters.init(cfg, seed=1).save(path)
+        blob = path.read_bytes()
+        path.write_bytes(with_header(blob, lambda h: h["tensors"][0].__setitem__(1, shape)))
+        with pytest.raises(DataError, match="do not fit"):
+            qm.Parameters.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes_raise_only_package_errors(self, tmp_path_factory, data):
+        # raw bytes with or without the magic, a valid file with a span
+        # replaced, or a header with arbitrary config values and shapes
+        path = tmp_path_factory.mktemp("fuzz") / "checkpoint.bin"
+        qm.Parameters.init(qm.ModelConfig(3, 2, 2), seed=1).save(path)
+        valid = path.read_bytes()
+        size = st.one_of(st.integers(-1, 10**12), st.floats(), st.just(2))
+        edits = st.fixed_dictionaries({
+            "config": st.dictionaries(st.sampled_from(["n_questions", "n_kcs", "dim", "lambda_aux",
+                                                       "variant", "bogus"]), size),
+            "tensors": st.lists(st.tuples(st.sampled_from(["Q", "K", "W_1", "b_p"]),
+                                          st.lists(size, max_size=3)), max_size=4),
+        })
+        kind = data.draw(st.sampled_from(["bytes", "splice", "header"]))
+        if kind == "bytes":
+            blob = data.draw(st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(
+                lambda b: qm.CHECKPOINT_MAGIC + b)))
+        elif kind == "splice":
+            i = data.draw(st.integers(0, len(valid)))
+            j = data.draw(st.integers(i, len(valid)))
+            blob = valid[:i] + data.draw(st.binary(max_size=20)) + valid[j:]
+        else:
+            edit = data.draw(edits)
+
+            def apply(header):
+                header["config"].update(edit["config"])
+                header["tensors"] = edit["tensors"] or header["tensors"]
+
+            blob = with_header(valid, apply)
+        path.write_bytes(blob)
+        try:
+            qm.Parameters.load(path)
+        except PACKAGE_ERRORS:
+            pass
+
     def test_truncated_payload_rejected(self, tmp_path):
         cfg = qm.ModelConfig(3, 2, 2)
         p = qm.Parameters.init(cfg, seed=1)
@@ -480,3 +559,4 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(DataError):
             qm.Parameters.load(path)
+
