@@ -1,7 +1,7 @@
 """Question-centric knowledge tracing with an additive IRT prediction layer."""
 
-from .autodiff import Tape, grad_check, sigmoid
+from .autodiff import Tape, sigmoid
 
 __version__ = "0.1.0"
 
-__all__ = ["Tape", "grad_check", "sigmoid", "__version__"]
+__all__ = ["Tape", "sigmoid", "__version__"]

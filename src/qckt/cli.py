@@ -77,6 +77,30 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow(row)
 
 
+def _write_fold_tables(out, key, per_fold):
+    """report.csv (each entry's fold rows, then their mean and std) and, for
+    two or more entries, pmatrix.csv (paired t-test p-values of fold AUCs).
+
+    ``per_fold`` maps each entry, named in column ``key``, to its
+    {"fold", "auc", "acc"} rows; returns the names of the files written.
+    """
+    rows = []
+    for name, folds in per_fold.items():
+        mean_auc, std_auc = mean_std([r["auc"] for r in folds])
+        mean_acc, std_acc = mean_std([r["acc"] for r in folds])
+        rows += [{key: name, **r} for r in folds]
+        rows.append({key: name, "fold": "mean", "auc": mean_auc, "acc": mean_acc})
+        rows.append({key: name, "fold": "std", "auc": std_auc, "acc": std_acc})
+    _write_csv(out / REPORT_CSV, [key, "fold", "auc", "acc"], rows)
+    if len(per_fold) < 2:
+        return [REPORT_CSV]
+    names = list(per_fold)
+    _, matrix = pairwise_t_matrix({n: [r["auc"] for r in per_fold[n]] for n in names})
+    mrows = [{key: n, **dict(zip(names, mrow))} for n, mrow in zip(names, matrix)]
+    _write_csv(out / PMATRIX_CSV, [key] + names, mrows)
+    return [REPORT_CSV, PMATRIX_CSV]
+
+
 def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")
@@ -292,35 +316,17 @@ def cmd_eval(args):
         if name in per_run:
             name = str(run_dir)
         per_run[name] = _run_fold_metrics(run_dir, raw, digest, args.data)
+    counts = {len(rows) for rows in per_run.values()}
+    if len(per_run) >= 2 and (len(counts) != 1 or counts == {1}):
+        raise DataError("p-value matrix needs the same number of folds (>= 2) in every run")
 
+    for name, rows in per_run.items():
+        mean_auc = mean_std([r["auc"] for r in rows])[0]
+        mean_acc = mean_std([r["acc"] for r in rows])[0]
+        print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report_rows = []
-    for name, rows in per_run.items():
-        mean_auc, std_auc = mean_std([r["auc"] for r in rows])
-        mean_acc, std_acc = mean_std([r["acc"] for r in rows])
-        for r in rows:
-            report_rows.append({"run": name, **r})
-        report_rows.append({"run": name, "fold": "mean", "auc": mean_auc, "acc": mean_acc})
-        report_rows.append({"run": name, "fold": "std", "auc": std_auc, "acc": std_acc})
-        print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
-    _write_csv(out / REPORT_CSV, ["run", "fold", "auc", "acc"], report_rows)
-    outputs = [REPORT_CSV]
-
-    if len(per_run) >= 2:
-        names = list(per_run)
-        counts = {len(per_run[n]) for n in names}
-        if len(counts) != 1 or counts == {1}:
-            raise DataError(
-                "p-value matrix needs the same number of folds (>= 2) in every run"
-            )
-        _, matrix = pairwise_t_matrix({n: [r["auc"] for r in per_run[n]] for n in names})
-        rows = []
-        for name, mrow in zip(names, matrix):
-            rows.append({"run": name, **{n: v for n, v in zip(names, mrow)}})
-        _write_csv(out / PMATRIX_CSV, ["run"] + names, rows)
-        outputs.append(PMATRIX_CSV)
-
+    outputs = _write_fold_tables(out, "run", per_run)
     _write_manifest(out, "eval", args, [args.data], outputs, started)
 
 
@@ -374,29 +380,15 @@ def cmd_ablate(args):
             raise ConfigError(f"unknown variant {v!r}, choose from {VARIANTS}")
 
     report = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
+    for variant, cv in report.per_variant.items():
+        print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for variant, cv in report.per_variant.items():
-        for f in cv.folds:
-            rows.append({"variant": variant, "fold": f.fold, "auc": f.test_auc, "acc": f.test_acc})
-        rows.append({"variant": variant, "fold": "mean", "auc": cv.mean_auc, "acc": cv.mean_acc})
-        rows.append({"variant": variant, "fold": "std", "auc": cv.std_auc, "acc": cv.std_acc})
-        print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
-    _write_csv(out / REPORT_CSV, ["variant", "fold", "auc", "acc"], rows)
-    outputs = [REPORT_CSV]
-
-    if len(variants) >= 2 and args.k >= 2:
-        _, matrix = pairwise_t_matrix(
-            {v: [f.test_auc for f in report.per_variant[v].folds] for v in variants}
-        )
-        mrows = [
-            {"variant": v, **{n: p for n, p in zip(variants, mrow)}}
-            for v, mrow in zip(variants, matrix)
-        ]
-        _write_csv(out / PMATRIX_CSV, ["variant"] + variants, mrows)
-        outputs.append(PMATRIX_CSV)
-
+    per_variant = {
+        v: [{"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc} for f in cv.folds]
+        for v, cv in report.per_variant.items()
+    }
+    outputs = _write_fold_tables(out, "variant", per_variant)
     _write_manifest(out, "ablate", args, [args.data], outputs, started)
 
 

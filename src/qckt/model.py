@@ -26,6 +26,7 @@ over all columns, the time-loop hoisting of Appleyard et al.
 and backward.  Scoring and export run it without a backward pass.
 """
 
+import itertools
 import json
 import math
 import os
@@ -55,13 +56,15 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.n_questions < 1 or self.n_kcs < 1 or self.dim < 1:
+        sizes = (self.n_questions, self.n_kcs, self.dim)
+        if any(type(v) is not int or v < 1 for v in sizes):  # bools are not sizes
             raise ConfigError(
-                f"sizes must be >= 1, got n_questions={self.n_questions}, "
-                f"n_kcs={self.n_kcs}, dim={self.dim}"
+                f"sizes must be integers >= 1, got n_questions={self.n_questions!r}, "
+                f"n_kcs={self.n_kcs!r}, dim={self.dim!r}"
             )
-        if not (self.lambda_aux >= 0.0):
-            raise ConfigError(f"lambda_aux must be >= 0, got {self.lambda_aux}")
+        lam = self.lambda_aux
+        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0.0):
+            raise ConfigError(f"lambda_aux must be finite and >= 0, got {lam!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -259,11 +262,12 @@ class Batch:
     """Padded step-major arrays for a group of sequences.
 
     qids and responses are (L x B); mask marks real interactions.  Column
-    t*B + j of the flattened (L*B) layout is step t of sequence j; the KC
-    groups of all those columns are pre-flattened into one ``kc_flat``
-    (rows, cols, wts) triple for the mean-embedding scatter.  Padded columns
-    hold question 0, KC 0 and response 0.  ``train`` builds fresh batches
-    every epoch from its shuffled order.
+    t*B + j of the flattened (L*B) layout is step t of sequence j.
+    ``kc_flat`` is the (rows, cols, wts) triple of
+    :meth:`Tape.embed_mean_flat`: each column's KCs in column order, each
+    weighted 1/(its column's KC count).  Padded columns hold question 0, KC 0
+    and response 0.  ``train`` builds fresh batches every epoch from its
+    shuffled order.
     """
 
     __slots__ = ("qids", "responses", "mask", "kc_flat", "length", "size", "n_preds")
@@ -282,12 +286,16 @@ class Batch:
         self.mask = np.zeros((L, B))
         groups = [(0,)] * (L * B)
         for j, s in enumerate(seq_lists):
-            for t, it in enumerate(s):
-                self.qids[t, j] = it.question
-                self.responses[t, j] = _check_response(it.response)
-                self.mask[t, j] = 1.0
-                groups[t * B + j] = tuple(it.kcs)
-        self.kc_flat = ad.flatten_groups(groups)
+            n = len(s)
+            self.qids[:n, j] = [it.question for it in s]
+            self.responses[:n, j] = [_check_response(it.response) for it in s]
+            self.mask[:n, j] = 1.0
+            groups[j : n * B : B] = [it.kcs for it in s]
+        sizes = np.fromiter(map(len, groups), np.int64, L * B)
+        if not sizes.all():
+            raise DomainError("interaction without KCs")
+        rows = np.fromiter(itertools.chain.from_iterable(groups), np.int64, int(sizes.sum()))
+        self.kc_flat = (rows, np.repeat(np.arange(L * B), sizes), np.repeat(1.0 / sizes, sizes))
         self.n_preds = float(self.mask[1:].sum())
 
 

@@ -30,14 +30,10 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     fold: int = 0
     grad_clip: float = 5.0  # global norm; None or 0 disables
     max_updates: int = 0  # 0 means unlimited
-    stop_at_train_loss: float = 0.0  # 0 means never
 
     def __post_init__(self):
         # lr = 0 is allowed so the no-op update path stays exercisable
@@ -66,10 +62,12 @@ def clip_gradients(grads, max_norm):
         return {k: g * scale for k, g in grads.items()}, total
     return grads, total
 
+
 def adam_step(params, grads, state, cfg):
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update at cfg.lr, in place on the parameter
+    arrays, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8."""
     state.t += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, arr in params.items():
@@ -166,9 +164,6 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
             updates += 1
             loss_sum += loss * batch.n_preds
             weight_sum += batch.n_preds
-            if train_cfg.stop_at_train_loss and loss < train_cfg.stop_at_train_loss:
-                stop_reason = "train_loss"
-                break
             if train_cfg.max_updates and updates >= train_cfg.max_updates:
                 stop_reason = "max_updates"
                 break
@@ -180,7 +175,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         if epoch_auc > stopper.best_value:
             best_params = params.copy()
         keep_going = stopper.update(epoch, epoch_auc)
-        if stop_reason in ("train_loss", "max_updates"):
+        if stop_reason == "max_updates":
             break
         if not keep_going:
             stop_reason = "early_stop"

@@ -6,8 +6,10 @@ import struct
 
 import numpy as np
 
+import qckt.autodiff as ad
 import qckt.errors
 import qckt.model as qm
+from qckt.errors import ShapeError
 
 # every exception class the package defines: the only ones its loaders raise
 PACKAGE_ERRORS = tuple(
@@ -51,3 +53,91 @@ def with_header(blob, edit):
     edit(header)
     text = json.dumps(header).encode("utf-8")
     return qm.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + blob[start + hlen :]
+
+
+class Tape(ad.Tape):
+    """The package tape plus the ops that only finite-difference graphs use."""
+
+    def mul(self, a, b):
+        if a.value.shape != b.value.shape:
+            raise ShapeError(f"mul shapes differ: {a.value.shape} vs {b.value.shape}")
+        av, bv = a.value, b.value
+        return self._record("mul", av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def tanh(self, x):
+        y = np.tanh(x.value)
+        return self._record("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
+
+    def sum_pool(self, x):
+        """Sum of a rank-1 tensor; gradient broadcasts 1 to every entry."""
+        if x.value.ndim != 1:
+            raise ShapeError(f"sum_pool requires a vector, got shape {x.value.shape}")
+        shape = x.value.shape
+        return self._record("sum_pool", x.value.sum(), (x,), lambda g: (np.broadcast_to(g, shape),))
+
+
+class GradCheckReport:
+    """Per-parameter max relative error between tape and finite differences."""
+
+    def __init__(self, h, tol):
+        self.h = h
+        self.tol = tol
+        self.max_rel_err = {}
+        self.failures = []
+
+    @property
+    def passed(self):
+        return not self.failures and all(e < self.tol for e in self.max_rel_err.values())
+
+    def worst(self):
+        return max(self.max_rel_err.values()) if self.max_rel_err else 0.0
+
+    def __repr__(self):
+        state = "pass" if self.passed else f"FAIL {self.failures or ''}"
+        return f"GradCheckReport(worst={self.worst():.3g}, tol={self.tol}, {state})"
+
+
+def grad_check(build, params, h=1e-5, tol=1e-4):
+    """Compare tape gradients against central finite differences.
+
+    ``build(tape, nodes)`` must deterministically construct a scalar loss from
+    the dict of parameter leaf nodes on a :class:`Tape` of this module.
+    Gradients are checked entrywise with relative error
+    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    """
+    params = {k: ad.as_tensor(v) for k, v in params.items()}
+
+    def loss_value():
+        tape = Tape()
+        nodes = {k: tape.leaf(v, name=k) for k, v in params.items()}
+        return float(build(tape, nodes).value)
+
+    tape = Tape()
+    nodes = {k: tape.leaf(v, name=k) for k, v in params.items()}
+    loss = build(tape, nodes)
+    tape.backward(loss)
+
+    report = GradCheckReport(h, tol)
+    for name, arr in params.items():
+        g_ad = Tape.grad(nodes[name])
+        if not np.all(np.isfinite(g_ad)):
+            report.failures.append(f"non-finite tape gradient for {name}")
+            report.max_rel_err[name] = np.inf
+            continue
+        g_fd = np.zeros_like(arr)
+        flat, fd_flat = arr.reshape(-1), g_fd.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_value()
+            flat[i] = orig - h
+            down = loss_value()
+            flat[i] = orig
+            fd_flat[i] = (up - down) / (2.0 * h)
+        if not np.all(np.isfinite(g_fd)):
+            report.failures.append(f"non-finite finite-difference gradient for {name}")
+            report.max_rel_err[name] = np.inf
+            continue
+        denom = np.maximum(1e-8, np.abs(g_ad) + np.abs(g_fd))
+        report.max_rel_err[name] = float(np.max(np.abs(g_ad - g_fd) / denom)) if flat.size else 0.0
+    return report

@@ -27,6 +27,17 @@ def auc_bruteforce(ps):
     return float(wins / (pos.size * neg.size))
 
 
+def oracle_predictions(sequences, oracle):
+    """True-probability predictions aligned to the model's targets (the
+    second interaction onward of every sequence)."""
+    probs, labels = [], []
+    for seq in sequences:
+        for it in seq.interactions[1:]:
+            probs.append(oracle[(seq.student_id, it.timestamp)])
+            labels.append(it.response)
+    return np.asarray(probs), np.asarray(labels, dtype=np.float64)
+
+
 @dataclass
 class LstmState:
     h: np.ndarray

@@ -19,9 +19,9 @@ import pytest
 import scipy.stats
 
 import qckt.model as qm
-from _support import FakeInteraction, make_seq, random_params
-from oracle import auc_bruteforce
-from qckt.autodiff import Tape, grad_check, sigmoid
+from _support import FakeInteraction, grad_check, make_seq, random_params
+from oracle import auc_bruteforce, oracle_predictions
+from qckt.autodiff import Tape, sigmoid
 from qckt.cli import main as cli_main
 from qckt.data import (
     Dataset,
@@ -30,7 +30,6 @@ from qckt.data import (
     SynthConfig,
     gen_synthetic,
     kfold_split,
-    oracle_predictions,
     preprocess,
 )
 from qckt.evaluation import PredictionSet, accuracy, auc, paired_t_test

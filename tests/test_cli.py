@@ -221,6 +221,17 @@ class TestEval:
         assert float(rows[0]["cvb"]) == 1.0
         assert float(rows[1]["cva"]) == 1.0
 
+    def test_single_fold_runs_exit_2_before_writing(self, workspace, tmp_path):
+        # two one-fold runs cannot give a p-value matrix; eval must fail
+        # before it writes anything, not after report.csv
+        out = tmp_path / "cmp"
+        rc = main(
+            ["eval", "--data", str(workspace["data"]),
+             "--run", str(workspace["run0"]), "--run", str(workspace["run0"]), "--out", str(out)]
+        )
+        assert rc == 2
+        assert not (out / "report.csv").exists()
+
     def test_run_dir_without_manifest_is_runtime_error(self, workspace, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import qckt.data as qd
 import qckt.evaluation as qe
 from _support import PACKAGE_ERRORS
+from oracle import oracle_predictions
 from qckt.errors import ConfigError, DataError, DomainError, ParseError
 
 EXAMPLE = """student_id,question_id,kc_ids,response,timestamp
@@ -238,13 +239,13 @@ class TestGenSynthetic:
 
     def test_oracle_auc_beats_chance(self):
         ds, oracle = qd.gen_synthetic(self.CFG)
-        probs, labels = qd.oracle_predictions(ds.sequences, oracle)
+        probs, labels = oracle_predictions(ds.sequences, oracle)
         assert qe.auc(qe.PredictionSet(probs, labels)) > 0.6
 
     def test_oracle_alignment_survives_chunking(self):
         ds, oracle = qd.gen_synthetic(qd.SynthConfig(students=30, questions=10, kcs=4, seq_len=(30, 40), seed=3))
         chunked = qd.preprocess(ds, min_len=3, max_len=8)
-        probs, labels = qd.oracle_predictions(chunked.sequences, oracle)
+        probs, labels = oracle_predictions(chunked.sequences, oracle)
         # every chunk contributes len-1 targets with matching truth
         expect = sum(len(s) - 1 for s in chunked.sequences)
         assert probs.size == expect

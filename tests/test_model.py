@@ -5,10 +5,17 @@ from hypothesis import strategies as st
 
 import oracle
 import qckt.model as qm
-from _support import PACKAGE_ERRORS, FakeInteraction, make_seq, random_params, with_header
+from _support import (
+    PACKAGE_ERRORS,
+    FakeInteraction,
+    grad_check,
+    make_seq,
+    random_params,
+    with_header,
+)
 from oracle import zero_params
 from qckt import kernels
-from qckt.autodiff import Tape, grad_check, sigmoid
+from qckt.autodiff import Tape, sigmoid
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
 
 
@@ -20,6 +27,25 @@ class TestModelConfig:
             qm.ModelConfig(n_questions=1, n_kcs=1, dim=2, lambda_aux=-0.5)
         with pytest.raises(ConfigError):
             qm.ModelConfig(n_questions=1, n_kcs=1, dim=2, variant="no_everything")
+
+    @pytest.mark.parametrize(
+        "sizes, lambda_aux",
+        [
+            ((3, 2, float("nan")), 1.0),
+            ((3.5, 2, 2.5), 1.0),
+            ((3, 2.0, 4), 1.0),
+            ((True, 2, 4), 1.0),
+            ((3, False, 4), 1.0),
+            ((3, 2, "4"), 1.0),
+            ((3, -2, 4), 1.0),
+            ((3, 2, 4), float("inf")),
+            ((3, 2, 4), float("nan")),
+            ((3, 2, 4), "1.0"),
+        ],
+    )
+    def test_rejects_non_integer_sizes_and_non_finite_lambda(self, sizes, lambda_aux):
+        with pytest.raises(ConfigError):
+            qm.ModelConfig(*sizes, lambda_aux=lambda_aux)
 
     def test_variant_switches(self):
         cfg = qm.ModelConfig(3, 2, 2, variant="no_ks")
@@ -448,6 +474,48 @@ class TestBatchGraph:
         grid[keep] = preds  # predictions come back step-major
         np.testing.assert_allclose(grid[: length - 1, slot], alone, rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", list(qm.VARIANTS))
+    def test_returned_gradients_do_not_overlap(self, variant):
+        # the tape may share gradient buffers between nodes (add passes its
+        # gradient on, vstack hands out row blocks of one array), but no two
+        # parameters' gradients overlap
+        rng = np.random.default_rng(5)
+        cfg = qm.ModelConfig(6, 3, 3, variant=variant)
+        batch = qm.Batch([make_seq(rng, n, 6, 3) for n in (4, 2, 5)])
+        _, grads = qm.batch_loss_and_grads(random_params(cfg, seed=5), batch)
+        names = list(grads)
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                assert not np.shares_memory(grads[a], grads[b]), (a, b)
+
+    def test_kc_triple_is_column_major(self):
+        seqs = [
+            [FakeInteraction(1, (2, 0), 1), FakeInteraction(0, (1,), 0), FakeInteraction(2, (0, 1, 2), 1)],
+            [FakeInteraction(0, (1,), 0), FakeInteraction(1, (2,), 1)],
+        ]
+        rows, cols, wts = qm.Batch(seqs).kc_flat
+        # column t*B + j is step t of sequence j; padded column 5 holds KC 0
+        np.testing.assert_array_equal(rows, [2, 0, 1, 1, 2, 0, 1, 2, 0])
+        np.testing.assert_array_equal(cols, [0, 0, 1, 2, 3, 4, 4, 4, 5])
+        np.testing.assert_array_equal(wts, [1 / 2, 1 / 2, 1, 1, 1, 1 / 3, 1 / 3, 1 / 3, 1])
+        with pytest.raises(DomainError):
+            qm.Batch([[FakeInteraction(0, (), 1), FakeInteraction(1, (0,), 0)]])
+
+        # exactly the per-column loop's triple, on a random ragged batch
+        seqs = [make_seq(np.random.default_rng(8), n, 5, 4) for n in (3, 7, 2, 5)]
+        batch = qm.Batch(seqs)
+        groups = [(0,)] * (batch.length * batch.size)
+        for j, s in enumerate(seqs):
+            for t, it in enumerate(s):
+                groups[t * batch.size + j] = it.kcs
+        want = (
+            [k for g in groups for k in g],
+            [c for c, g in enumerate(groups) for _ in g],
+            [1.0 / len(g) for g in groups for _ in g],
+        )
+        for got, ref in zip(batch.kc_flat, want):
+            np.testing.assert_array_equal(got, ref)
+
     def test_batch_rejects_too_short(self):
         with pytest.raises(DataError):
             qm.Batch([[FakeInteraction(0, (0,), 1)]])
@@ -549,6 +617,13 @@ class TestCheckpoint:
             qm.Parameters.load(path)
         except PACKAGE_ERRORS:
             pass
+
+    def test_fractional_size_in_header_is_rejected_by_the_config(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        qm.Parameters.init(qm.ModelConfig(3, 2, 2), seed=1).save(path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: h["config"].update(dim=2.5)))
+        with pytest.raises(DataError, match="ConfigError"):
+            qm.Parameters.load(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         cfg = qm.ModelConfig(3, 2, 2)

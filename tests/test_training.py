@@ -237,21 +237,6 @@ class TestTrain:
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
-    def test_stop_at_train_loss(self):
-        mcfg = ModelConfig(n_questions=12, n_kcs=5, dim=8, lambda_aux=0.0)
-        tcfg = TrainConfig(
-            lr=1e-2,
-            batch_size=64,
-            max_epochs=500,
-            patience=500,
-            seed=4,
-            stop_at_train_loss=0.55,
-            max_updates=400,
-        )
-        report = train(mcfg, tcfg, self.train_seqs[:10], self.valid_seqs[:4])
-        assert report.stop_reason == "train_loss"
-        assert report.total_updates < 400
-
     def test_max_updates_cap(self):
         tcfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=100, seed=4, max_updates=5)
         report = train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs)
