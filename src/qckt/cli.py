@@ -12,9 +12,13 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import (
@@ -101,6 +105,26 @@ def _write_fold_tables(out, key, per_fold):
     return [REPORT_CSV, PMATRIX_CSV]
 
 
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment():
+    """The numeric environment a run's figures depend on: Python, numpy and
+    its BLAS, the thread-count variables (None where unset) and the CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (KeyError, TypeError):  # the layout of numpy's build report varies
+        blas = {"name": None, "version": None}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")
@@ -113,6 +137,7 @@ def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(outputs),
         "duration_s": round(time.perf_counter() - started, 3),
+        "environment": _environment(),
     }
     if extra:
         doc.update(extra)

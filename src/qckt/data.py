@@ -3,14 +3,17 @@ synthetic generator with known ground-truth probabilities.
 
 The one ingestion format is a UTF-8 CSV with header
 ``student_id,question_id,kc_ids,response,timestamp`` where kc_ids joins KC
-labels with underscores (a repeated label counts once).  Question and KC
-labels are remapped to dense 0-based ids at load time; the label tables ride
-along on the Dataset so files can be written back losslessly.
+labels with underscores (a repeated label counts once, an empty one is an
+error).  Question and KC labels are remapped to dense 0-based ids at load
+time; the label tables ride along on the Dataset so files can be written back
+losslessly.  Each student's interactions are kept as columns (arrays), not as
+one object per row.
 """
 
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -34,13 +37,70 @@ class Interaction:
             raise DomainError(f"response must be 0 or 1, got {self.response!r}")
 
 
-@dataclass
 class StudentSequence:
-    student_id: str
-    interactions: list
+    """One student's interactions, column by column.
+
+    ``questions``, ``responses`` and ``timestamps`` are int arrays of one
+    entry per interaction (int64, or Python ints where a timestamp does not
+    fit); ``kcs`` is the list of each interaction's KC tuple.  Sequences of a
+    loaded dataset hold views into the loader's arrays and the q-matrix's
+    tuples.  ``StudentSequence(student_id, interactions)`` builds the columns
+    from rows such as :class:`Interaction`.
+    """
+
+    __slots__ = ("student_id", "questions", "kcs", "responses", "timestamps")
+
+    def __init__(self, student_id, interactions):
+        rows = list(interactions)
+        self.student_id = student_id
+        self.questions = np.array([it.question for it in rows], dtype=np.int64)
+        self.kcs = [it.kcs for it in rows]
+        self.responses = np.array([it.response for it in rows], dtype=np.int64)
+        self.timestamps = _int_column([it.timestamp for it in rows])
+
+    @classmethod
+    def from_columns(cls, student_id, questions, kcs, responses, timestamps):
+        seq = cls.__new__(cls)
+        seq.student_id = student_id
+        seq.questions, seq.kcs = questions, kcs
+        seq.responses, seq.timestamps = responses, timestamps
+        return seq
+
+    def chunk(self, start, stop):
+        """Interactions start..stop-1 as a sequence of the same student."""
+        return StudentSequence.from_columns(
+            self.student_id,
+            self.questions[start:stop],
+            self.kcs[start:stop],
+            self.responses[start:stop],
+            self.timestamps[start:stop],
+        )
 
     def __len__(self):
-        return len(self.interactions)
+        return len(self.questions)
+
+    def __eq__(self, other):
+        if not isinstance(other, StudentSequence):
+            return NotImplemented
+        return (
+            self.student_id == other.student_id
+            and self.kcs == other.kcs
+            and np.array_equal(self.questions, other.questions)
+            and np.array_equal(self.responses, other.responses)
+            and np.array_equal(self.timestamps, other.timestamps)
+        )
+
+    def __repr__(self):
+        return f"StudentSequence({self.student_id!r}, {len(self)} interactions)"
+
+
+def _int_column(values):
+    """Python ints as an int64 array, or as an object array if one does not
+    fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass
@@ -64,60 +124,142 @@ class Dataset:
         return sum(len(s) for s in self.sequences)
 
 
+def _check_row(raw, lineno):
+    """The checks of one log row in the order they apply, raising for the
+    first that fails; returns the row's question label."""
+    if raw.strip() == HEADER:
+        raise ParseError("duplicate header", line=lineno)
+    parts = raw.split(",")
+    if len(parts) != 5:
+        raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
+    sid, qlabel, kc_field, resp_s, ts_s = (p.strip() for p in parts)
+    if not sid or not qlabel:
+        raise ParseError("empty student or question id", line=lineno)
+    if not kc_field:
+        raise DataError(f"question without KCs at line {lineno}")
+    if "" in kc_field.split("_"):
+        raise ParseError(f"empty KC label in {kc_field!r}", line=lineno)
+    if resp_s not in ("0", "1"):
+        raise ParseError(f"response must be 0 or 1, got {resp_s!r}", line=lineno)
+    try:
+        int(ts_s)
+    except ValueError:
+        raise ParseError(f"bad timestamp {ts_s!r}", line=lineno)
+    return qlabel
+
+
+def _first_non_int(values):
+    for i, v in enumerate(values):
+        try:
+            int(v)
+        except ValueError:
+            return i
+    return len(values)
+
+
+BLOCK_ROWS = 1024  # rows parsed at once: bounds the loader's transient field strings
+
+
 def load_dataset(path):
-    """Parse an interaction log; ids become dense 0-based ranges."""
+    """Parse an interaction log; ids become dense 0-based ranges.
+
+    The log is read column by column, a block of rows at a time: a block's
+    rows are split into fields once, each check runs over a whole column,
+    and each new (question, KC field) pair is parsed once.  One stable sort
+    then orders all rows by student (in order of first appearance) and
+    timestamp.  Blank lines are skipped.  A faulty log raises for its first
+    faulty row, as :func:`_check_row` reports it, or for the first row whose
+    KC set conflicts with its question's first.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path} is empty")
     if lines[0].strip() != HEADER:
         raise ParseError(f"bad header {lines[0]!r}, expected {HEADER!r}", line=1)
+    # splitlines cut at every line break, so within a line ASCII text holds
+    # no whitespace but these; a log without them needs no stripping
+    strip = not text.isascii() or any(c in text for c in " \t\x1f")
+    del text
 
-    qmap, kmap = {}, {}
-    qmatrix = {}
-    by_student = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if raw.strip() == HEADER:
-            raise ParseError("duplicate header", line=lineno)
-        parts = raw.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
-        sid, qlabel, kc_field, resp_s, ts_s = (p.strip() for p in parts)
-        if not sid or not qlabel:
-            raise ParseError("empty student or question id", line=lineno)
-        if not kc_field:
-            raise DataError(f"question without KCs at line {lineno}")
-        if resp_s not in ("0", "1"):
-            raise ParseError(f"response must be 0 or 1, got {resp_s!r}", line=lineno)
+    smap, qmap, kmap, qmatrix = {}, {}, {}, {}
+    pair_q = {}  # (question label, KC field) -> question id
+    blocks = []  # (student, question, response, timestamp) columns per block
+    for lo in range(1, len(lines), BLOCK_ROWS):
+        block = lines[lo : lo + BLOCK_ROWS]
+        # the columns end at the first row with a wrong field count; each
+        # check adds the index of its first failing row
+        kept = range(len(block))  # block index of each row
+        width_ok = len(block)
+        if set(map(str.count, block, repeat(","))) - {4}:
+            # blank lines, which are skipped, or a row with a wrong field count
+            kept = [i for i, raw in enumerate(block) if raw.strip()]
+            width_ok = next((j for j, i in enumerate(kept) if block[i].count(",") != 4), len(kept))
+        rows = block if width_ok == len(block) else [block[i] for i in kept[:width_ok]]
+        flat = ",".join(rows).split(",") if rows else []
+        columns = [flat[i::5] for i in range(5)]
+        if strip:
+            columns = [list(map(str.strip, c)) for c in columns]
+        sids, qlabels, kc_fields, resps, stamps = columns
+        faults = [width_ok] + [col.index("") for col in (sids, qlabels) if "" in col]
+        labels = {f: f.split("_") for f in dict.fromkeys(kc_fields)}
+        bad_fields = {f for f, parts in labels.items() if "" in parts}
+        if bad_fields:
+            faults.append(next(i for i, f in enumerate(kc_fields) if f in bad_fields))
+        if not set(resps) <= {"0", "1"}:
+            faults.append(next(i for i, r in enumerate(resps) if r not in ("0", "1")))
         try:
-            ts = int(ts_s)
+            stamps = list(map(int, stamps))
         except ValueError:
-            raise ParseError(f"bad timestamp {ts_s!r}", line=lineno)
+            faults.append(_first_non_int(stamps))
 
-        q = qmap.setdefault(qlabel, len(qmap))
-        # a label repeated within a row counts once, so KC sets compare as sets
-        kcs = tuple(sorted({kmap.setdefault(k, len(kmap)) for k in kc_field.split("_")}))
-        if q in qmatrix:
-            if qmatrix[q] != kcs:
-                raise DataError(
-                    f"question {qlabel!r} has conflicting KC sets at line {lineno}"
-                )
-        else:
-            qmatrix[q] = kcs
-        by_student.setdefault(sid, []).append(Interaction(q, kcs, int(resp_s), ts))
+        # a question's first (question, KC field) pair fixes its KC set; a
+        # label repeated within a field counts once, so KC sets compare as sets
+        for pair in dict.fromkeys(zip(qlabels, kc_fields)):
+            qlabel, kc_field = pair
+            if pair in pair_q or kc_field in bad_fields:
+                continue
+            q = qmap.setdefault(qlabel, len(qmap))
+            kcs = tuple(sorted({kmap.setdefault(k, len(kmap)) for k in labels[kc_field]}))
+            if qmatrix.setdefault(q, kcs) != kcs:
+                faults.append(next(i for i, p in enumerate(zip(qlabels, kc_fields)) if p == pair))
+                break
+            pair_q[pair] = q
 
-    sequences = []
-    for sid, items in by_student.items():
-        items.sort(key=lambda it: it.timestamp)
-        sequences.append(StudentSequence(sid, items))
-    q_labels = list(qmap)
-    k_labels = list(kmap)
-    return Dataset(sequences, len(q_labels), len(k_labels), qmatrix, q_labels, k_labels)
+        fault = min(faults)
+        if fault < len(kept):
+            lineno = lo + kept[fault] + 1
+            qlabel = _check_row(block[kept[fault]], lineno)
+            raise DataError(f"question {qlabel!r} has conflicting KC sets at line {lineno}")
+        for sid in dict.fromkeys(sids):
+            smap.setdefault(sid, len(smap))
+        n = len(sids)
+        blocks.append((
+            np.fromiter(map(smap.__getitem__, sids), np.int64, n),
+            np.fromiter(map(qmap.__getitem__, qlabels), np.int64, n),
+            np.fromiter(map("1".__eq__, resps), np.int64, n),
+            _int_column(stamps),
+        ))
+
+    empty = np.zeros(0, np.int64)
+    student, questions, responses, timestamps = (
+        [np.concatenate(c) for c in zip(*blocks)] if blocks else [empty] * 4
+    )
+    order = np.lexsort((timestamps, student))
+    questions, responses, timestamps = questions[order], responses[order], timestamps[order]
+    kc_of = [qmatrix[q] for q in range(len(qmap))]
+    kcs = list(map(kc_of.__getitem__, questions.tolist()))
+
+    ends = np.cumsum(np.bincount(student, minlength=len(smap))).tolist()
+    sequences = [
+        StudentSequence.from_columns(sid, questions[a:b], kcs[a:b], responses[a:b], timestamps[a:b])
+        for sid, a, b in zip(smap, [0] + ends, ends)
+    ]
+    return Dataset(sequences, len(qmap), len(kmap), qmatrix, list(qmap), list(kmap))
 
 
 @contextmanager
@@ -142,12 +284,12 @@ def save_dataset(ds, path):
     with atomic_write(path, encoding="utf-8") as fh:
         fh.write(HEADER + "\n")
         for seq in ds.sequences:
-            for it in seq.interactions:
-                kc_field = "_".join(k_labels[k] for k in it.kcs)
-                fh.write(
-                    f"{seq.student_id},{q_labels[it.question]},{kc_field},"
-                    f"{it.response},{it.timestamp}\n"
-                )
+            columns = zip(
+                seq.questions.tolist(), seq.kcs, seq.responses.tolist(), seq.timestamps.tolist()
+            )
+            for q, kcs, r, t in columns:
+                kc_field = "_".join(k_labels[k] for k in kcs)
+                fh.write(f"{seq.student_id},{q_labels[q]},{kc_field},{r},{t}\n")
 
 
 def preprocess(ds, min_len=3, max_len=200):
@@ -162,13 +304,12 @@ def preprocess(ds, min_len=3, max_len=200):
         raise ConfigError(f"max_len {max_len} < min_len {min_len}")
     out = []
     for seq in ds.sequences:
-        items = seq.interactions
-        if len(items) < min_len:
+        n = len(seq)
+        if n < min_len:
             continue
-        for start in range(0, len(items), max_len):
-            chunk = items[start : start + max_len]
-            if len(chunk) >= min_len:
-                out.append(StudentSequence(seq.student_id, list(chunk)))
+        for start in range(0, n, max_len):
+            if min(n - start, max_len) >= min_len:
+                out.append(seq.chunk(start, start + max_len))
     return Dataset(out, ds.n_questions, ds.n_kcs, ds.qmatrix, ds.question_labels, ds.kc_labels)
 
 

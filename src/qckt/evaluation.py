@@ -11,6 +11,7 @@ import numpy as np
 
 from . import model as qmodel
 from .autodiff import sigmoid
+from .data import StudentSequence
 from .errors import MetricError, ShapeError
 
 
@@ -141,9 +142,13 @@ def export_module_outputs(params, seq, config=None, outputs=None):
     """
     if outputs is None:
         outputs = qmodel.sequence_outputs(params, seq, config)
-    interactions = getattr(seq, "interactions", seq)
+    if isinstance(seq, StudentSequence):
+        questions, responses = seq.questions.tolist(), seq.responses.tolist()
+    else:  # a list of rows
+        questions, responses = [it.question for it in seq], [it.response for it in seq]
     columns = zip(
-        interactions[1:],
+        questions[1:],
+        responses[1:],
         outputs.r_hat.value,
         sigmoid(outputs.alpha.value),
         sigmoid(outputs.beta.value),
@@ -152,14 +157,14 @@ def export_module_outputs(params, seq, config=None, outputs=None):
     return [
         {
             "step": t,
-            "question": int(target.question),
-            "response": int(target.response),
+            "question": int(question),
+            "response": int(response),
             "r_hat": float(r_hat),
             "sigma_alpha": float(s_alpha),
             "sigma_beta": float(s_beta),
             "sigma_zeta": float(s_zeta),
         }
-        for t, (target, r_hat, s_alpha, s_beta, s_zeta) in enumerate(columns, start=1)
+        for t, (question, response, r_hat, s_alpha, s_beta, s_zeta) in enumerate(columns, start=1)
     ]
 
 

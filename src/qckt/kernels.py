@@ -18,12 +18,9 @@ import numpy as np
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; both branches are computed and one is kept
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def gates_forward(z, c_prev):

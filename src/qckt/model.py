@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, as_tensor
-from .data import atomic_write
+from .data import StudentSequence, atomic_write
 from .errors import ConfigError, DataError, DomainError, ShapeError
 
 VARIANTS = ("full", "no_irt", "no_ks", "no_ps", "no_ks_ps")
@@ -63,7 +63,8 @@ class ModelConfig:
                 f"n_kcs={self.n_kcs!r}, dim={self.dim!r}"
             )
         lam = self.lambda_aux
-        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0.0):
+        ok_type = isinstance(lam, (int, float)) and not isinstance(lam, bool)
+        if not (ok_type and math.isfinite(lam) and lam >= 0.0):
             raise ConfigError(f"lambda_aux must be finite and >= 0, got {lam!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -259,7 +260,8 @@ def _check_response(r):
 
 
 class Batch:
-    """Padded step-major arrays for a group of sequences.
+    """Padded step-major arrays for a group of sequences, each a
+    :class:`qckt.data.StudentSequence` or a list of rows.
 
     qids and responses are (L x B); mask marks real interactions.  Column
     t*B + j of the flattened (L*B) layout is step t of sequence j.
@@ -275,22 +277,30 @@ class Batch:
     def __init__(self, seqs):
         if not seqs:
             raise DataError("empty batch")
-        seq_lists = [getattr(s, "interactions", s) for s in seqs]
-        if min(len(s) for s in seq_lists) < 2:
+        if min(len(s) for s in seqs) < 2:
             raise DataError("batch contains a sequence shorter than 2")
-        L = max(len(s) for s in seq_lists)
-        B = len(seq_lists)
+        L = max(len(s) for s in seqs)
+        B = len(seqs)
         self.length, self.size = L, B
         self.qids = np.zeros((L, B), dtype=np.int64)
         self.responses = np.zeros((L, B))
         self.mask = np.zeros((L, B))
         groups = [(0,)] * (L * B)
-        for j, s in enumerate(seq_lists):
+        for j, s in enumerate(seqs):
             n = len(s)
-            self.qids[:n, j] = [it.question for it in s]
-            self.responses[:n, j] = [_check_response(it.response) for it in s]
+            if isinstance(s, StudentSequence):
+                questions, responses, kcs = s.questions, s.responses, s.kcs
+                bad = responses[(responses != 0) & (responses != 1)]
+                if bad.size:
+                    _check_response(bad[0].item())
+            else:  # a list of rows with question, kcs and response
+                questions = [it.question for it in s]
+                responses = [_check_response(it.response) for it in s]
+                kcs = [it.kcs for it in s]
+            self.qids[:n, j] = questions
+            self.responses[:n, j] = responses
             self.mask[:n, j] = 1.0
-            groups[j : n * B : B] = [it.kcs for it in s]
+            groups[j : n * B : B] = kcs
         sizes = np.fromiter(map(len, groups), np.int64, L * B)
         if not sizes.all():
             raise DomainError("interaction without KCs")

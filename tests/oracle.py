@@ -1,6 +1,11 @@
-"""Value-level reference model, the test oracle for the batch graph:
+"""Reference implementations the tests compare the package against.
+
+The value-level reference model is the test oracle for the batch graph:
 straight-line float evaluation of one sequence, one step at a time, written
-independently of :func:`qckt.model.build_graph`."""
+independently of :func:`qckt.model.build_graph`.  :func:`load_dataset_rows`
+is the row-by-row reading of an interaction log, the oracle for the
+column-wise :func:`qckt.data.load_dataset`.
+"""
 
 from dataclasses import dataclass
 
@@ -8,13 +13,94 @@ import numpy as np
 
 import qckt.autodiff as ad
 import qckt.model as qm
-from qckt.errors import DataError, MetricError, ShapeError
+from _support import FakeInteraction
+from qckt.data import HEADER, Dataset, Interaction, StudentSequence
+from qckt.errors import DataError, MetricError, ParseError, ShapeError
 from qckt.model import _check_response
+
+
+def load_dataset_rows(path):
+    """Parse an interaction log one row at a time, one validated
+    :class:`Interaction` per row."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not lines:
+        raise ParseError(f"{path} is empty")
+    if lines[0].strip() != HEADER:
+        raise ParseError(f"bad header {lines[0]!r}, expected {HEADER!r}", line=1)
+
+    qmap, kmap = {}, {}
+    qmatrix = {}
+    by_student = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        if raw.strip() == HEADER:
+            raise ParseError("duplicate header", line=lineno)
+        parts = raw.split(",")
+        if len(parts) != 5:
+            raise ParseError(f"expected 5 fields, got {len(parts)}", line=lineno)
+        sid, qlabel, kc_field, resp_s, ts_s = (p.strip() for p in parts)
+        if not sid or not qlabel:
+            raise ParseError("empty student or question id", line=lineno)
+        if not kc_field:
+            raise DataError(f"question without KCs at line {lineno}")
+        if "" in kc_field.split("_"):
+            raise ParseError(f"empty KC label in {kc_field!r}", line=lineno)
+        if resp_s not in ("0", "1"):
+            raise ParseError(f"response must be 0 or 1, got {resp_s!r}", line=lineno)
+        try:
+            ts = int(ts_s)
+        except ValueError:
+            raise ParseError(f"bad timestamp {ts_s!r}", line=lineno)
+
+        q = qmap.setdefault(qlabel, len(qmap))
+        # a label repeated within a row counts once, so KC sets compare as sets
+        kcs = tuple(sorted({kmap.setdefault(k, len(kmap)) for k in kc_field.split("_")}))
+        if q in qmatrix:
+            if qmatrix[q] != kcs:
+                raise DataError(
+                    f"question {qlabel!r} has conflicting KC sets at line {lineno}"
+                )
+        else:
+            qmatrix[q] = kcs
+        by_student.setdefault(sid, []).append(Interaction(q, kcs, int(resp_s), ts))
+
+    sequences = []
+    for sid, items in by_student.items():
+        items.sort(key=lambda it: it.timestamp)
+        sequences.append(StudentSequence(sid, items))
+    q_labels = list(qmap)
+    k_labels = list(kmap)
+    return Dataset(sequences, len(q_labels), len(k_labels), qmatrix, q_labels, k_labels)
+
+
+def rows_of(seq):
+    """A sequence as a list of (question, kcs, response) rows; a
+    :class:`StudentSequence`'s columns are zipped back into rows."""
+    if not isinstance(seq, StudentSequence):
+        return seq
+    columns = zip(seq.questions.tolist(), seq.kcs, seq.responses.tolist())
+    return [FakeInteraction(q, kcs, r) for q, kcs, r in columns]
 
 
 def zero_params(config):
     """All-zero tensors; handy for the analytic edge-case tests."""
     return qm.Parameters(config, {k: np.zeros(s) for k, s in qm.param_shapes(config).items()})
+
+
+def sigmoid_masked(x):
+    """The logistic function with its input split by sign through boolean
+    masks; the reference for the branch-free gate kernel."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def auc_bruteforce(ps):
@@ -32,9 +118,9 @@ def oracle_predictions(sequences, oracle):
     second interaction onward of every sequence)."""
     probs, labels = [], []
     for seq in sequences:
-        for it in seq.interactions[1:]:
-            probs.append(oracle[(seq.student_id, it.timestamp)])
-            labels.append(it.response)
+        for t, r in zip(seq.timestamps[1:].tolist(), seq.responses[1:].tolist()):
+            probs.append(oracle[(seq.student_id, t)])
+            labels.append(r)
     return np.asarray(probs), np.asarray(labels, dtype=np.float64)
 
 
@@ -139,7 +225,7 @@ def forward_sequence(seq, params, config=None):
     r_2..r_L.  All scores are computed for export purposes even when the
     active variant excludes some of them from the prediction."""
     config = config or params.config
-    interactions = getattr(seq, "interactions", seq)
+    interactions = rows_of(seq)
     if len(interactions) < 2:
         raise DataError(f"sequence needs >= 2 interactions, got {len(interactions)}")
     p = params

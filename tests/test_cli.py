@@ -7,9 +7,12 @@ codes, the fixed output file names, and the documented error buckets
 
 import csv
 import json
+import os
+import platform
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 import qckt.model
@@ -82,6 +85,15 @@ class TestSynth:
         assert doc["seed"] == 3
         assert "dataset.csv" in doc["outputs"]
         assert doc["version"]
+        env = doc["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"] == {
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        assert env["cpu_count"] == os.cpu_count()
 
 
 class TestTrain:

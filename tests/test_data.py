@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import qckt.data as qd
 import qckt.evaluation as qe
 from _support import PACKAGE_ERRORS
-from oracle import oracle_predictions
+from oracle import load_dataset_rows, oracle_predictions
 from qckt.errors import ConfigError, DataError, DomainError, ParseError
 
 EXAMPLE = """student_id,question_id,kc_ids,response,timestamp
@@ -37,14 +39,15 @@ class TestLoadDataset:
         assert ds.sequences[0].student_id == "alice"
         assert ds.qmatrix == {0: (0,), 1: (0, 1)}
         assert ds.question_labels == ["A", "B"] and ds.kc_labels == ["X", "Y"]
-        first = ds.sequences[0].interactions[0]
-        assert (first.question, first.kcs, first.response, first.timestamp) == (0, (0,), 1, 0)
+        alice = ds.sequences[0]
+        first = (alice.questions[0], alice.kcs[0], alice.responses[0], alice.timestamps[0])
+        assert first == (0, (0,), 1, 0)
 
     def test_unsorted_timestamps_get_sorted(self, tmp_path):
         text = EXAMPLE + "bob,A,X,1,9\nbob,B,X_Y,0,2\n"
         ds = qd.load_dataset(write(tmp_path, text))
         bob = ds.sequences[1]
-        assert [it.timestamp for it in bob.interactions] == [2, 9]
+        assert bob.timestamps.tolist() == [2, 9]
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         bad_fields = write(tmp_path, EXAMPLE + "alice,A,X,1\n", "f.csv")
@@ -56,6 +59,11 @@ class TestLoadDataset:
         bad_ts = write(tmp_path, EXAMPLE + "alice,A,X,1,late\n", "t.csv")
         with pytest.raises(ParseError, match="timestamp"):
             qd.load_dataset(bad_ts)
+        # an empty KC label would become a KC named ""
+        for i, kc_field in enumerate(("k1_", "_", "a__b")):
+            bad_kc = write(tmp_path, EXAMPLE + f"bob,C,{kc_field},1,3\n", f"k{i}.csv")
+            with pytest.raises(ParseError, match="line 4: empty KC label"):
+                qd.load_dataset(bad_kc)
 
     def test_structural_errors(self, tmp_path):
         with pytest.raises(ParseError):
@@ -76,7 +84,7 @@ class TestLoadDataset:
     def test_repeated_kc_label_counts_once(self, tmp_path):
         ds = qd.load_dataset(write(tmp_path, "student_id,question_id,kc_ids,response,timestamp\n"
                                    "s,A,a_a_b,1,0\ns,B,b_b,0,1\n"))
-        assert [it.kcs for it in ds.sequences[0].interactions] == [(0, 1), (1,)]
+        assert ds.sequences[0].kcs == [(0, 1), (1,)]
         assert ds.n_kcs == 2 and ds.kc_labels == ["a", "b"]
 
     def test_kc_sets_compare_as_sets(self, tmp_path):
@@ -109,6 +117,118 @@ class TestLoadDataset:
         assert ds2.qmatrix == ds.qmatrix
 
 
+# each question's KC labels; a row may permute or repeat them, or (as a
+# fault) give its question another set
+KC_LABELS = {"A": ["x"], "B": ["x", "y"], "C": ["z", "y", "x"]}
+FAULTS = [
+    "sid", "question", "no_kcs", "kc_label", "kc_conflict", "response", "timestamp",
+    "short", "long", "blank", "spaces",
+]
+
+
+@st.composite
+def log_line(draw):
+    """One line of an interaction log: mostly valid rows, some faulty or blank."""
+    fault = draw(st.sampled_from(FAULTS)) if draw(st.integers(0, 7)) == 0 else None
+    if fault == "blank":
+        return ""
+    if fault == "spaces":
+        return draw(st.sampled_from([" ", "\t", "  \t "]))
+    q = draw(st.sampled_from(list(KC_LABELS)))
+    labels = draw(st.permutations(KC_LABELS[q]))
+    labels += draw(st.lists(st.sampled_from(labels), max_size=2))
+    fields = {
+        "sid": draw(st.sampled_from(["s1", "s2", "s3"])),
+        "question": q,
+        "no_kcs": "_".join(labels),
+        "response": draw(st.sampled_from(["0", "1"])),
+        "timestamp": str(draw(st.integers(-2, 4))),
+    }
+    bad = {
+        "sid": "",
+        "question": "",
+        "no_kcs": "",
+        "kc_label": draw(st.sampled_from(["x_", "_", "x__y", "_y"])),
+        "kc_conflict": draw(st.sampled_from(["w", "x_w", "y"])),
+        "response": draw(st.sampled_from(["2", "", "1.0", "yes", "-1"])),
+        "timestamp": draw(st.sampled_from(["late", "1.5", "", "1e3", "99999999999999999999"])),
+    }
+    if fault in ("kc_label", "kc_conflict"):
+        fields["no_kcs"] = bad[fault]
+    elif fault in bad:
+        fields[fault] = bad[fault]
+    if draw(st.integers(0, 9)) == 0:  # a huge timestamp is valid, only not 64-bit
+        fields["timestamp"] = draw(st.sampled_from(["-99999999999999999999", "+3", "1_0"]))
+    pads = st.sampled_from(["", "", "", " ", "\t", "\x1f", "\xa0"])
+    parts = [draw(pads) + v + draw(pads) for v in fields.values()]
+    if fault == "short":
+        parts = parts[: draw(st.integers(1, 4))]
+    elif fault == "long":
+        parts += [""] * draw(st.integers(1, 2))
+    return ",".join(parts)
+
+
+@st.composite
+def log_text(draw):
+    header = draw(st.sampled_from([qd.HEADER, qd.HEADER + " "]))
+    lines = [header] + draw(st.lists(log_line(), max_size=12))
+    if draw(st.integers(0, 5)) == 0:  # a second header, maybe with spaces in or around it
+        again = draw(st.sampled_from([qd.HEADER, " " + qd.HEADER + "\t", qd.HEADER.replace(",", " , ")]))
+        lines.insert(draw(st.integers(1, len(lines))), again)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestColumnLoaderAgainstRowOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(text=log_text(), block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2, 3, 5]))
+    def test_same_dataset_or_same_error(self, tmp_path_factory, text, block_rows):
+        # small blocks carry ids, KC sets and faults across block boundaries
+        path = tmp_path_factory.mktemp("log") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for load in (qd.load_dataset, load_dataset_rows):
+            try:
+                with mock.patch.object(qd, "BLOCK_ROWS", block_rows):
+                    outcomes.append(load(path))
+            except PACKAGE_ERRORS as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert not isinstance(got, Exception), got
+        assert (got.n_questions, got.n_kcs) == (want.n_questions, want.n_kcs)
+        assert got.question_labels == want.question_labels
+        assert got.kc_labels == want.kc_labels
+        assert got.qmatrix == want.qmatrix
+        assert [s.student_id for s in got.sequences] == [s.student_id for s in want.sequences]
+        for a, b in zip(got.sequences, want.sequences):
+            assert a.questions.tolist() == b.questions.tolist()
+            assert a.kcs == b.kcs
+            assert a.responses.tolist() == b.responses.tolist()
+            assert a.timestamps.tolist() == b.timestamps.tolist()
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u3000"])
+    def test_any_whitespace_around_a_field_is_stripped(self, tmp_path, space):
+        text = EXAMPLE + f"bob,{space}A,X{space},1,{space}7\n"
+        ds = qd.load_dataset(write(tmp_path, text))
+        assert ds.sequences == load_dataset_rows(write(tmp_path, text, "rows.csv")).sequences
+        assert ds.question_labels == ["A", "B"] and ds.sequences[1].timestamps.tolist() == [7]
+
+    def test_sequences_share_the_qmatrix_tuples(self, tmp_path):
+        ds = qd.load_dataset(write(tmp_path, EXAMPLE + "bob,B,Y_X,1,9\nbob,A,X,0,2\n"))
+        for seq in ds.sequences:
+            for q, kcs in zip(seq.questions.tolist(), seq.kcs):
+                assert kcs is ds.qmatrix[q]
+
+    def test_timestamps_beyond_64_bits_still_sort(self, tmp_path):
+        text = EXAMPLE + "bob,A,X,1,99999999999999999999\nbob,B,X_Y,0,-99999999999999999999\n"
+        bob = qd.load_dataset(write(tmp_path, text)).sequences[1]
+        assert bob.timestamps.tolist() == [-99999999999999999999, 99999999999999999999]
+        assert bob.questions.tolist() == [1, 0]
+
+
 def seq_of(sid, length, q=0):
     items = [qd.Interaction(q, (0,), t % 2, t) for t in range(length)]
     return qd.StudentSequence(sid, items)
@@ -129,7 +249,7 @@ class TestPreprocess:
         assert [len(s) for s in ds.sequences] == [200, 200, 50]
         assert all(s.student_id == "s0" for s in ds.sequences)
         # chunks are consecutive slices
-        stamps = [it.timestamp for s in ds.sequences for it in s.interactions]
+        stamps = [t for s in ds.sequences for t in s.timestamps.tolist()]
         assert stamps == list(range(450))
 
     def test_trailing_chunk_below_min_is_dropped(self):
@@ -226,14 +346,14 @@ class TestGenSynthetic:
         assert ds.n_questions == 20 and ds.n_kcs == 6
         for seq in ds.sequences:
             assert 4 <= len(seq) <= 12
-            for it in seq.interactions:
-                assert 1 <= len(it.kcs) <= 3
-                assert it.kcs == ds.qmatrix[it.question]
+            for q, kcs in zip(seq.questions.tolist(), seq.kcs):
+                assert 1 <= len(kcs) <= 3
+                assert kcs == ds.qmatrix[q]
         assert len(oracle) == ds.n_interactions
 
     def test_correct_rate_tracks_oracle_mean(self):
         ds, oracle = qd.gen_synthetic(qd.SynthConfig(students=400, questions=30, kcs=8, seed=5))
-        responses = [it.response for s in ds.sequences for it in s.interactions]
+        responses = np.concatenate([s.responses for s in ds.sequences])
         n = len(responses)
         assert abs(np.mean(responses) - np.mean(list(oracle.values()))) < 3.0 / np.sqrt(n)
 
@@ -252,5 +372,5 @@ class TestGenSynthetic:
         one = chunked.sequences[0]
         np.testing.assert_allclose(
             probs[: len(one) - 1],
-            [oracle[(one.student_id, it.timestamp)] for it in one.interactions[1:]],
+            [oracle[(one.student_id, t)] for t in one.timestamps[1:].tolist()],
         )

@@ -1,5 +1,6 @@
 import numpy as np
 
+from oracle import sigmoid_masked
 from qckt import kernels
 
 
@@ -64,3 +65,8 @@ class TestNumpyKernelMath:
         _, _, c, h = kernels.gates_forward(np.zeros((4, 2)), c_prev)
         np.testing.assert_allclose(c, [[0.25, 0.75]], rtol=1e-14)
         np.testing.assert_allclose(h, 0.5 * np.tanh(c), rtol=1e-14)
+
+    def test_sigmoid_equals_the_masked_form_bit_for_bit(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate([special, np.random.default_rng(3).normal(scale=20.0, size=20_000)])
+        assert np.array_equal(kernels._sigmoid(x), sigmoid_masked(x), equal_nan=True)

@@ -41,6 +41,8 @@ class TestModelConfig:
             ((3, 2, 4), float("inf")),
             ((3, 2, 4), float("nan")),
             ((3, 2, 4), "1.0"),
+            ((3, 2, 4), True),
+            ((3, 2, 4), False),
         ],
     )
     def test_rejects_non_integer_sizes_and_non_finite_lambda(self, sizes, lambda_aux):
@@ -622,6 +624,13 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.bin"
         qm.Parameters.init(qm.ModelConfig(3, 2, 2), seed=1).save(path)
         path.write_bytes(with_header(path.read_bytes(), lambda h: h["config"].update(dim=2.5)))
+        with pytest.raises(DataError, match="ConfigError"):
+            qm.Parameters.load(path)
+
+    def test_bool_lambda_in_header_is_rejected_by_the_config(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        qm.Parameters.init(qm.ModelConfig(3, 2, 2), seed=1).save(path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: h["config"].update(lambda_aux=True)))
         with pytest.raises(DataError, match="ConfigError"):
             qm.Parameters.load(path)
 
