@@ -263,16 +263,16 @@ class Tape:
         h = np.concatenate(hs, axis=1)
         return self._record("lstm_gates", h, (proj, u), backward)
 
-    def bce_sum(self, pred, targets, mask=None):
+    def bce_sum(self, pred, targets, mask):
         """Sum of binary cross entropies of a (N,) prediction vector.
 
-        ``targets`` (and optional 0/1 ``mask``) are constants; masked-out
-        positions contribute nothing to value or gradient.
+        ``targets`` and the 0/1 ``mask`` are constants; masked-out positions
+        contribute nothing to value or gradient.
         """
         targets = as_tensor(targets)
         if pred.value.shape != targets.shape or pred.value.ndim != 1:
             raise ShapeError(f"bce_sum shapes: {pred.value.shape} and {targets.shape}")
-        m = np.ones_like(targets) if mask is None else as_tensor(mask)
+        m = as_tensor(mask)
         p = np.clip(pred.value, EPS_PROB, 1.0 - EPS_PROB)
         inside = (pred.value > EPS_PROB) & (pred.value < 1.0 - EPS_PROB)
         val = float((m * bce_value(p, targets)).sum())

@@ -182,12 +182,15 @@ def _int_pair(text):
 
 
 def _list_of(kind):
-    """argparse type: comma-separated ``kind`` values."""
+    """argparse type: one or more comma-separated ``kind`` values."""
     def parse(text):
         try:
-            return [kind(p) for p in text.split(",") if p != ""]
+            values = [kind(p) for p in text.split(",") if p != ""]
         except ValueError:
+            values = []
+        if not values:
             raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__}s: {text!r}")
+        return values
     return parse
 
 
@@ -324,9 +327,7 @@ def _run_fold_metrics(run_dir, raw, digest, data):
     for fold_i, path in pairs:
         params = Parameters.load(path)
         test_idx = folds[fold_i][2]
-        preds, labels = predictions_over(
-            params, [ds.sequences[i] for i in test_idx], 64, params.config
-        )
+        preds, labels = predictions_over(params, [ds.sequences[i] for i in test_idx], 64)
         ps = PredictionSet(preds, labels)
         rows.append({"fold": fold_i, "auc": auc(ps), "acc": accuracy(ps)})
     return rows
@@ -515,7 +516,10 @@ def _apply_config_file(argv):
     ones, so the file provides defaults and the command line wins."""
     if "--config" not in argv:
         return argv
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config")
+    if at == len(argv) - 1:
+        raise ConfigError("--config needs a key=value file")
+    path = argv[at + 1]
     injected = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):

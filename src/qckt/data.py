@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import sigmoid
 from .errors import ConfigError, DataError, DomainError, ParseError
+from .errors import require_finite_nonnegative, require_ints
 
 HEADER = "student_id,question_id,kc_ids,response,timestamp"
 
@@ -361,15 +362,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.students, self.questions, self.kcs) < 1:
-            raise ConfigError("students, questions and kcs must all be >= 1")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        require_ints("sizes", 1, students=self.students, questions=self.questions, kcs=self.kcs)
+        require_ints("seeds", 0, seed=self.seed)
+        require_finite_nonnegative("gamma", self.gamma)
         lo, hi = self.kcs_per_question
-        if not (1 <= lo <= hi <= self.kcs):
+        if not (type(lo) is type(hi) is int and 1 <= lo <= hi <= self.kcs):
             raise ConfigError(f"bad kcs_per_question range {self.kcs_per_question}")
         lo, hi = self.seq_len
-        if not (1 <= lo <= hi):
+        if not (type(lo) is type(hi) is int and 1 <= lo <= hi):
             raise ConfigError(f"bad seq_len range {self.seq_len}")
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import model as qmodel
 from .autodiff import sigmoid
-from .data import StudentSequence
 from .errors import MetricError, ShapeError
 
 
@@ -133,7 +132,7 @@ def pairwise_t_matrix(metric_rows):
     return names, mat
 
 
-def export_module_outputs(params, seq, config=None, outputs=None):
+def export_module_outputs(params, seq, outputs=None):
     """Per-step module outputs: one row per prediction with the overall
     probability and the per-module sigmoid scores.
 
@@ -141,14 +140,10 @@ def export_module_outputs(params, seq, config=None, outputs=None):
     of this sequence, so one forward serves several exports.
     """
     if outputs is None:
-        outputs = qmodel.sequence_outputs(params, seq, config)
-    if isinstance(seq, StudentSequence):
-        questions, responses = seq.questions.tolist(), seq.responses.tolist()
-    else:  # a list of rows
-        questions, responses = [it.question for it in seq], [it.response for it in seq]
+        outputs = qmodel.sequence_outputs(params, seq)
     columns = zip(
-        questions[1:],
-        responses[1:],
+        seq.questions[1:].tolist(),
+        seq.responses[1:].tolist(),
         outputs.r_hat.value,
         sigmoid(outputs.alpha.value),
         sigmoid(outputs.beta.value),
@@ -168,7 +163,7 @@ def export_module_outputs(params, seq, config=None, outputs=None):
     ]
 
 
-def export_knowledge_states(params, seq, kc_subset, config=None, outputs=None):
+def export_knowledge_states(params, seq, kc_subset, outputs=None):
     """(L-1) x |kc_subset| matrix of per-KC mastery values in (0,1).
 
     ``outputs`` is as in :func:`export_module_outputs`.
@@ -181,5 +176,5 @@ def export_knowledge_states(params, seq, kc_subset, config=None, outputs=None):
         if not (0 <= k < m):
             raise IndexError(f"KC id {k} out of range (m={m})")
     if outputs is None:
-        outputs = qmodel.sequence_outputs(params, seq, config)
+        outputs = qmodel.sequence_outputs(params, seq)
     return outputs.mastery[kc_subset].T

@@ -37,8 +37,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, as_tensor
-from .data import StudentSequence, atomic_write
+from .data import atomic_write
 from .errors import ConfigError, DataError, DomainError, ShapeError
+from .errors import require_finite_nonnegative, require_ints
 
 VARIANTS = ("full", "no_irt", "no_ks", "no_ps", "no_ks_ps")
 
@@ -56,16 +57,8 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        sizes = (self.n_questions, self.n_kcs, self.dim)
-        if any(type(v) is not int or v < 1 for v in sizes):  # bools are not sizes
-            raise ConfigError(
-                f"sizes must be integers >= 1, got n_questions={self.n_questions!r}, "
-                f"n_kcs={self.n_kcs!r}, dim={self.dim!r}"
-            )
-        lam = self.lambda_aux
-        ok_type = isinstance(lam, (int, float)) and not isinstance(lam, bool)
-        if not (ok_type and math.isfinite(lam) and lam >= 0.0):
-            raise ConfigError(f"lambda_aux must be finite and >= 0, got {lam!r}")
+        require_ints("sizes", 1, n_questions=self.n_questions, n_kcs=self.n_kcs, dim=self.dim)
+        require_finite_nonnegative("lambda_aux", self.lambda_aux)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
@@ -250,18 +243,12 @@ class Parameters:
                 ) from exc
 
 
-def _check_response(r):
-    if r not in (0, 1):
-        raise DomainError(f"response must be 0 or 1, got {r!r}")
-    return float(r)
-
-
 # -- batched differentiable graph -------------------------------------------
 
 
 class Batch:
-    """Padded step-major arrays for a group of sequences, each a
-    :class:`qckt.data.StudentSequence` or a list of rows.
+    """Padded step-major arrays for a group of
+    :class:`qckt.data.StudentSequence` objects.
 
     qids and responses are (L x B); mask marks real interactions.  Column
     t*B + j of the flattened (L*B) layout is step t of sequence j.
@@ -288,19 +275,13 @@ class Batch:
         groups = [(0,)] * (L * B)
         for j, s in enumerate(seqs):
             n = len(s)
-            if isinstance(s, StudentSequence):
-                questions, responses, kcs = s.questions, s.responses, s.kcs
-                bad = responses[(responses != 0) & (responses != 1)]
-                if bad.size:
-                    _check_response(bad[0].item())
-            else:  # a list of rows with question, kcs and response
-                questions = [it.question for it in s]
-                responses = [_check_response(it.response) for it in s]
-                kcs = [it.kcs for it in s]
-            self.qids[:n, j] = questions
-            self.responses[:n, j] = responses
+            bad = s.responses[(s.responses != 0) & (s.responses != 1)]
+            if bad.size:
+                raise DomainError(f"response must be 0 or 1, got {bad[0].item()!r}")
+            self.qids[:n, j] = s.questions
+            self.responses[:n, j] = s.responses
             self.mask[:n, j] = 1.0
-            groups[j : n * B : B] = kcs
+            groups[j : n * B : B] = s.kcs
         sizes = np.fromiter(map(len, groups), np.int64, L * B)
         if not sizes.all():
             raise DomainError("interaction without KCs")
@@ -432,29 +413,26 @@ def build_graph(tape, nodes, batch, config, export=False):
     )
 
 
-def batch_loss_and_grads(params, batch, config=None):
+def batch_loss_and_grads(params, batch):
     """One forward/backward pass; returns (loss value, name -> gradient)."""
-    config = config or params.config
     tape = Tape()
     nodes = params.leaves(tape)
-    graph = build_graph(tape, nodes, batch, config)
+    graph = build_graph(tape, nodes, batch, params.config)
     tape.backward(graph.loss)
     grads = {name: Tape.grad(node) for name, node in nodes.items()}
     return float(graph.loss.value), grads
 
 
-def sequence_outputs(params, seq, config=None):
+def sequence_outputs(params, seq):
     """Export graph of one sequence (B = 1, no backward pass): every score
     and the per-KC masteries, one column per prediction."""
-    config = config or params.config
     tape = Tape()
-    return build_graph(tape, params.leaves(tape), Batch([seq]), config, export=True)
+    return build_graph(tape, params.leaves(tape), Batch([seq]), params.config, export=True)
 
 
-def batch_predictions(params, batch, config=None):
+def batch_predictions(params, batch):
     """Masked flat (predictions, targets) for one batch, no backward pass."""
-    config = config or params.config
     tape = Tape()
-    graph = build_graph(tape, params.leaves(tape), batch, config)
+    graph = build_graph(tape, params.leaves(tape), batch, params.config)
     keep = graph.mask > 0.0
     return graph.r_hat.value[keep], graph.targets[keep]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import kfold_split
 from .errors import ConfigError, DataError, TrainingError
+from .errors import require_finite_nonnegative, require_ints
 from .evaluation import PredictionSet, accuracy, auc
 from .model import Batch, ModelConfig, Parameters, VARIANTS, batch_loss_and_grads, batch_predictions
 
@@ -37,12 +38,13 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr = 0 is allowed so the no-op update path stays exercisable
-        if not (self.lr >= 0):
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        require_finite_nonnegative("lr", self.lr)
+        if self.grad_clip is not None:
+            require_finite_nonnegative("grad_clip", self.grad_clip)
+        require_ints("counts", 1, batch_size=self.batch_size, max_epochs=self.max_epochs,
+                     patience=self.patience)
+        require_ints("seeds and limits", 0, seed=self.seed, fold=self.fold,
+                     max_updates=self.max_updates)
 
 
 class AdamState:
@@ -126,11 +128,11 @@ def _epoch_batches(seqs, order, size):
         yield Batch([seqs[j] for j in order[i : i + size]])
 
 
-def predictions_over(params, seqs, batch_size, config=None):
+def predictions_over(params, seqs, batch_size):
     """Masked flat predictions/labels over sequences in their given order."""
     preds, labels = [], []
     for i in range(0, len(seqs), batch_size):
-        p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]), config)
+        p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]))
         preds.append(p)
         labels.append(t)
     return np.concatenate(preds), np.concatenate(labels)
@@ -154,7 +156,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         loss_sum = 0.0
         weight_sum = 0.0
         for batch in _epoch_batches(train_seqs, order, train_cfg.batch_size):
-            loss, grads = batch_loss_and_grads(params, batch, model_cfg)
+            loss, grads = batch_loss_and_grads(params, batch)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"diverged: non-finite loss at epoch {epoch}, update {updates + 1}"
@@ -169,7 +171,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
                 break
 
         train_losses.append(loss_sum / weight_sum)
-        preds, labels = predictions_over(params, valid_seqs, train_cfg.batch_size, model_cfg)
+        preds, labels = predictions_over(params, valid_seqs, train_cfg.batch_size)
         epoch_auc = auc(PredictionSet(preds, labels))
         valid_aucs.append(epoch_auc)
         if epoch_auc > stopper.best_value:
@@ -242,9 +244,8 @@ def run_fold(ds, model_cfg, train_cfg, fold_i, fold_idx):
         [seqs[i] for i in train_idx],
         [seqs[i] for i in valid_idx],
     )
-    preds, labels = predictions_over(
-        report.best_params, [seqs[i] for i in test_idx], train_cfg.batch_size, model_cfg
-    )
+    test_seqs = [seqs[i] for i in test_idx]
+    preds, labels = predictions_over(report.best_params, test_seqs, train_cfg.batch_size)
     ps = PredictionSet(preds, labels)
     return FoldResult(fold_i, auc(ps), accuracy(ps), report)
 

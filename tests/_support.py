@@ -1,6 +1,5 @@
 """Shared helpers for the test modules."""
 
-import collections
 import json
 import struct
 
@@ -9,6 +8,7 @@ import numpy as np
 import qckt.autodiff as ad
 import qckt.errors
 import qckt.model as qm
+from qckt.data import StudentSequence
 from qckt.errors import ShapeError
 
 # every exception class the package defines: the only ones its loaders raise
@@ -16,17 +16,29 @@ PACKAGE_ERRORS = tuple(
     v for v in vars(qckt.errors).values() if isinstance(v, type) and issubclass(v, Exception)
 )
 
-FakeInteraction = collections.namedtuple("FakeInteraction", "question kcs response")
+
+def seq_of(rows):
+    """A :class:`StudentSequence` of (question, kcs, response) rows with
+    timestamps 0, 1, ...; responses keep their values, so a test can pass
+    one that is not 0/1."""
+    rows = list(rows)
+    return StudentSequence.from_columns(
+        "s",
+        np.array([q for q, _, _ in rows], dtype=np.int64),
+        [kcs for _, kcs, _ in rows],
+        np.array([r for _, _, r in rows]),
+        np.arange(len(rows)),
+    )
 
 
 def make_seq(rng, length, n, m, max_kcs=3):
-    out = []
+    rows = []
     for _ in range(length):
         q = int(rng.integers(n))
         size = int(rng.integers(1, min(max_kcs, m) + 1))
         kcs = tuple(int(k) for k in rng.choice(m, size=size, replace=False))
-        out.append(FakeInteraction(q, kcs, int(rng.integers(2))))
-    return out
+        rows.append((q, kcs, int(rng.integers(2))))
+    return seq_of(rows)
 
 
 def random_params(cfg, seed, scale=0.05):

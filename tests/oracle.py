@@ -13,10 +13,8 @@ import numpy as np
 
 import qckt.autodiff as ad
 import qckt.model as qm
-from _support import FakeInteraction
 from qckt.data import HEADER, Dataset, Interaction, StudentSequence
-from qckt.errors import DataError, MetricError, ParseError, ShapeError
-from qckt.model import _check_response
+from qckt.errors import DataError, DomainError, MetricError, ParseError, ShapeError
 
 
 def load_dataset_rows(path):
@@ -76,15 +74,6 @@ def load_dataset_rows(path):
     q_labels = list(qmap)
     k_labels = list(kmap)
     return Dataset(sequences, len(q_labels), len(k_labels), qmatrix, q_labels, k_labels)
-
-
-def rows_of(seq):
-    """A sequence as a list of (question, kcs, response) rows; a
-    :class:`StudentSequence`'s columns are zipped back into rows."""
-    if not isinstance(seq, StudentSequence):
-        return seq
-    columns = zip(seq.questions.tolist(), seq.kcs, seq.responses.tolist())
-    return [FakeInteraction(q, kcs, r) for q, kcs, r in columns]
 
 
 def zero_params(config):
@@ -155,17 +144,24 @@ def avg_kc_embedding(kcs, K):
     return K[ids].mean(axis=0)
 
 
+def _response(r):
+    """A 0/1 response as a float; any other value raises DomainError."""
+    if r not in (0, 1):
+        raise DomainError(f"response must be 0 or 1, got {r!r}")
+    return float(r)
+
+
 def encode_ka(q_emb, kbar, r):
     """Interaction encoding for the acquisition cell: correct responses fill
     the first half, incorrect ones the second, the rest is zeros."""
-    r = _check_response(r)
+    r = _response(r)
     qk = np.concatenate([q_emb, kbar])
     return np.concatenate([qk * r, qk * (1.0 - r)])
 
 
 def encode_ks(kbar, r):
     """Interaction encoding for the mastery cell (question-agnostic)."""
-    r = _check_response(r)
+    r = _response(r)
     return np.concatenate([kbar * r, kbar * (1.0 - r)])
 
 
@@ -220,15 +216,14 @@ def _fuse(alpha, beta, zeta, config, params):
     return float(ad.sigmoid(logit))
 
 
-def forward_sequence(seq, params, config=None):
+def forward_sequence(seq, params):
     """Run one student sequence; returns L-1 StepOutputs aligned to targets
     r_2..r_L.  All scores are computed for export purposes even when the
     active variant excludes some of them from the prediction."""
-    config = config or params.config
-    interactions = rows_of(seq)
-    if len(interactions) < 2:
-        raise DataError(f"sequence needs >= 2 interactions, got {len(interactions)}")
+    if len(seq) < 2:
+        raise DataError(f"sequence needs >= 2 interactions, got {len(seq)}")
     p = params
+    config = params.config
     d = config.dim
     Wka = [p[f"W_{i}"] for i in range(1, 5)]
     Uka = [p[f"U_{i}"] for i in range(1, 5)]
@@ -237,16 +232,16 @@ def forward_sequence(seq, params, config=None):
     Uks = [p[f"U_{i}"] for i in range(5, 9)]
     bks = [p[f"b_{i}"] for i in range(5, 9)]
 
-    q_embs = [p["Q"][it.question] for it in interactions]
-    kbars = [avg_kc_embedding(it.kcs, p["K"]) for it in interactions]
+    q_embs = [p["Q"][q] for q in seq.questions.tolist()]
+    kbars = [avg_kc_embedding(kcs, p["K"]) for kcs in seq.kcs]
+    responses = seq.responses.tolist()
 
     ka_state = LstmState.zero(d)
     ks_state = LstmState.zero(d)
     outputs = []
-    for t in range(len(interactions) - 1):
-        it = interactions[t]
-        ka_state = lstm_step(encode_ka(q_embs[t], kbars[t], it.response), ka_state, Wka, Uka, bka)
-        ks_state = lstm_step(encode_ks(kbars[t], it.response), ks_state, Wks, Uks, bks)
+    for t in range(len(seq) - 1):
+        ka_state = lstm_step(encode_ka(q_embs[t], kbars[t], responses[t]), ka_state, Wka, Uka, bka)
+        ks_state = lstm_step(encode_ks(kbars[t], responses[t]), ks_state, Wks, Uks, bks)
         alpha = ka_score(ka_state.h, p)
         beta, mastery = ks_score(ks_state.h, p)
         zeta = ps_score(ks_state.h, q_embs[t + 1], kbars[t + 1], p)
@@ -270,7 +265,7 @@ def joint_loss(outputs, targets, lambda_aux, variant="full"):
     cfg_zeta = variant not in ("no_ps", "no_ks_ps")
     total = 0.0
     for out, r in zip(outputs, targets):
-        r = _check_response(r)
+        r = _response(r)
         step = ad.bce_value(out.r_hat, r)
         if lambda_aux > 0.0:
             aux = ad.bce_value(ad.sigmoid(out.alpha), r)

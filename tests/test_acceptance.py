@@ -19,7 +19,7 @@ import pytest
 import scipy.stats
 
 import qckt.model as qm
-from _support import FakeInteraction, grad_check, make_seq, random_params
+from _support import grad_check, make_seq, random_params, seq_of
 from oracle import auc_bruteforce, oracle_predictions
 from qckt.autodiff import Tape, sigmoid
 from qckt.cli import main as cli_main
@@ -75,10 +75,10 @@ def test_criterion_1_gradient_fidelity():
     cfg = ModelConfig(n_questions=6, n_kcs=3, dim=4, lambda_aux=1.0)
     params = random_params(cfg, seed=1234)
     rng = np.random.default_rng(99)
-    seq = [
-        FakeInteraction(int(rng.integers(6)), tuple(rng.choice(3, size=2, replace=False)), int(rng.integers(2)))
+    seq = seq_of(
+        (int(rng.integers(6)), tuple(rng.choice(3, size=2, replace=False)), int(rng.integers(2)))
         for _ in range(5)
-    ]
+    )
     batch = Batch([seq])
 
     started = time.perf_counter()
@@ -153,7 +153,7 @@ def test_criterion_3_overfit_sanity():
     loss = np.inf
     updates = 0
     while updates < 2000 and loss >= 0.1:
-        loss, grads = batch_loss_and_grads(params, batch, cfg)
+        loss, grads = batch_loss_and_grads(params, batch)
         grads, _ = clip_gradients(grads, tcfg.grad_clip)
         adam_step(params.tensors, grads, state, tcfg)
         updates += 1
@@ -212,13 +212,13 @@ def test_criterion_5_ablation_direction(recovery_data):
     params = random_params(cfg, seed=5)
     rng = np.random.default_rng(8)
     history = [
-        FakeInteraction(int(rng.integers(12)), (int(rng.integers(4)),), int(rng.integers(2)))
+        (int(rng.integers(12)), (int(rng.integers(4)),), int(rng.integers(2)))
         for _ in range(6)
     ]
     r_hats = set()
     for candidate in range(12):
-        seq = history + [FakeInteraction(candidate, (0,), 1)]
-        preds, _ = qm.batch_predictions(params, Batch([seq]), cfg)
+        seq = seq_of(history + [(candidate, (0,), 1)])
+        preds, _ = qm.batch_predictions(params, Batch([seq]))
         r_hats.add(float(preds[-1]))
     assert len(r_hats) == 1, f"{len(r_hats)} distinct predictions across candidates"
     elapsed = time.perf_counter() - started

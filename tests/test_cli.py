@@ -389,6 +389,40 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+# case -> (subcommand, invalid flags); each is invalid configuration, found
+# before anything is written
+BAD_FLAGS = {
+    "train --lr inf": ("train", ["--lr", "inf"]),
+    "train --seed -1": ("train", ["--seed", "-1"]),
+    "train --grid-lambdas ''": ("train", ["--grid", "--grid-lambdas", ""]),
+    "synth --gamma nan": ("synth", ["--gamma", "nan"]),
+    "export --kcs ''": ("export", ["--kcs", ""]),
+    "export --kcs ,": ("export", ["--kcs", ","]),
+    "--config without a file": ("train", ["--config"]),
+}
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("case", list(BAD_FLAGS))
+    def test_exit_1_before_writing(self, workspace, tmp_path, capsys, case):
+        command, flags = BAD_FLAGS[case]
+        data = str(workspace["data"])
+        base = {
+            "train": ["train", "--data", data] + TRAIN_FAST,
+            "synth": SYNTH,
+            "export": ["export", "--data", data, "--run", str(workspace["run0"]),
+                       "--student", read_csv(workspace["data"])[0]["student_id"]],
+        }[command]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(base + ["--out", str(out)] + flags) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if case == "--config without a file":
+            assert err == "error: --config needs a key=value file\n"
+
+
 class TestAtomicWrites:
     def test_failed_manifest_write_keeps_the_old_one(self, tmp_path, monkeypatch):
         out = tmp_path / "data"

@@ -179,8 +179,8 @@ class TestExports:
         assert len(rows) == 5
         for t, row in enumerate(rows, start=1):
             assert row["step"] == t
-            assert row["question"] == seq[t].question
-            assert row["response"] == seq[t].response
+            assert row["question"] == seq.questions[t]
+            assert row["response"] == seq.responses[t]
             assert row["r_hat"] == 0.5
             assert row["sigma_alpha"] == row["sigma_beta"] == row["sigma_zeta"] == 0.5
 

@@ -7,16 +7,18 @@ import oracle
 import qckt.model as qm
 from _support import (
     PACKAGE_ERRORS,
-    FakeInteraction,
     grad_check,
     make_seq,
     random_params,
+    seq_of,
     with_header,
 )
 from oracle import zero_params
 from qckt import kernels
 from qckt.autodiff import Tape, sigmoid
+from qckt.data import SynthConfig
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
+from qckt.training import TrainConfig
 
 
 class TestModelConfig:
@@ -56,6 +58,60 @@ class TestModelConfig:
         assert not cfg.uses_beta and not cfg.uses_zeta and not cfg.needs_mastery_lstm
         cfg = qm.ModelConfig(3, 2, 2, variant="no_irt")
         assert cfg.uses_beta and cfg.uses_zeta
+
+
+class TestTrainAndSynthConfig:
+    # the run configs validate every field as ModelConfig does: counts and
+    # seeds are ints (not bools), reals are finite and >= 0
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"lr": float("inf")},
+            {"lr": float("nan")},
+            {"lr": True},
+            {"grad_clip": -1.0},
+            {"grad_clip": float("inf")},
+            {"grad_clip": float("nan")},
+            {"batch_size": True},
+            {"batch_size": 2.5},
+            {"batch_size": 0},
+            {"max_epochs": 0},
+            {"patience": 1.5},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"fold": -1},
+            {"max_updates": -1},
+            {"max_updates": 2.0},
+        ],
+    )
+    def test_train_config_rejects(self, field):
+        with pytest.raises(ConfigError):
+            TrainConfig(**field)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
+            {"gamma": True},
+            {"seed": -1},
+            {"seed": False},
+            {"students": 2.5},
+            {"questions": True},
+            {"kcs_per_question": (1.0, 2)},
+            {"seq_len": (2, 5.5)},
+        ],
+    )
+    def test_synth_config_rejects(self, field):
+        with pytest.raises(ConfigError):
+            SynthConfig(**field)
+
+    def test_accepts_the_documented_edges(self):
+        # lr = 0 keeps the no-op update path; grad_clip None or 0 disables
+        # clipping; max_updates = 0 is unlimited
+        TrainConfig(lr=0.0, grad_clip=None, seed=0, max_updates=0)
+        TrainConfig(lr=1, grad_clip=0.0)
+        SynthConfig(gamma=0, seed=0, kcs_per_question=(1, 1), seq_len=(1, 1))
 
 
 class TestParameters:
@@ -279,7 +335,7 @@ class TestForwardSequence:
     def test_rejects_short_sequence(self):
         cfg = qm.ModelConfig(3, 2, 2)
         with pytest.raises(DataError):
-            oracle.forward_sequence([FakeInteraction(0, (0,), 1)], zero_params(cfg))
+            oracle.forward_sequence(seq_of([(0, (0,), 1)]), zero_params(cfg))
 
     def test_output_count_and_zero_param_value(self):
         cfg = qm.ModelConfig(3, 2, 2)
@@ -303,9 +359,10 @@ class TestForwardSequence:
         cfg = qm.ModelConfig(6, 3, 4, variant="no_ks_ps")
         p = qm.Parameters.init(cfg, seed=4)
         hist = make_seq(np.random.default_rng(4), 4, 6, 3)
+        rows = list(zip(hist.questions.tolist(), hist.kcs, hist.responses.tolist()))
         r_hats = set()
         for q in range(6):
-            seq = hist + [FakeInteraction(q, (0,), 1)]
+            seq = seq_of(rows + [(q, (0,), 1)])
             r_hats.add(oracle.forward_sequence(seq, p)[-1].r_hat)
         assert len(r_hats) == 1
 
@@ -322,9 +379,10 @@ class TestForwardSequence:
             cfg = qm.ModelConfig(6, 3, 4, variant=variant)
             p = qm.Parameters.init(cfg, seed=5)
             hist = make_seq(np.random.default_rng(5), 4, 6, 3)
+            rows = list(zip(hist.questions.tolist(), hist.kcs, hist.responses.tolist()))
             r_hats = set()
             for q in range(6):
-                seq = hist + [FakeInteraction(q, (1,), 1)]
+                seq = seq_of(rows + [(q, (1,), 1)])
                 r_hats.add(oracle.forward_sequence(seq, p)[-1].r_hat)
             assert (len(r_hats) > 1) == sensitive, variant
 
@@ -372,8 +430,8 @@ class TestBatchGraph:
     def _value_path_pooled_loss(self, seqs, params, cfg):
         total, count = 0.0, 0
         for s in seqs:
-            outs = oracle.forward_sequence(s, params, cfg)
-            targets = [it.response for it in s[1:]]
+            outs = oracle.forward_sequence(s, params)
+            targets = s.responses[1:].tolist()
             total += oracle.joint_loss(outs, targets, cfg.lambda_aux, cfg.variant) * len(outs)
             count += len(outs)
         return total / count
@@ -392,13 +450,13 @@ class TestBatchGraph:
             float(graph.loss.value), self._value_path_pooled_loss(seqs, p, cfg), rtol=1e-11
         )
 
-        preds, targets = qm.batch_predictions(p, batch, cfg)
+        preds, targets = qm.batch_predictions(p, batch)
         flat_value = []
         flat_targets = []
         for s in seqs:
-            for o, it in zip(oracle.forward_sequence(s, p, cfg), s[1:]):
+            for o, r in zip(oracle.forward_sequence(s, p), s.responses[1:].tolist()):
                 flat_value.append(o.r_hat)
-                flat_targets.append(it.response)
+                flat_targets.append(r)
         # batch order is step-major; compare as sorted multisets plus counts
         np.testing.assert_allclose(sorted(preds), sorted(flat_value), rtol=1e-11)
         assert sorted(targets) == sorted(map(float, flat_targets))
@@ -411,7 +469,7 @@ class TestBatchGraph:
         batch = qm.Batch([seq])
         tape = Tape()
         graph = qm.build_graph(tape, p.leaves(tape), batch, cfg, export=True)
-        outs = oracle.forward_sequence(seq, p, cfg)
+        outs = oracle.forward_sequence(seq, p)
         assert graph.mastery.shape == (3, len(outs))
         for got, out in zip(graph.mastery.T, outs):
             np.testing.assert_allclose(got, out.kc_mastery, rtol=1e-11)
@@ -468,9 +526,9 @@ class TestBatchGraph:
         slot = min(slot, len(seqs))
         seqs.insert(slot, seq)
 
-        alone, _ = qm.batch_predictions(p, qm.Batch([seq]), cfg)
+        alone, _ = qm.batch_predictions(p, qm.Batch([seq]))
         batch = qm.Batch(seqs)
-        preds, _ = qm.batch_predictions(p, batch, cfg)
+        preds, _ = qm.batch_predictions(p, batch)
         keep = batch.mask[1:] > 0.0
         grid = np.full(keep.shape, np.nan)
         grid[keep] = preds  # predictions come back step-major
@@ -492,8 +550,8 @@ class TestBatchGraph:
 
     def test_kc_triple_is_column_major(self):
         seqs = [
-            [FakeInteraction(1, (2, 0), 1), FakeInteraction(0, (1,), 0), FakeInteraction(2, (0, 1, 2), 1)],
-            [FakeInteraction(0, (1,), 0), FakeInteraction(1, (2,), 1)],
+            seq_of([(1, (2, 0), 1), (0, (1,), 0), (2, (0, 1, 2), 1)]),
+            seq_of([(0, (1,), 0), (1, (2,), 1)]),
         ]
         rows, cols, wts = qm.Batch(seqs).kc_flat
         # column t*B + j is step t of sequence j; padded column 5 holds KC 0
@@ -501,15 +559,15 @@ class TestBatchGraph:
         np.testing.assert_array_equal(cols, [0, 0, 1, 2, 3, 4, 4, 4, 5])
         np.testing.assert_array_equal(wts, [1 / 2, 1 / 2, 1, 1, 1, 1 / 3, 1 / 3, 1 / 3, 1])
         with pytest.raises(DomainError):
-            qm.Batch([[FakeInteraction(0, (), 1), FakeInteraction(1, (0,), 0)]])
+            qm.Batch([seq_of([(0, (), 1), (1, (0,), 0)])])
 
         # exactly the per-column loop's triple, on a random ragged batch
         seqs = [make_seq(np.random.default_rng(8), n, 5, 4) for n in (3, 7, 2, 5)]
         batch = qm.Batch(seqs)
         groups = [(0,)] * (batch.length * batch.size)
         for j, s in enumerate(seqs):
-            for t, it in enumerate(s):
-                groups[t * batch.size + j] = it.kcs
+            for t, kcs in enumerate(s.kcs):
+                groups[t * batch.size + j] = kcs
         want = (
             [k for g in groups for k in g],
             [c for c, g in enumerate(groups) for _ in g],
@@ -520,7 +578,13 @@ class TestBatchGraph:
 
     def test_batch_rejects_too_short(self):
         with pytest.raises(DataError):
-            qm.Batch([[FakeInteraction(0, (0,), 1)]])
+            qm.Batch([seq_of([(0, (0,), 1)])])
+
+    @pytest.mark.parametrize("response", [2, 0.5])
+    def test_batch_rejects_response_not_0_or_1(self, response):
+        good = make_seq(np.random.default_rng(3), 4, 3, 2)
+        with pytest.raises(DomainError, match=f"got {response!r}"):
+            qm.Batch([good, seq_of([(0, (0,), 1), (1, (1,), response), (2, (0,), 0)])])
 
     def test_padding_mask(self):
         seqs = [make_seq(np.random.default_rng(1), L, 3, 2) for L in (4, 2)]

@@ -231,7 +231,7 @@ class TestTrain:
         state = AdamState(params)
         losses = []
         for _ in range(10):
-            loss, grads = batch_loss_and_grads(params, batch, self.mcfg)
+            loss, grads = batch_loss_and_grads(params, batch)
             losses.append(loss)
             adam_step(params.tensors, grads, state, cfg)
         for earlier, later in zip(losses, losses[1:]):
