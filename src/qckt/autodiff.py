@@ -8,8 +8,9 @@ one tape is single-threaded, distinct tapes share nothing.
 
 Beyond the rank-1 core ops, most ops accept an extra trailing batch axis
 (columns), which is how sequence batches are pushed through the model graph.
-Time is folded into that axis too, step-major: :meth:`Tape.lstm_gates` runs a
-whole LSTM recurrence as one node, so no graph built here loops over time.
+Time is folded into that axis too, step-major and packed (each step holds
+only the sequences still running): :meth:`Tape.lstm_gates` runs a whole LSTM
+recurrence as one node, so no graph built here loops over time.
 
 Gradient protocol: an op's backward is a pure function of the output
 gradient that returns one gradient per entry of the node's ``inputs``, in
@@ -143,18 +144,6 @@ class Tape:
             raise ShapeError(f"as_row requires a vector, got {x.value.shape}")
         return self._record("as_row", x.value[None, :], (x,), lambda g: (g[0],))
 
-    def col_slice(self, x, start, stop):
-        """Columns start..stop-1 of a (r x N) matrix -> (r x (stop - start))."""
-        if x.value.ndim != 2 or not 0 <= start < stop <= x.value.shape[1]:
-            raise ShapeError(f"col_slice [{start}:{stop}] of shape {x.value.shape}")
-
-        def backward(g):
-            gx = np.zeros_like(x.value)
-            gx[:, start:stop] = g
-            return (gx,)
-
-        return self._record("col_slice", x.value[:, start:stop], (x,), backward)
-
     def relu_pool(self, W, x, b, w):
         """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
 
@@ -212,50 +201,74 @@ class Tape:
         return self._record("embed", table.value[indices].T, (table,), backward)
 
     def embed_mean_flat(self, table, rows, cols, wts, n_cols):
-        """Average row groups of an (n x d) table -> columns of (d x n_cols).
+        """Weighted row groups of an (m x d) table -> columns of (d x n_cols).
 
         The groups, one non-empty index collection per output column, come
         flattened: entry i adds wts[i] times table row rows[i] to column
-        cols[i], with wts[i] = 1 / (size of its group).
+        cols[i], with wts[i] = 1 / (size of its group).  The entries form one
+        (m x n_cols) averaging matrix A, in which repeated entries add; the
+        forward is the GEMM table.T @ A and the backward A @ g.T.
         """
-        out = np.zeros((table.value.shape[1], n_cols))
-        np.add.at(out.T, cols, table.value[rows] * wts[:, None])
+        m = len(table.value)
+        A = np.bincount(rows * n_cols + cols, wts, minlength=m * n_cols)  # rows < 0 raise here
+        if A.size != m * n_cols:
+            raise IndexError(f"row index out of range for a table of {m} rows")
+        A = A.reshape(m, n_cols)
+        return self._record("embed_mean", table.value.T @ A, (table,), lambda g: (A @ g.T,))
 
-        def backward(g):
-            gt = np.zeros_like(table.value)
-            np.add.at(gt, rows, g.T[cols] * wts[:, None])
-            return (gt,)
+    def lstm_gates(self, proj, u, widths):
+        """A whole LSTM recurrence over packed columns as one node -> (d x N).
 
-        return self._record("embed_mean", out, (table,), backward)
-
-    def lstm_gates(self, proj, u, B):
-        """A whole LSTM recurrence as one node -> (d x T*B) hidden states.
-
-        ``proj`` (4d x T*B) holds the input projections W x + b of T steps,
-        step-major (columns t*B..t*B+B-1 are step t); ``u`` (4d x d) is the
-        stacked U.  From zero h and c, step t runs :func:`kernels.gates_forward`
-        on its columns of proj plus u @ h; the backward is one reverse-time
-        sweep of :func:`kernels.gates_backward`.
+        ``proj`` (4d x N) holds the input projections W x + b of the steps
+        back to back: step t owns the next ``widths[t]`` columns, one per
+        sequence still running, and the widths never grow.  ``u`` (4d x d) is
+        the stacked U.  From zero h and c, step t runs
+        :func:`kernels.gates_forward` on its columns of proj plus u @ h, where
+        h and c keep their first ``widths[t]`` columns: a sequence that ends
+        drops out of the state.  The backward is one reverse-time sweep of
+        :func:`kernels.gates_backward` that adds each step's dh and dc into
+        the leading columns of the step before.
         """
         pv, uv = proj.value, u.value
         d = uv.shape[-1] if uv.ndim else 0
         N = pv.shape[-1] if pv.ndim else 0
-        if pv.ndim != 2 or len(pv) != 4 * d or uv.shape != (4 * d, d) or not 0 < B <= N or N % B:
-            raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at B = {B}")
-        h = c = zero = np.zeros((d, B))
-        steps, hs = [], []  # (gates, tanh c, c_prev, h_prev) per step, as the kernel made them
-        for s in range(0, N, B):
-            gates, tc, c_next, h_next = kernels.gates_forward(pv[:, s : s + B] + uv @ h, c)
-            steps.append((gates, tc, c, h))
+        widths = list(widths)
+        if (
+            pv.ndim != 2
+            or len(pv) != 4 * d
+            or uv.shape != (4 * d, d)
+            or not widths
+            or widths[-1] < 1
+            or sum(widths) != N
+            or widths != sorted(widths, reverse=True)
+        ):
+            raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at widths {widths}")
+        h = c = np.zeros((d, widths[0]))
+        # (start, gates, tanh c, c_prev, h_prev) per step, as the kernel made them
+        steps, hs = [], []
+        s = 0
+        for w in widths:
+            if w < h.shape[1]:  # sliced only where the width drops
+                h, c = h[:, :w], c[:, :w]
+            gates, tc, c_next, h_next = kernels.gates_forward(pv[:, s : s + w] + uv @ h, c)
+            steps.append((s, gates, tc, c, h))
             h, c = h_next, c_next
             hs.append(h)
+            s += w
 
         def backward(g):
             dproj, du = np.empty_like(pv), np.zeros_like(uv)
-            dh = dc = zero
-            for s, (gates, tc, c_prev, h_prev) in zip(range(N - B, -1, -B), reversed(steps)):
-                dz, dc = kernels.gates_backward(g[:, s : s + B] + dh, dc, gates, tc, c_prev)
-                dproj[:, s : s + B] = dz
+            dh = dc = np.zeros((d, widths[-1]))
+            for s, gates, tc, c_prev, h_prev in reversed(steps):
+                w, k = tc.shape[1], dh.shape[1]
+                if k == w:
+                    dh = g[:, s : s + w] + dh
+                else:  # sequences that end at this step get no later gradient
+                    dh, dh_later = g[:, s : s + w].copy(), dh
+                    dh[:, :k] += dh_later
+                    dc = np.hstack([dc, np.zeros((d, w - k))])
+                dz, dc = kernels.gates_backward(dh, dc, gates, tc, c_prev)
+                dproj[:, s : s + w] = dz
                 du += dz @ h_prev.T
                 dh = uv.T @ dz
             return dproj, du
@@ -263,22 +276,18 @@ class Tape:
         h = np.concatenate(hs, axis=1)
         return self._record("lstm_gates", h, (proj, u), backward)
 
-    def bce_sum(self, pred, targets, mask):
-        """Sum of binary cross entropies of a (N,) prediction vector.
-
-        ``targets`` and the 0/1 ``mask`` are constants; masked-out positions
-        contribute nothing to value or gradient.
-        """
+    def bce_sum(self, pred, targets):
+        """Sum of binary cross entropies of a (N,) prediction vector against
+        constant ``targets``; every position counts."""
         targets = as_tensor(targets)
         if pred.value.shape != targets.shape or pred.value.ndim != 1:
             raise ShapeError(f"bce_sum shapes: {pred.value.shape} and {targets.shape}")
-        m = as_tensor(mask)
         p = np.clip(pred.value, EPS_PROB, 1.0 - EPS_PROB)
         inside = (pred.value > EPS_PROB) & (pred.value < 1.0 - EPS_PROB)
-        val = float((m * bce_value(p, targets)).sum())
+        val = float(bce_value(p, targets).sum())
 
         def backward(g):
-            return (g * m * inside * (p - targets) / (p * (1.0 - p)),)
+            return (g * inside * (p - targets) / (p * (1.0 - p)),)
 
         return self._record("bce_sum", val, (pred,), backward)
 

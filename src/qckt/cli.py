@@ -42,6 +42,7 @@ from .evaluation import (
 from .model import ModelConfig, Parameters, VARIANTS, sequence_outputs
 from .training import (
     TrainConfig,
+    grid_cells,
     grid_search,
     mean_std,
     predictions_over,
@@ -181,6 +182,13 @@ def _int_pair(text):
     return (int(parts[0]), int(parts[1]))
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _list_of(kind):
     """argparse type: one or more comma-separated ``kind`` values."""
     def parse(text):
@@ -260,6 +268,8 @@ def cmd_train(args):
     ds = _load_dataset(args)
     mcfg = _model_config(args, ds)
     tcfg = _train_config(args)
+    if args.grid:
+        grid_cells(mcfg, tcfg, args.grid_lambdas, args.grid_lrs, args.grid_dims)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [REPORT_CSV]
@@ -441,7 +451,8 @@ def _add_train_flags(p):
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--k", type=int, default=5, help="number of folds")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold/cell workers")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel fold/cell workers (at most one per fold or cell)")
 
 
 def build_parser():

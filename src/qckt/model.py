@@ -16,14 +16,17 @@ Both recurrent cells use logistic activations on all four gates, including
 the candidate; that is the model definition here, not an oversight.
 
 One forward implementation serves training, scoring and export:
-:func:`build_graph` records the model on an autodiff tape over padded
-(feature x column) arrays whose columns are step-major: column t*B + j is
-step t of sequence j in a batch of B.  The graph has no loop over time: the
-embeddings, the input projections W x + b and the three heads each run once
-over all columns, the time-loop hoisting of Appleyard et al.
-(arXiv:1604.01946) applied to the heads too, and each recurrence is one
-:meth:`Tape.lstm_gates` node that steps through time inside its own forward
-and backward.  Scoring and export run it without a backward pass.
+:func:`build_graph` records the model on an autodiff tape over packed
+(feature x column) arrays with no padding.  A :class:`Batch` sorts its
+sequences longest first, and step t of the recurrence holds one column for
+each sequence that still predicts at that step, as PyTorch's
+``pack_padded_sequence`` lays them out; columns run step-major.  The graph
+has no loop over time: the embeddings, the input projections W x + b and the
+three heads each run once over all columns, the time-loop hoisting of
+Appleyard et al. (arXiv:1604.01946) applied to the heads too, and each
+recurrence is one :meth:`Tape.lstm_gates` node that steps through time
+inside its own forward and backward.  Scoring and export run it without a
+backward pass.
 """
 
 import itertools
@@ -247,55 +250,81 @@ class Parameters:
 
 
 class Batch:
-    """Padded step-major arrays for a group of
+    """Packed step-major columns for a group of
     :class:`qckt.data.StudentSequence` objects.
 
-    qids and responses are (L x B); mask marks real interactions.  Column
-    t*B + j of the flattened (L*B) layout is step t of sequence j.
-    ``kc_flat`` is the (rows, cols, wts) triple of
-    :meth:`Tape.embed_mean_flat`: each column's KCs in column order, each
-    weighted 1/(its column's KC count).  Padded columns hold question 0, KC 0
-    and response 0.  ``train`` builds fresh batches every epoch from its
-    shuffled order.
+    The sequences are sorted longest first by a stable sort, so equal
+    lengths keep the caller's order.  Step t (t = 0..L-2) reads interaction t
+    and predicts interaction t + 1 of the ``widths[t]`` sequences longer than
+    t + 1, which are the first ``widths[t]`` in that order; prediction column
+    p is step t of the k-th longest sequence, for p = widths[0] + ... +
+    widths[t-1] + k.  There are ``n_preds`` = sum(length - 1) such columns.
+
+    ``qids`` and ``responses`` cover 2 * n_preds columns: each column's input
+    interaction, then each column's next interaction, so
+    ``responses[n_preds:]`` are the targets.  ``kc_in`` and ``kc_next`` are
+    the (rows, cols, wts) triples of :meth:`Tape.embed_mean_flat` for the
+    input and the next interactions: each column's KCs in column order, each
+    weighted 1/(its column's KC count).  ``order`` puts prediction columns
+    back in the caller's order, step-major over the caller's positions.
+    ``train`` builds fresh batches every epoch from its shuffled order.
     """
 
-    __slots__ = ("qids", "responses", "mask", "kc_flat", "length", "size", "n_preds")
+    __slots__ = ("qids", "responses", "kc_in", "kc_next", "widths", "order", "n_preds")
 
     def __init__(self, seqs):
         if not seqs:
             raise DataError("empty batch")
-        if min(len(s) for s in seqs) < 2:
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        if lengths.min() < 2:
             raise DataError("batch contains a sequence shorter than 2")
-        L = max(len(s) for s in seqs)
-        B = len(seqs)
-        self.length, self.size = L, B
-        self.qids = np.zeros((L, B), dtype=np.int64)
-        self.responses = np.zeros((L, B))
-        self.mask = np.zeros((L, B))
-        groups = [(0,)] * (L * B)
-        for j, s in enumerate(seqs):
-            n = len(s)
-            bad = s.responses[(s.responses != 0) & (s.responses != 1)]
-            if bad.size:
-                raise DomainError(f"response must be 0 or 1, got {bad[0].item()!r}")
-            self.qids[:n, j] = s.questions
-            self.responses[:n, j] = s.responses
-            self.mask[:n, j] = 1.0
-            groups[j : n * B : B] = s.kcs
-        sizes = np.fromiter(map(len, groups), np.int64, L * B)
+        responses = np.concatenate([s.responses for s in seqs])
+        bad = responses[(responses != 0) & (responses != 1)]
+        if bad.size:
+            raise DomainError(f"response must be 0 or 1, got {bad[0].item()!r}")
+        kcs = list(itertools.chain.from_iterable(s.kcs for s in seqs))
+        sizes = np.fromiter(map(len, kcs), np.int64, len(kcs))
         if not sizes.all():
             raise DomainError("interaction without KCs")
-        rows = np.fromiter(itertools.chain.from_iterable(groups), np.int64, int(sizes.sum()))
-        self.kc_flat = (rows, np.repeat(np.arange(L * B), sizes), np.repeat(1.0 / sizes, sizes))
-        self.n_preds = float(self.mask[1:].sum())
+
+        by_len = np.argsort(-lengths, kind="stable")
+        # live[t, k]: the k-th longest sequence predicts at step t; its
+        # nonzero entries, row by row, are the packed columns
+        live = np.arange(lengths.max() - 1)[:, None] < lengths[by_len] - 1
+        step, rank = np.nonzero(live)
+        widths = live.sum(axis=1)
+        P = len(step)
+        pos = by_len[rank]
+        # interaction read by each column, then the one it predicts, as
+        # indices into the sequences' concatenated columns
+        at = np.cumsum(lengths)[pos] - lengths[pos] + step
+        at = np.concatenate([at, at + 1])
+        self.qids = np.concatenate([s.questions for s in seqs])[at]
+        self.responses = responses[at].astype(np.float64)
+
+        # column c's KCs are those of interaction at[c], which end at
+        # cumsum(sizes)[at[c]] in flat; entries run column by column
+        flat = np.fromiter(itertools.chain.from_iterable(kcs), np.int64, int(sizes.sum()))
+        col_sizes = sizes[at]
+        col_end = np.cumsum(col_sizes)
+        shift = np.repeat(np.cumsum(sizes)[at] - col_end, col_sizes)
+        rows = flat[shift + np.arange(col_end[-1])]
+        cols = np.repeat(np.arange(2 * P), col_sizes)
+        wts = np.repeat(1.0 / col_sizes, col_sizes)
+        e = col_end[P - 1]
+        self.kc_in = (rows[:e], cols[:e], wts[:e])
+        self.kc_next = (rows[e:], cols[e:] - P, wts[e:])
+        self.widths = tuple(widths.tolist())
+        self.order = np.argsort(step * len(seqs) + pos)
+        self.n_preds = P
 
 
 @dataclass
 class GraphOutputs:
-    """Tape nodes of one batch forward pass plus flat targets and mask.
+    """Tape nodes of one batch forward pass plus the packed targets.
 
     ``beta`` and ``zeta`` are None where the variant leaves them out, unless
-    the graph was built for export; ``mastery`` is the (m x (L-1)*B) per-KC
+    the graph was built for export; ``mastery`` is the (m x n_preds) per-KC
     mastery matrix of an export graph, else None.
     """
 
@@ -305,8 +334,7 @@ class GraphOutputs:
     beta: object
     zeta: object
     targets: np.ndarray
-    mask: np.ndarray
-    n_preds: float
+    n_preds: int
     mastery: np.ndarray = None
 
 
@@ -314,18 +342,18 @@ def _relu_layer(tape, W, x, b):
     return tape.relu(tape.add_bias(tape.matmul(W, x), b))
 
 
-def _lstm_track(tape, nodes, first, inputs, B):
-    """One recurrent track over the B-column step blocks of its inputs.
+def _lstm_track(tape, nodes, first, inputs, widths):
+    """One recurrent track over the packed step columns of its inputs.
 
     ``first`` names the track's gate tensors W_first..W_{first+3} (and U, b).
     One GEMM projects all input columns (W x + b), one :meth:`Tape.lstm_gates`
-    runs the recurrence on them; hidden states come back step-major.
+    runs the recurrence on them; hidden states come back in column order.
     """
     ids = range(first, first + 4)
     w = tape.vstack([nodes[f"W_{i}"] for i in ids])
     u = tape.vstack([nodes[f"U_{i}"] for i in ids])
     b = tape.vstack([nodes[f"b_{i}"] for i in ids])
-    return tape.lstm_gates(tape.add_bias(tape.matmul(w, inputs), b), u, B)
+    return tape.lstm_gates(tape.add_bias(tape.matmul(w, inputs), b), u, widths)
 
 
 def build_graph(tape, nodes, batch, config, export=False):
@@ -333,34 +361,31 @@ def build_graph(tape, nodes, batch, config, export=False):
 
     ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  No op
     is recorded per step, so the tape length does not depend on L.  Every
-    op runs once over step-major columns (column t*B + j is step t of
-    sequence j): the embeddings over all L*B columns, the input encodings
-    and their projections over the (L-1)*B input columns, one
+    op runs once over the batch's P = ``batch.n_preds`` packed columns (see
+    :class:`Batch`): the embeddings of the P input and, for zeta, the P next
+    interactions, the input encodings and their projections, one
     :meth:`Tape.lstm_gates` recurrence per track, and the alpha/beta/zeta
-    heads over its (L-1)*B hidden states, their last layer fused into
+    heads over its P hidden states, their last layer fused into
     :meth:`Tape.relu_pool`.  Score vectors therefore align with
-    ``batch.responses[1:].ravel()``.  The fusion and the loss follow the
-    active variant; ``export`` also records the scores the variant leaves out
-    and the per-KC masteries, which exports report for every variant.
+    ``batch.responses[P:]``.  The fusion and the loss follow the active
+    variant; ``export`` also records the scores the variant leaves out and
+    the per-KC masteries, which exports report for every variant.
     """
-    B, L = batch.size, batch.length
-    cols = (L - 1) * B
+    P = batch.n_preds
     n = nodes
 
-    q_all = tape.embed(n["Q"], batch.qids.ravel())
-    k_all = tape.embed_mean_flat(n["K"], *batch.kc_flat, L * B)
-    k_in = tape.col_slice(k_all, 0, cols)
-    r = batch.responses[:-1].ravel()
+    k_in = tape.embed_mean_flat(n["K"], *batch.kc_in, P)
+    r = batch.responses[:P]
 
-    qk = tape.vstack([tape.col_slice(q_all, 0, cols), k_in])
+    qk = tape.vstack([tape.embed(n["Q"], batch.qids[:P]), k_in])
     e_ka = tape.vstack([tape.scale_columns(qk, r), tape.scale_columns(qk, 1.0 - r)])
-    h_ka = _lstm_track(tape, n, 1, e_ka, B)
+    h_ka = _lstm_track(tape, n, 1, e_ka, batch.widths)
     hidden_a = _relu_layer(tape, n["W_a1"], h_ka, n["b_a1"])
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
 
     if config.needs_mastery_lstm or export:
         e_ks = tape.vstack([tape.scale_columns(k_in, r), tape.scale_columns(k_in, 1.0 - r)])
-        h_ks = _lstm_track(tape, n, 5, e_ks, B)
+        h_ks = _lstm_track(tape, n, 5, e_ks, batch.widths)
     beta = zeta = mastery = None
     if config.uses_beta or export:
         hidden_g = _relu_layer(tape, n["W_g1"], h_ks, n["b_g1"])
@@ -370,7 +395,9 @@ def build_graph(tape, nodes, batch, config, export=False):
             pre = n["W_g2"].value @ hidden_g.value + n["b_g2"].value[:, None]
             mastery = ad.sigmoid(n["w_g"].value[:, None] * np.maximum(pre, 0.0))
     if config.uses_zeta or export:
-        u = tape.vstack([h_ks, tape.col_slice(q_all, B, L * B), tape.col_slice(k_all, B, L * B)])
+        q_next = tape.embed(n["Q"], batch.qids[P:])
+        k_next = tape.embed_mean_flat(n["K"], *batch.kc_next, P)
+        u = tape.vstack([h_ks, q_next, k_next])
         hidden_p = _relu_layer(tape, n["W_p1"], u, n["b_p1"])
         zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
 
@@ -385,20 +412,15 @@ def build_graph(tape, nodes, batch, config, export=False):
             logit = tape.add(logit, zeta)
     r_hat = tape.sigmoid(logit)
 
-    targets = batch.responses[1:].ravel()
-    mask = batch.mask[1:].ravel()
-    n_preds = batch.n_preds
-    if n_preds <= 0:
-        raise DataError("batch has no predictable steps")
-
-    loss = tape.scale_const(tape.bce_sum(r_hat, targets, mask), 1.0 / n_preds)
+    targets = batch.responses[P:]
+    loss = tape.scale_const(tape.bce_sum(r_hat, targets), 1.0 / P)
     if config.lambda_aux > 0.0:
-        aux = tape.bce_sum(tape.sigmoid(alpha), targets, mask)
+        aux = tape.bce_sum(tape.sigmoid(alpha), targets)
         if config.uses_beta:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta), targets, mask))
+            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta), targets))
         if config.uses_zeta:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta), targets, mask))
-        loss = tape.add(loss, tape.scale_const(aux, config.lambda_aux / n_preds))
+            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta), targets))
+        loss = tape.add(loss, tape.scale_const(aux, config.lambda_aux / P))
 
     return GraphOutputs(
         loss=loss,
@@ -407,8 +429,7 @@ def build_graph(tape, nodes, batch, config, export=False):
         beta=beta,
         zeta=zeta,
         targets=targets,
-        mask=mask,
-        n_preds=n_preds,
+        n_preds=P,
         mastery=mastery,
     )
 
@@ -431,8 +452,8 @@ def sequence_outputs(params, seq):
 
 
 def batch_predictions(params, batch):
-    """Masked flat (predictions, targets) for one batch, no backward pass."""
+    """Flat (predictions, targets) for one batch, no backward pass, in the
+    caller's order: step-major over the sequences' positions in the batch."""
     tape = Tape()
     graph = build_graph(tape, params.leaves(tape), batch, params.config)
-    keep = graph.mask > 0.0
-    return graph.r_hat.value[keep], graph.targets[keep]
+    return graph.r_hat.value[batch.order], graph.targets[batch.order]

@@ -129,7 +129,8 @@ def _epoch_batches(seqs, order, size):
 
 
 def predictions_over(params, seqs, batch_size):
-    """Masked flat predictions/labels over sequences in their given order."""
+    """Flat predictions/labels over sequences in their given order, each
+    batch step-major over its sequences (see :func:`batch_predictions`)."""
     preds, labels = [], []
     for i in range(0, len(seqs), batch_size):
         p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]))
@@ -255,8 +256,12 @@ def _run_fold(args):
 
 
 def _map_jobs(fn, argss, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """fn over argss in order, on up to ``jobs`` worker processes but never
+    more than there are tasks."""
+    require_ints("jobs", 1, jobs=jobs)
+    workers = min(jobs, len(argss))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, argss))
     return [fn(a) for a in argss]
 
@@ -268,11 +273,13 @@ def run_cv(ds, model_cfg, train_cfg, k=5, jobs=1):
     return CvReport.from_folds(_map_jobs(_run_fold, argss, jobs))
 
 
+def _cell_configs(model_cfg, train_cfg, lam, lr, dim):
+    return replace(model_cfg, lambda_aux=lam, dim=dim), replace(train_cfg, lr=lr, fold=0)
+
+
 def _run_cell(args):
-    ds, model_cfg, train_cfg, fold_idx, cell = args
-    lam, lr, dim = cell
-    cfg = replace(model_cfg, lambda_aux=lam, dim=dim)
-    tcfg = replace(train_cfg, lr=lr, fold=0)
+    ds, model_cfg, train_cfg, fold_idx, (lam, lr, dim) = args
+    cfg, tcfg = _cell_configs(model_cfg, train_cfg, lam, lr, dim)
     seqs = ds.sequences
     train_idx, valid_idx, _ = fold_idx
     report = train(cfg, tcfg, [seqs[i] for i in train_idx], [seqs[i] for i in valid_idx])
@@ -285,18 +292,28 @@ class GridResult:
     table: list
 
 
-def grid_search(ds, model_cfg, train_cfg, lambdas=None, lrs=None, dims=None, jobs=1):
-    """Evaluate every (lambda, lr, d) cell by validation AUC on fold 0.
-
-    Ties break toward smaller d, then larger lambda, then larger lr.
-    """
+def grid_cells(model_cfg, train_cfg, lambdas=None, lrs=None, dims=None):
+    """Every (lambda, lr, d) cell of the tuning grid, default axes where
+    None; raises ConfigError for an empty axis or a cell whose model or
+    training config is invalid, before anything trains."""
     lambdas = DEFAULT_LAMBDA_GRID if lambdas is None else tuple(lambdas)
     lrs = DEFAULT_LR_GRID if lrs is None else tuple(lrs)
     dims = DEFAULT_DIM_GRID if dims is None else tuple(dims)
     if not (lambdas and lrs and dims):
         raise ConfigError("grid axes must be non-empty")
-    fold0 = kfold_split(ds, k=5, seed=train_cfg.seed)[0]
     cells = [(lam, lr, dim) for lam in lambdas for lr in lrs for dim in dims]
+    for cell in cells:
+        _cell_configs(model_cfg, train_cfg, *cell)
+    return cells
+
+
+def grid_search(ds, model_cfg, train_cfg, lambdas=None, lrs=None, dims=None, jobs=1):
+    """Evaluate every (lambda, lr, d) cell by validation AUC on fold 0.
+
+    Ties break toward smaller d, then larger lambda, then larger lr.
+    """
+    cells = grid_cells(model_cfg, train_cfg, lambdas, lrs, dims)
+    fold0 = kfold_split(ds, k=5, seed=train_cfg.seed)[0]
     argss = [(ds, model_cfg, train_cfg, fold0, cell) for cell in cells]
     table = _map_jobs(_run_cell, argss, jobs)
     best = max(table, key=lambda r: (r["valid_auc"], -r["d"], r["lambda"], r["lr"]))

@@ -80,6 +80,18 @@ class Tape(ad.Tape):
         y = np.tanh(x.value)
         return self._record("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
 
+    def col_slice(self, x, start, stop):
+        """Columns start..stop-1 of a (r x N) matrix -> (r x (stop - start))."""
+        if x.value.ndim != 2 or not 0 <= start < stop <= x.value.shape[1]:
+            raise ShapeError(f"col_slice [{start}:{stop}] of shape {x.value.shape}")
+
+        def backward(g):
+            gx = np.zeros_like(x.value)
+            gx[:, start:stop] = g
+            return (gx,)
+
+        return self._record("col_slice", x.value[:, start:stop], (x,), backward)
+
     def sum_pool(self, x):
         """Sum of a rank-1 tensor; gradient broadcasts 1 to every entry."""
         if x.value.ndim != 1:

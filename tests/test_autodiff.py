@@ -286,27 +286,39 @@ class TestFiniteDifferenceBattery:
         report = grad_check(build, params)
         assert report.passed, report
 
+    def test_kc_mean_adds_a_repeated_kc(self):
+        # a KC listed twice in one column's group counts twice in its mean
+        rng = np.random.default_rng(29)
+        params = {"M": rng.normal(size=(4, 3))}
+        # groups (0, 2, 0), (3,) and (1, 1) flattened for the averaging matrix
+        rows, cols = np.array([0, 2, 0, 3, 1, 1]), np.array([0, 0, 0, 1, 2, 2])
+        wts = np.array([1 / 3, 1 / 3, 1 / 3, 1.0, 1 / 2, 1 / 2])
+        M = params["M"]
+        tape = Tape()
+        got = tape.embed_mean_flat(tape.leaf(M), rows, cols, wts, 3).value
+        want = np.stack([(2 * M[0] + M[2]) / 3, M[3], M[1]], axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+        def build(tape, n):
+            return _matrix_sum(tape, tape.tanh(tape.embed_mean_flat(n["M"], rows, cols, wts, 3)))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+        with pytest.raises(IndexError):
+            tape.embed_mean_flat(tape.leaf(M), np.array([4]), np.array([0]), np.ones(1), 1)
+
     def test_bce_ops(self):
         params = {"v": np.array([0.2, 0.9, 0.55, 0.4])}
         targets = np.array([1.0, 0.0, 1.0, 1.0])
-        mask = np.array([1.0, 1.0, 0.0, 1.0])
 
         def build(tape, n):
-            return tape.bce_sum(n["v"], targets, mask)
+            return tape.bce_sum(n["v"], targets)
 
         report = grad_check(build, params)
         assert report.passed, report
 
-    def test_bce_sum_mask_blocks_gradient(self):
-        tape = Tape()
-        v = tape.leaf([0.2, 0.9])
-        loss = tape.bce_sum(v, [1.0, 1.0], mask=[1.0, 0.0])
-        tape.backward(loss)
-        assert v.grad[1] == 0.0
-        np.testing.assert_allclose(loss.value, ad.bce_value(0.2, 1.0), rtol=1e-14)
-
     def test_lstm_gates_two_step_chain(self):
-        # two steps of B = 2 columns: the gradient of step 1's hidden state
+        # two steps of 2 columns: the gradient of step 1's hidden state
         # flows back through U and through the cell state into step 0
         rng = np.random.default_rng(31)
         d, batch = 3, 2
@@ -317,7 +329,7 @@ class TestFiniteDifferenceBattery:
         }
 
         def build(tape, n):
-            h = tape.lstm_gates(n["proj"], n["u"], batch)
+            h = tape.lstm_gates(n["proj"], n["u"], (batch, batch))
             return tape.sum_pool(tape.dot_columns(n["w"], h))
 
         report = grad_check(build, params)
@@ -325,9 +337,34 @@ class TestFiniteDifferenceBattery:
         tape = Tape()
         proj, u = tape.leaf(params["proj"]), tape.leaf(params["u"])
         wrong_u = tape.leaf(np.ones((4 * d, 2)))
-        for bad in ((proj, u, 3), (proj, u, 0), (u, proj, 1), (proj, wrong_u, 2)):
+        for bad in (
+            (proj, u, (3,)),
+            (proj, u, (4, 0)),
+            (proj, u, (1, 3)),
+            (proj, u, ()),
+            (u, proj, (1,)),
+            (proj, wrong_u, (2, 2)),
+        ):
             with pytest.raises(ShapeError):
                 tape.lstm_gates(*bad)
+
+    def test_lstm_gates_with_shrinking_widths(self):
+        # steps of 3, 3, 2 and 1 columns: sequences that end drop out of h
+        # and c, and every step's hidden state is read out
+        rng = np.random.default_rng(37)
+        d, widths = 2, (3, 3, 2, 1)
+        params = {
+            "proj": rng.normal(size=(4 * d, sum(widths))),
+            "u": rng.normal(size=(4 * d, d)),
+            "w": rng.normal(size=d),
+        }
+
+        def build(tape, n):
+            h = tape.lstm_gates(n["proj"], n["u"], widths)
+            return tape.sum_pool(tape.tanh(tape.dot_columns(n["w"], h)))
+
+        report = grad_check(build, params)
+        assert report.passed, report
 
 
 class TestDeterminism:
@@ -337,7 +374,7 @@ class TestDeterminism:
         tape = Tape()
         wn, xn = tape.leaf(w), tape.leaf(x)
         proj = tape.vstack([tape.tanh(tape.matmul(wn, xn)), xn, xn, xn])
-        h = tape.lstm_gates(proj, tape.vstack([wn] * 4), 1)
+        h = tape.lstm_gates(proj, tape.vstack([wn] * 4), (1, 1, 1))
         loss = _matrix_sum(tape, h)
         tape.backward(loss)
         return float(loss.value), wn.grad.copy(), xn.grad.copy()

@@ -395,6 +395,11 @@ BAD_FLAGS = {
     "train --lr inf": ("train", ["--lr", "inf"]),
     "train --seed -1": ("train", ["--seed", "-1"]),
     "train --grid-lambdas ''": ("train", ["--grid", "--grid-lambdas", ""]),
+    "train --grid-lrs inf": ("train", ["--grid", "--grid-lrs", "inf"]),
+    "train --grid-dims 0": ("train", ["--grid", "--grid-dims", "0"]),
+    "train --grid-lambdas -1": ("train", ["--grid", "--grid-lambdas", "-1"]),
+    "train --jobs 0": ("train", ["--jobs", "0"]),
+    "train --jobs -3": ("train", ["--fold", "all", "--jobs", "-3"]),
     "synth --gamma nan": ("synth", ["--gamma", "nan"]),
     "export --kcs ''": ("export", ["--kcs", ""]),
     "export --kcs ,": ("export", ["--kcs", ","]),

@@ -235,22 +235,24 @@ class TestLstmStep:
 
     def test_matches_fused_kernel_path(self):
         # straight-line scalar steps from the zero state vs the tape/kernel
-        # route: T = 3 steps of B = 2 sequences, columns step-major
+        # route: T = 3 steps of 2, 2 and 1 packed columns, so sequence 0 runs
+        # 3 steps and sequence 1 runs 2
         rng = np.random.default_rng(42)
-        d, p, T, B = 3, 12, 3, 2
+        d, p, widths = 3, 12, (2, 2, 1)
         W = [rng.normal(size=(d, p)) for _ in range(4)]
         U = [rng.normal(size=(d, d)) for _ in range(4)]
         b = [rng.normal(size=d) for _ in range(4)]
-        x = rng.normal(size=(p, T * B))
+        x = rng.normal(size=(p, sum(widths)))
 
         tape = Tape()
         proj = tape.leaf(np.vstack(W) @ x + np.concatenate(b)[:, None])
-        h = tape.lstm_gates(proj, tape.leaf(np.vstack(U)), B).value
-        for j in range(B):
+        h = tape.lstm_gates(proj, tape.leaf(np.vstack(U)), widths).value
+        for j in range(2):
             state = oracle.LstmState.zero(d)
-            for t in range(T):
-                state = oracle.lstm_step(x[:, t * B + j], state, W, U, b)
-                np.testing.assert_allclose(h[:, t * B + j], state.h, rtol=1e-12)
+            for t in range(len(widths) if j == 0 else 2):
+                col = sum(widths[:t]) + j
+                state = oracle.lstm_step(x[:, col], state, W, U, b)
+                np.testing.assert_allclose(h[:, col], state.h, rtol=1e-12)
 
     def test_shape_mismatch_raises(self):
         W, U, b = self._zero_gates(2, 8)
@@ -527,11 +529,11 @@ class TestBatchGraph:
         seqs.insert(slot, seq)
 
         alone, _ = qm.batch_predictions(p, qm.Batch([seq]))
-        batch = qm.Batch(seqs)
-        preds, _ = qm.batch_predictions(p, batch)
-        keep = batch.mask[1:] > 0.0
+        preds, _ = qm.batch_predictions(p, qm.Batch(seqs))
+        lengths = np.array([len(s) for s in seqs])
+        keep = np.arange(lengths.max() - 1)[:, None] < lengths[None, :] - 1
         grid = np.full(keep.shape, np.nan)
-        grid[keep] = preds  # predictions come back step-major
+        grid[keep] = preds  # predictions come back step-major in the caller's order
         np.testing.assert_allclose(grid[: length - 1, slot], alone, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("variant", list(qm.VARIANTS))
@@ -550,31 +552,43 @@ class TestBatchGraph:
 
     def test_kc_triple_is_column_major(self):
         seqs = [
-            seq_of([(1, (2, 0), 1), (0, (1,), 0), (2, (0, 1, 2), 1)]),
             seq_of([(0, (1,), 0), (1, (2,), 1)]),
+            seq_of([(1, (2, 0), 1), (0, (1,), 0), (2, (0, 1, 2), 1)]),
         ]
-        rows, cols, wts = qm.Batch(seqs).kc_flat
-        # column t*B + j is step t of sequence j; padded column 5 holds KC 0
-        np.testing.assert_array_equal(rows, [2, 0, 1, 1, 2, 0, 1, 2, 0])
-        np.testing.assert_array_equal(cols, [0, 0, 1, 2, 3, 4, 4, 4, 5])
-        np.testing.assert_array_equal(wts, [1 / 2, 1 / 2, 1, 1, 1, 1 / 3, 1 / 3, 1 / 3, 1])
+        batch = qm.Batch(seqs)
+        # the longer sequence sorts first: inputs (step 0 of both, step 1 of
+        # the longer one), then the interactions they predict
+        np.testing.assert_array_equal(batch.qids, [1, 0, 0, 0, 1, 2])
+        np.testing.assert_array_equal(batch.responses, [1, 0, 0, 0, 1, 1])
+        rows, cols, wts = batch.kc_in
+        np.testing.assert_array_equal(rows, [2, 0, 1, 1])
+        np.testing.assert_array_equal(cols, [0, 0, 1, 2])
+        np.testing.assert_array_equal(wts, [1 / 2, 1 / 2, 1, 1])
+        rows, cols, wts = batch.kc_next
+        np.testing.assert_array_equal(rows, [1, 2, 0, 1, 2])
+        np.testing.assert_array_equal(cols, [0, 1, 2, 2, 2])
+        np.testing.assert_array_equal(wts, [1, 1, 1 / 3, 1 / 3, 1 / 3])
         with pytest.raises(DomainError):
             qm.Batch([seq_of([(0, (), 1), (1, (0,), 0)])])
 
         # exactly the per-column loop's triple, on a random ragged batch
         seqs = [make_seq(np.random.default_rng(8), n, 5, 4) for n in (3, 7, 2, 5)]
         batch = qm.Batch(seqs)
-        groups = [(0,)] * (batch.length * batch.size)
-        for j, s in enumerate(seqs):
-            for t, kcs in enumerate(s.kcs):
-                groups[t * batch.size + j] = kcs
-        want = (
-            [k for g in groups for k in g],
-            [c for c, g in enumerate(groups) for _ in g],
-            [1.0 / len(g) for g in groups for _ in g],
-        )
-        for got, ref in zip(batch.kc_flat, want):
-            np.testing.assert_array_equal(got, ref)
+        longest_first = sorted(range(len(seqs)), key=lambda j: -len(seqs[j]))
+        inputs, nexts = [], []
+        for t in range(max(map(len, seqs)) - 1):
+            for j in longest_first:
+                if len(seqs[j]) > t + 1:
+                    inputs.append(seqs[j].kcs[t])
+                    nexts.append(seqs[j].kcs[t + 1])
+        for triple, groups in ((batch.kc_in, inputs), (batch.kc_next, nexts)):
+            want = (
+                [k for g in groups for k in g],
+                [c for c, g in enumerate(groups) for _ in g],
+                [1.0 / len(g) for g in groups for _ in g],
+            )
+            for got, ref in zip(triple, want):
+                np.testing.assert_array_equal(got, ref)
 
     def test_batch_rejects_too_short(self):
         with pytest.raises(DataError):
@@ -586,13 +600,19 @@ class TestBatchGraph:
         with pytest.raises(DomainError, match=f"got {response!r}"):
             qm.Batch([good, seq_of([(0, (0,), 1), (1, (1,), response), (2, (0,), 0)])])
 
-    def test_padding_mask(self):
-        seqs = [make_seq(np.random.default_rng(1), L, 3, 2) for L in (4, 2)]
+    def test_packed_widths_and_order(self):
+        seqs = [make_seq(np.random.default_rng(1), L, 3, 2) for L in (2, 4, 3, 4)]
         batch = qm.Batch(seqs)
-        assert batch.length == 4 and batch.size == 2
-        np.testing.assert_array_equal(batch.mask[:, 0], [1, 1, 1, 1])
-        np.testing.assert_array_equal(batch.mask[:, 1], [1, 1, 0, 0])
-        assert batch.n_preds == 4.0  # 3 predictions + 1
+        # longest first, ties in the caller's order: positions 1, 3, 2, 0
+        assert batch.widths == (4, 3, 2)
+        assert batch.n_preds == 9  # 1 + 3 + 2 + 3 predictions, no padding
+        np.testing.assert_array_equal(batch.order, [3, 0, 2, 1, 4, 6, 5, 7, 8])
+        packed = [(t, j) for t, w in enumerate(batch.widths) for j in (1, 3, 2, 0)[:w]]
+        for p, (t, j) in enumerate(packed):
+            assert batch.qids[p] == seqs[j].questions[t]
+            assert batch.qids[batch.n_preds + p] == seqs[j].questions[t + 1]
+            assert batch.responses[batch.n_preds + p] == seqs[j].responses[t + 1]
+        assert [packed[p] for p in batch.order] == sorted(packed)
 
 
 class TestCheckpoint:

@@ -278,6 +278,36 @@ class TestRunCv:
         assert serial.mean_auc == parallel.mean_auc
         assert [f.test_auc for f in serial.folds] == [f.test_auc for f in parallel.folds]
 
+    def test_jobs_start_at_most_one_worker_per_fold(self, monkeypatch):
+        import qckt.training as tr
+
+        started = []
+
+        class RecordingPool:
+            # records the pool size it is asked for and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, argss):
+                return map(fn, argss)
+
+        monkeypatch.setattr(tr, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_cv(self.ds, self.mcfg, self.tcfg, k=2, jobs=10000)
+        assert started == [2]
+        assert tr._map_jobs(str, [7], 10000) == ["7"]
+        assert started == [2]  # one task runs in this process
+        serial = run_cv(self.ds, self.mcfg, self.tcfg, k=2)
+        assert [f.test_auc for f in pooled.folds] == [f.test_auc for f in serial.folds]
+        for jobs in (0, -3):
+            with pytest.raises(ConfigError):
+                run_cv(self.ds, self.mcfg, self.tcfg, k=2, jobs=jobs)
+
 
 class TestGridSearch:
     def setup_method(self):
