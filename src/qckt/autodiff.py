@@ -17,8 +17,18 @@ gradient that returns one gradient per entry of the node's ``inputs``, in
 order, and writes to no node.  :meth:`Tape.backward` alone sums them into
 ``Node.grad``: the first contribution is stored as given, later ones are
 added out of place.  A stored gradient is never written after it is made, so
-nodes may share gradient buffers.
+nodes may share gradient buffers.  A tape is swept once: as the sweep passes
+a node that is not a leaf, it drops that node's gradient and backward closure
+(with the activations the closure holds), so after :meth:`Tape.backward`
+gradients remain on the leaves only.
+
+The first :class:`Tape` of a process sets glibc's allocator to keep freed
+memory in its heap (:func:`_keep_freed_memory_in_heap`); importing the
+module changes nothing.
 """
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -26,6 +36,34 @@ from . import kernels
 from .errors import ShapeError
 
 EPS_PROB = 1e-12  # probability clamp before logs
+# relu_pool works through its rows in blocks of about this many bytes of
+# float64 (r_k x N) activation, so no (r x N) float array outlives a block
+RELU_POOL_BLOCK_BYTES = 2 << 20
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory_in_heap():
+    """Stop glibc from handing freed memory back to the OS, once per process.
+
+    An update frees and allocates again the same multi-MB arrays.  By default
+    glibc serves such sizes with fresh mappings and trims the heap top when
+    they are freed, so every update faults its pages in again.  After this
+    call blocks under 32 MiB come from the heap, and the heap is trimmed only
+    when more than 1 GiB at its top is free.  The setting is process-wide;
+    where there is no glibc nothing happens.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def as_tensor(x):
@@ -53,7 +91,9 @@ class Node:
     gradient per input.  ``grad`` is set only by :meth:`Tape.backward`, as the
     sum of the contributions of the node's consumers; it has the same shape
     as ``value``, may share its buffer with other nodes and is never written
-    in place.
+    in place.  As the sweep passes a node that is not a leaf, it runs the
+    node's backward and then sets ``grad`` and ``_backward`` to None, so after
+    the sweep only leaves carry a gradient.
     """
 
     __slots__ = ("id", "op", "value", "inputs", "grad", "name", "_backward")
@@ -73,7 +113,9 @@ class Node:
 
 class Tape:
     def __init__(self):
+        _keep_freed_memory_in_heap()
         self.nodes = []
+        self.swept = False
 
     def _record(self, op, value, inputs, backward, name=None):
         node = Node(len(self.nodes), op, as_tensor(value), tuple(inputs), backward, name)
@@ -148,7 +190,11 @@ class Tape:
         """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
 
         One node in place of matmul, add_bias, relu, a row scaling and a
-        column sum; only the (r x N) relu output is kept for the backward.
+        column sum.  The forward runs over blocks of rows
+        (:data:`RELU_POOL_BLOCK_BYTES`) and keeps only the bool (r x N) mask
+        of positive preactivations for the backward; that needs no
+        activation, since sum_j g_j relu(W x_j + b) = rowsum(W * M) + b * (m @ g)
+        with m the mask as float and M = m @ (x * g).T.
         """
         Wv, xv, bv, wv = W.value, x.value, b.value, w.value
         if (
@@ -159,17 +205,35 @@ class Tape:
             or wv.shape != bv.shape
         ):
             raise ShapeError(f"relu_pool shapes: {Wv.shape}, {xv.shape}, {bv.shape}, {wv.shape}")
-        act = Wv @ xv
-        act += bv[:, None]
-        np.maximum(act, 0.0, out=act)
+        r, N = len(Wv), xv.shape[1]
+        # [W b] @ [x; 1] adds the bias inside the GEMM, saving a pass
+        Wb, x1 = np.hstack([Wv, bv[:, None]]), np.vstack([xv, np.ones(N)])
+        step = max(1, RELU_POOL_BLOCK_BYTES // (8 * max(N, 1)))
+        blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
+        mask = np.empty((r, N), dtype=bool)
+        out = np.zeros(N)
+        for k in blocks:
+            act = Wb[k] @ x1
+            np.greater(act, 0.0, out=mask[k])
+            np.maximum(act, 0.0, out=act)
+            out += wv[k] @ act
 
         def backward(g):
-            # the relu output is > 0 exactly where its preactivation is
-            ga = np.multiply.outer(wv, g)
-            ga *= act > 0.0
-            return ga @ xv.T, Wv.T @ ga, ga.sum(axis=1), act @ g
+            xg = (xv * g).T
+            dW, dx = np.empty_like(Wv), np.zeros_like(xv)
+            db, dw = np.empty_like(bv), np.empty_like(wv)
+            for k in blocks:
+                m = mask[k].astype(np.float64)
+                M = m @ xg
+                mg = m @ g
+                dW[k] = wv[k, None] * M
+                db[k] = wv[k] * mg
+                dx += (Wv[k] * wv[k, None]).T @ m
+                dw[k] = np.einsum("ij,ij->i", Wv[k], M) + bv[k] * mg
+            dx *= g
+            return dW, dx, db, dw
 
-        return self._record("relu_pool", wv @ act, (W, x, b, w), backward)
+        return self._record("relu_pool", out, (W, x, b, w), backward)
 
     def dot_columns(self, w, x):
         """w . x[:, j] for each column -> (B,)."""
@@ -294,24 +358,32 @@ class Tape:
     # -- reverse sweep -------------------------------------------------------
 
     def backward(self, loss):
-        """Fill ``grad`` on every node reachable from the scalar loss.
+        """Fill ``grad`` on every leaf reachable from the scalar loss.
 
         The only place that assigns ``Node.grad``: each input's first
         contribution is stored as given, later ones are added out of place.
+        Each node that is not a leaf loses its gradient and backward closure
+        as soon as the sweep has passed it, so a tape is swept once; a second
+        call raises.
         """
         if loss.value.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        if self.swept:
+            raise RuntimeError("this tape has been swept already; record a new one")
+        self.swept = True
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes[: loss.id + 1]):
-            if node.grad is None or node._backward is None:
+            if node._backward is None:  # a leaf
                 continue
-            for inp, g in zip(node.inputs, node._backward(node.grad)):
-                g = np.asarray(g, dtype=np.float64)
-                inp.grad = g if inp.grad is None else inp.grad + g
+            if node.grad is not None:
+                for inp, g in zip(node.inputs, node._backward(node.grad)):
+                    g = np.asarray(g, dtype=np.float64)
+                    inp.grad = g if inp.grad is None else inp.grad + g
+            node.grad = node._backward = None
 
     @staticmethod
     def grad(node):
-        """Gradient of the last backward pass; zeros if unreachable from loss."""
+        """A leaf's gradient from the sweep; zeros if unreachable from the loss."""
         if node.grad is None:
             return np.zeros_like(node.value)
         return node.grad

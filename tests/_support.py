@@ -41,6 +41,15 @@ def make_seq(rng, length, n, m, max_kcs=3):
     return seq_of(rows)
 
 
+def budget_batch():
+    """Initial parameters and one batch for the memory budgets: n = 2000,
+    m = 20, d = 16, B = 16 sequences of lengths 40-50."""
+    params = qm.Parameters.init(qm.ModelConfig(2000, 20, 16), seed=5)
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(40, 51, size=16)
+    return params, qm.Batch([make_seq(rng, int(n), 2000, 20) for n in lengths])
+
+
 def random_params(cfg, seed, scale=0.05):
     """Generic-position parameters for finite-difference comparisons.
 

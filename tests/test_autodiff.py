@@ -64,6 +64,15 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             tape.backward(tape.relu(x))
 
+    def test_a_tape_is_swept_once(self):
+        tape = Tape()
+        x = tape.leaf([1.0, -2.0])
+        loss = tape.sum_pool(tape.relu(x))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
 
 class TestStraightLineOracle:
     """Hand-written gradient formulas for a small dense composite."""
@@ -110,7 +119,9 @@ class TestStraightLineOracle:
 
     def test_add_ops_pass_the_gradient_on_without_a_copy(self):
         # add, add_bias and add_scalar hand the output's gradient to their
-        # non-reduced inputs as it is: one buffer, no copy
+        # non-reduced inputs as it is: one buffer, no copy, so both leaves
+        # of the add end up with the same buffer; the sweep keeps gradients
+        # on the leaves only
         tape = Tape()
         x, y = tape.leaf(np.ones((2, 3))), tape.leaf(np.full((2, 3), 0.5))
         b, s = tape.leaf([0.1, -0.2]), tape.leaf(0.3)
@@ -118,10 +129,9 @@ class TestStraightLineOracle:
         zb = tape.add_bias(z, b)
         zs = tape.add_scalar(zb, s)
         tape.backward(_matrix_sum(tape, tape.tanh(zs)))
-        assert np.shares_memory(zb.grad, zs.grad)
-        assert np.shares_memory(z.grad, zb.grad)
-        assert np.shares_memory(x.grad, z.grad) and np.shares_memory(y.grad, z.grad)
+        assert np.shares_memory(x.grad, y.grad)
         np.testing.assert_allclose(x.grad, 1.0 - np.tanh(zs.value) ** 2, rtol=1e-15)
+        assert all(node.grad is None for node in tape.nodes if node.op != "leaf")
 
     def test_unreachable_parameter_gets_zero_gradient(self):
         tape = Tape()
@@ -224,13 +234,16 @@ class TestFiniteDifferenceBattery:
             with pytest.raises(ShapeError):
                 tape.col_slice(x, start, stop)
 
-    def test_relu_pool_op(self):
+    def test_relu_pool_op(self, monkeypatch):
+        # 5 columns of float64 per row, 3 rows per block: 7 rows are worked
+        # through in blocks of 3, 3 and 1
+        monkeypatch.setattr(ad, "RELU_POOL_BLOCK_BYTES", 3 * 5 * 8)
         rng = np.random.default_rng(17)
         params = {
-            "W": rng.uniform(0.5, 1.5, size=(4, 3)),
+            "W": rng.uniform(0.5, 1.5, size=(7, 3)),
             "x": _shift_from_zero(rng.normal(size=(3, 5)), 0.5),
-            "b": rng.normal(size=4) * 0.1,
-            "w": rng.normal(size=4),
+            "b": rng.normal(size=7) * 0.1,
+            "w": rng.normal(size=7),
         }
         params["x"][:, 2] = -2.0  # with positive W, column 2 is inactive
         pre = params["W"] @ params["x"] + params["b"][:, None]
@@ -247,10 +260,25 @@ class TestFiniteDifferenceBattery:
         nodes = {k: tape.leaf(v) for k, v in params.items()}
         out = tape.relu_pool(nodes["W"], nodes["x"], nodes["b"], nodes["w"])
         np.testing.assert_allclose(out.value, params["w"] @ np.maximum(pre, 0.0), rtol=1e-14)
+        # the backward keeps the activation pattern as a bool mask, and no
+        # (r x N) float array
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        kept = [a.dtype for a in held if isinstance(a, np.ndarray) and a.shape == pre.shape]
+        assert kept == [np.dtype(bool)]
         tape.backward(tape.sum_pool(out))
         np.testing.assert_array_equal(nodes["x"].grad[:, 2], 0.0)
         with pytest.raises(ShapeError):
             tape.relu_pool(nodes["W"], nodes["x"], nodes["b"], tape.leaf(np.ones(3)))
+
+        # a preactivation of exactly 0 is inactive, as in relu: row 4, in the
+        # middle block, gets no gradient through W or b
+        kinked = {k: v.copy() for k, v in params.items()}
+        kinked["W"][4], kinked["b"][4] = 0.0, 0.0
+        tape = Tape()
+        nodes = {k: tape.leaf(v) for k, v in kinked.items()}
+        tape.backward(tape.sum_pool(tape.relu_pool(nodes["W"], nodes["x"], nodes["b"], nodes["w"])))
+        np.testing.assert_array_equal(nodes["W"].grad[4], 0.0)
+        assert nodes["b"].grad[4] == 0.0
 
     def test_scalar_param_ops(self):
         rng = np.random.default_rng(19)

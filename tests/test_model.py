@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +14,7 @@ import oracle
 import qckt.model as qm
 from _support import (
     PACKAGE_ERRORS,
+    budget_batch,
     grad_check,
     make_seq,
     random_params,
@@ -19,6 +27,21 @@ from qckt.autodiff import Tape, sigmoid
 from qckt.data import SynthConfig
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
 from qckt.training import TrainConfig
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports the package and the
+    test helpers; returns what it printed, parsed as JSON."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
 
 
 class TestModelConfig:
@@ -510,6 +533,67 @@ class TestBatchGraph:
             assert sum(node.op == "lstm_gates" for node in tape.nodes) == 2
             assert len(calls) == 2 * (L - 1)
         assert counts[5] == counts[50] <= 100
+
+    def test_update_memory_budget(self):
+        # the sweep frees what it has used and relu_pool keeps a bool mask,
+        # so one update's peak stays within 3x the tape's node values
+        p, batch = budget_batch()
+        tape = Tape()
+        qm.build_graph(tape, p.leaves(tape), batch, p.config)
+        value_bytes = sum(node.value.nbytes for node in tape.nodes)
+        del tape
+        tracemalloc.start()
+        try:
+            qm.batch_loss_and_grads(p, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * value_bytes, (peak, value_bytes)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the heap setting is glibc's")
+    def test_repeated_updates_take_no_page_faults(self):
+        # freed update buffers stay in the heap, so once warm an update maps
+        # no fresh pages; a fresh process, so no earlier test shapes the heap
+        faults = _run_python("""
+import json, resource
+import qckt.model as qm
+from _support import budget_batch
+p, batch = budget_batch()
+for _ in range(3):
+    qm.batch_loss_and_grads(p, batch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    qm.batch_loss_and_grads(p, batch)
+print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5))
+""")
+        assert faults <= 50
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the heap setting is glibc's")
+    def test_import_leaves_the_allocator_to_the_first_tape(self):
+        # importing the package calls no mallopt; the first Tape sets the
+        # mmap (-3) and trim (-1) thresholds once, for the whole process
+        calls = _run_python("""
+import ctypes, json
+calls, real_cdll = [], ctypes.CDLL
+
+class SpyLib:
+    def __init__(self, *args, **kwargs):
+        self._lib = real_cdll(*args, **kwargs)
+
+    def __getattr__(self, name):
+        func = getattr(self._lib, name)
+        if name != "mallopt":
+            return func
+        return lambda param, value: calls.append([param, value]) or func(param, value)
+
+ctypes.CDLL = SpyLib
+import qckt, qckt.cli
+on_import = list(calls)
+qckt.Tape()
+qckt.Tape()
+print(json.dumps([on_import, calls]))
+""")
+        assert calls == [[], [[-3, 32 << 20], [-1, 1 << 30]]]
 
     @settings(max_examples=30, deadline=None)
     @given(
