@@ -6,11 +6,13 @@ node list is already topologically ordered and :meth:`Tape.backward` is a
 single reverse sweep.  Tapes are cheap and rebuilt for every sequence batch;
 one tape is single-threaded, distinct tapes share nothing.
 
-Beyond the rank-1 core ops, most ops accept an extra trailing batch axis
-(columns), which is how sequence batches are pushed through the model graph.
-Time is folded into that axis too, step-major and packed (each step holds
-only the sequences still running): :meth:`Tape.lstm_gates` runs a whole LSTM
-recurrence as one node, so no graph built here loops over time.
+The elementwise ops take any shape.  :meth:`Tape.matmul` multiplies by a
+(feature x column) matrix, never a vector, and the batched ops work over
+such columns: that is how sequence batches are pushed through the model
+graph.  Time is folded into the column axis too, step-major and packed
+(each step holds only the sequences still running): :meth:`Tape.lstm_gates`
+runs a whole LSTM recurrence as one node, so no graph built here loops over
+time.
 
 Gradient protocol: an op's backward is a pure function of the output
 gradient that returns one gradient per entry of the node's ``inputs``, in
@@ -96,15 +98,14 @@ class Node:
     the sweep only leaves carry a gradient.
     """
 
-    __slots__ = ("id", "op", "value", "inputs", "grad", "name", "_backward")
+    __slots__ = ("id", "op", "value", "inputs", "grad", "_backward")
 
-    def __init__(self, nid, op, value, inputs, backward, name=None):
+    def __init__(self, nid, op, value, inputs, backward):
         self.id = nid
         self.op = op
         self.value = value
         self.inputs = inputs
         self.grad = None
-        self.name = name
         self._backward = backward
 
     def __repr__(self):
@@ -117,27 +118,30 @@ class Tape:
         self.nodes = []
         self.swept = False
 
-    def _record(self, op, value, inputs, backward, name=None):
-        node = Node(len(self.nodes), op, as_tensor(value), tuple(inputs), backward, name)
+    def _record(self, op, value, inputs, backward):
+        node = Node(len(self.nodes), op, as_tensor(value), tuple(inputs), backward)
         self.nodes.append(node)
         return node
 
-    def leaf(self, value, name=None):
+    def leaf(self, value):
         """Record an input tensor (parameter or constant)."""
-        return self._record("leaf", value, (), None, name=name)
+        return self._record("leaf", value, (), None)
 
     # -- core ops ----------------------------------------------------------
 
-    def matmul(self, w, x):
-        """W (r x c) times x, where x is a vector (c,) or batch (c x B)."""
-        wv, xv = w.value, x.value
-        if wv.ndim != 2 or xv.ndim not in (1, 2) or wv.shape[1] != xv.shape[0]:
-            raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape}")
+    def matmul(self, w, x, b):
+        """Affine layer W x + b: W (r x c) times the (c x N) matrix x, then
+        the (r,) bias added to every column."""
+        wv, xv, bv = w.value, x.value, b.value
+        if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or bv.shape != (len(wv),):
+            raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape} and add {bv.shape}")
+        out = wv @ xv
+        out += bv[:, None]
 
         def backward(g):
-            return (np.outer(g, xv) if xv.ndim == 1 else g @ xv.T), wv.T @ g
+            return g @ xv.T, wv.T @ g, g.sum(axis=1)
 
-        return self._record("matmul", wv @ xv, (w, x), backward)
+        return self._record("matmul", out, (w, x, b), backward)
 
     def add(self, a, b):
         if a.value.shape != b.value.shape:
@@ -165,20 +169,17 @@ class Tape:
 
     # -- batched extensions --------------------------------------------------
 
-    def add_bias(self, x, b):
-        """Add a (r,) bias to every column of a (r x B) matrix."""
-        if x.value.ndim != 2 or b.value.shape != (x.value.shape[0],):
-            raise ShapeError(f"add_bias shapes: {x.value.shape} and {b.value.shape}")
-        out = x.value + b.value[:, None]
-        return self._record("add_bias", out, (x, b), lambda g: (g, g.sum(axis=1)))
-
-    def scale_columns(self, x, coeffs):
-        """Multiply column j of x by the constant coeffs[j] (no grad to coeffs)."""
-        coeffs = as_tensor(coeffs)
-        if x.value.ndim != 2 or coeffs.shape != (x.value.shape[1],):
-            raise ShapeError(f"scale_columns shapes: {x.value.shape} and {coeffs.shape}")
-        out = x.value * coeffs[None, :]
-        return self._record("scale_columns", out, (x,), lambda g: (g * coeffs[None, :],))
+    def split_by_response(self, x, r):
+        """Response split [x * r; x * (1 - r)] of an (h x N) matrix: column
+        j scaled by the constant r[j] over column j scaled by 1 - r[j]."""
+        r = as_tensor(r)
+        if x.value.ndim != 2 or r.shape != (x.value.shape[1],):
+            raise ShapeError(f"split_by_response shapes: {x.value.shape} and {r.shape}")
+        h, r_not = len(x.value), 1.0 - r
+        out = np.empty((2 * h, len(r)))
+        np.multiply(x.value, r, out=out[:h])
+        np.multiply(x.value, r_not, out=out[h:])
+        return self._record("split_by_response", out, (x,), lambda g: (g[:h] * r + g[h:] * r_not,))
 
     def as_row(self, x):
         """View a (B,) vector as a (1 x B) single-row matrix."""
@@ -189,10 +190,10 @@ class Tape:
     def relu_pool(self, W, x, b, w):
         """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
 
-        One node in place of matmul, add_bias, relu, a row scaling and a
-        column sum.  The forward runs over blocks of rows
-        (:data:`RELU_POOL_BLOCK_BYTES`) and keeps only the bool (r x N) mask
-        of positive preactivations for the backward; that needs no
+        One node in place of matmul, relu, a row scaling and a column sum.
+        The forward runs over blocks of rows (:data:`RELU_POOL_BLOCK_BYTES`)
+        and keeps only the bool (r x N) mask of positive preactivations for
+        the backward; that needs no
         activation, since sum_j g_j relu(W x_j + b) = rowsum(W * M) + b * (m @ g)
         with m the mask as float and M = m @ (x * g).T.
         """

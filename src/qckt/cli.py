@@ -415,14 +415,14 @@ def cmd_ablate(args):
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}, choose from {VARIANTS}")
 
-    report = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
-    for variant, cv in report.per_variant.items():
+    cvs = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
+    for variant, cv in cvs.items():
         print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     per_variant = {
         v: [{"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc} for f in cv.folds]
-        for v, cv in report.per_variant.items()
+        for v, cv in cvs.items()
     }
     outputs = _write_fold_tables(out, "variant", per_variant)
     _write_manifest(out, "ablate", args, [args.data], outputs, started)

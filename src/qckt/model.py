@@ -25,7 +25,10 @@ has no loop over time: the embeddings, the input projections W x + b and the
 three heads each run once over all columns, the time-loop hoisting of
 Appleyard et al. (arXiv:1604.01946) applied to the heads too, and each
 recurrence is one :meth:`Tape.lstm_gates` node that steps through time
-inside its own forward and backward.  Scoring and export run it without a
+inside its own forward and backward.  Each layer is one tape node: an affine
+layer W x + b is one :meth:`Tape.matmul`, and the response split
+[e * r; e * (1 - r)] of an interaction embedding one
+:meth:`Tape.split_by_response`.  Scoring and export run the graph without a
 backward pass.
 """
 
@@ -190,7 +193,7 @@ class Parameters:
 
     def leaves(self, tape):
         """Record every tensor as a tape leaf; returns name -> Node."""
-        return {name: tape.leaf(arr, name=name) for name, arr in self.tensors.items()}
+        return {name: tape.leaf(arr) for name, arr in self.tensors.items()}
 
     # -- checkpoint IO -----------------------------------------------------
 
@@ -338,22 +341,19 @@ class GraphOutputs:
     mastery: np.ndarray = None
 
 
-def _relu_layer(tape, W, x, b):
-    return tape.relu(tape.add_bias(tape.matmul(W, x), b))
-
-
 def _lstm_track(tape, nodes, first, inputs, widths):
     """One recurrent track over the packed step columns of its inputs.
 
     ``first`` names the track's gate tensors W_first..W_{first+3} (and U, b).
-    One GEMM projects all input columns (W x + b), one :meth:`Tape.lstm_gates`
-    runs the recurrence on them; hidden states come back in column order.
+    One :meth:`Tape.matmul` projects all input columns (W x + b), one
+    :meth:`Tape.lstm_gates` runs the recurrence on them; hidden states come
+    back in column order.
     """
     ids = range(first, first + 4)
     w = tape.vstack([nodes[f"W_{i}"] for i in ids])
     u = tape.vstack([nodes[f"U_{i}"] for i in ids])
     b = tape.vstack([nodes[f"b_{i}"] for i in ids])
-    return tape.lstm_gates(tape.add_bias(tape.matmul(w, inputs), b), u, widths)
+    return tape.lstm_gates(tape.matmul(w, inputs, b), u, widths)
 
 
 def build_graph(tape, nodes, batch, config, export=False):
@@ -363,8 +363,8 @@ def build_graph(tape, nodes, batch, config, export=False):
     is recorded per step, so the tape length does not depend on L.  Every
     op runs once over the batch's P = ``batch.n_preds`` packed columns (see
     :class:`Batch`): the embeddings of the P input and, for zeta, the P next
-    interactions, the input encodings and their projections, one
-    :meth:`Tape.lstm_gates` recurrence per track, and the alpha/beta/zeta
+    interactions, the response-split input encodings and their projections,
+    one :meth:`Tape.lstm_gates` recurrence per track, and the alpha/beta/zeta
     heads over its P hidden states, their last layer fused into
     :meth:`Tape.relu_pool`.  Score vectors therefore align with
     ``batch.responses[P:]``.  The fusion and the loss follow the active
@@ -378,17 +378,15 @@ def build_graph(tape, nodes, batch, config, export=False):
     r = batch.responses[:P]
 
     qk = tape.vstack([tape.embed(n["Q"], batch.qids[:P]), k_in])
-    e_ka = tape.vstack([tape.scale_columns(qk, r), tape.scale_columns(qk, 1.0 - r)])
-    h_ka = _lstm_track(tape, n, 1, e_ka, batch.widths)
-    hidden_a = _relu_layer(tape, n["W_a1"], h_ka, n["b_a1"])
+    h_ka = _lstm_track(tape, n, 1, tape.split_by_response(qk, r), batch.widths)
+    hidden_a = tape.relu(tape.matmul(n["W_a1"], h_ka, n["b_a1"]))
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
 
     if config.needs_mastery_lstm or export:
-        e_ks = tape.vstack([tape.scale_columns(k_in, r), tape.scale_columns(k_in, 1.0 - r)])
-        h_ks = _lstm_track(tape, n, 5, e_ks, batch.widths)
+        h_ks = _lstm_track(tape, n, 5, tape.split_by_response(k_in, r), batch.widths)
     beta = zeta = mastery = None
     if config.uses_beta or export:
-        hidden_g = _relu_layer(tape, n["W_g1"], h_ks, n["b_g1"])
+        hidden_g = tape.relu(tape.matmul(n["W_g1"], h_ks, n["b_g1"]))
         beta = tape.relu_pool(n["W_g2"], hidden_g, n["b_g2"], n["w_g"])
         if export:
             # the per-KC terms that relu_pool sums, evaluated off the tape
@@ -398,7 +396,7 @@ def build_graph(tape, nodes, batch, config, export=False):
         q_next = tape.embed(n["Q"], batch.qids[P:])
         k_next = tape.embed_mean_flat(n["K"], *batch.kc_next, P)
         u = tape.vstack([h_ks, q_next, k_next])
-        hidden_p = _relu_layer(tape, n["W_p1"], u, n["b_p1"])
+        hidden_p = tape.relu(tape.matmul(n["W_p1"], u, n["b_p1"]))
         zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
 
     if config.variant == "no_irt":

@@ -67,15 +67,20 @@ def clip_gradients(grads, max_norm):
 
 def adam_step(params, grads, state, cfg):
     """One bias-corrected Adam update at cfg.lr, in place on the parameter
-    arrays, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8."""
+    arrays, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+
+    Every gradient is checked before anything changes: a non-finite one
+    raises TrainingError naming its parameter and leaves the parameters and
+    ``state`` as they were."""
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError(f"non-finite gradient for parameter {name}")
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, arr in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -175,9 +180,9 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         preds, labels = predictions_over(params, valid_seqs, train_cfg.batch_size)
         epoch_auc = auc(PredictionSet(preds, labels))
         valid_aucs.append(epoch_auc)
-        if epoch_auc > stopper.best_value:
-            best_params = params.copy()
         keep_going = stopper.update(epoch, epoch_auc)
+        if stopper.best_epoch == epoch:
+            best_params = params.copy()
         if stop_reason == "max_updates":
             break
         if not keep_going:
@@ -320,29 +325,11 @@ def grid_search(ds, model_cfg, train_cfg, lambdas=None, lrs=None, dims=None, job
     return GridResult(best=best, table=table)
 
 
-@dataclass
-class AblationReport:
-    per_variant: dict  # variant -> CvReport
-
-    def rows(self):
-        out = []
-        for variant, cv in self.per_variant.items():
-            out.append(
-                {
-                    "variant": variant,
-                    "mean_auc": cv.mean_auc,
-                    "std_auc": cv.std_auc,
-                    "mean_acc": cv.mean_acc,
-                    "std_acc": cv.std_acc,
-                }
-            )
-        return out
-
-
 def run_ablation(ds, model_cfg, train_cfg, k=5, variants=VARIANTS, jobs=1):
-    """run_cv once per variant with shared folds, seeds, and sizes."""
+    """run_cv once per variant with shared folds, seeds, and sizes;
+    returns variant -> :class:`CvReport` in the order of ``variants``."""
     per_variant = {}
     for variant in variants:
         cfg = replace(model_cfg, variant=variant)
         per_variant[variant] = run_cv(ds, cfg, train_cfg, k=k, jobs=jobs)
-    return AblationReport(per_variant)
+    return per_variant

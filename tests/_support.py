@@ -142,11 +142,11 @@ def grad_check(build, params, h=1e-5, tol=1e-4):
 
     def loss_value():
         tape = Tape()
-        nodes = {k: tape.leaf(v, name=k) for k, v in params.items()}
+        nodes = {k: tape.leaf(v) for k, v in params.items()}
         return float(build(tape, nodes).value)
 
     tape = Tape()
-    nodes = {k: tape.leaf(v, name=k) for k, v in params.items()}
+    nodes = {k: tape.leaf(v) for k, v in params.items()}
     loss = build(tape, nodes)
     tape.backward(loss)
 

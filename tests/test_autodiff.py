@@ -32,19 +32,64 @@ class TestScalarHelpers:
 
 
 class TestForwardValues:
-    def test_matmul_vector(self):
+    def test_matmul_adds_its_bias_after_the_gemm(self):
+        # the product first, then the bias added in place: the same
+        # summation order as a GEMM followed by a separate bias add
+        rng = np.random.default_rng(5)
+        w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 6)), rng.normal(size=3)
+        g = rng.normal(size=(3, 6))
         tape = Tape()
-        w = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
-        x = tape.leaf([5.0, 6.0])
-        np.testing.assert_allclose(tape.matmul(w, x).value, [17.0, 39.0])
+        wn, xn, bn = tape.leaf(w), tape.leaf(x), tape.leaf(b)
+        out = tape.matmul(wn, xn, bn)
+        np.testing.assert_array_equal(out.value, w @ x + b[:, None])
+        # out reaches the loss times g exactly, so its gradient is g bit for bit
+        tape.backward(_matrix_sum(tape, tape.mul(out, tape.leaf(g))))
+        np.testing.assert_array_equal(wn.grad, g @ x.T)
+        np.testing.assert_array_equal(xn.grad, w.T @ g)
+        np.testing.assert_array_equal(bn.grad, g.sum(axis=1))
+
+        tape = Tape()
+        w, x = tape.leaf([[1.0, 2.0], [3.0, 4.0]]), tape.leaf([[5.0], [6.0]])
+        out = tape.matmul(w, x, tape.leaf([0.5, -1.0]))
+        np.testing.assert_array_equal(out.value, [[17.5], [38.0]])
 
     def test_matmul_shape_error_names_both_shapes(self):
         tape = Tape()
         w = tape.leaf(np.zeros((2, 3)))
         x = tape.leaf(np.zeros(4))
+        b = tape.leaf(np.zeros(2))
         with pytest.raises(ShapeError) as exc:
-            tape.matmul(w, x)
+            tape.matmul(w, x, b)
         assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
+        # x must be a matrix and b must have one entry per row of W
+        bad = [(np.zeros(3), np.zeros(2)), (np.zeros((3, 1)), np.zeros(3)),
+               (np.zeros((3, 1)), np.zeros((2, 1)))]
+        for xv, bv in bad:
+            with pytest.raises(ShapeError):
+                tape.matmul(w, tape.leaf(xv), tape.leaf(bv))
+
+    def test_split_by_response_routes_columns_by_response(self):
+        # [x * r; x * (1 - r)]: a correct response's column fills the top
+        # half and a wrong one's the bottom half, and each gets its
+        # gradient back from the half it filled
+        rng = np.random.default_rng(9)
+        x, g = rng.normal(size=(3, 5)), rng.normal(size=(6, 5))
+        r = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+        tape = Tape()
+        xn = tape.leaf(x)
+        out = tape.split_by_response(xn, r)
+        np.testing.assert_array_equal(out.value, np.vstack([x * r, x * (1.0 - r)]))
+        zeros = np.zeros_like(x)
+        np.testing.assert_array_equal(
+            out.value, np.where(r == 1.0, np.vstack([x, zeros]), np.vstack([zeros, x]))
+        )
+        tape.backward(_matrix_sum(tape, tape.mul(out, tape.leaf(g))))
+        np.testing.assert_array_equal(xn.grad, np.where(r == 1.0, g[:3], g[3:]))
+        for bad in (np.ones(4), np.ones((1, 5))):
+            with pytest.raises(ShapeError):
+                tape.split_by_response(xn, bad)
+        with pytest.raises(ShapeError):
+            tape.split_by_response(tape.leaf(np.ones(5)), r)
 
     def test_sum_pool_empty_vector_is_zero(self):
         tape = Tape()
@@ -80,19 +125,18 @@ class TestStraightLineOracle:
     def test_sigmoid_affine_chain(self):
         rng = np.random.default_rng(7)
         w = rng.normal(size=(2, 3))
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 4))
         b = rng.normal(size=2)
 
         tape = Tape()
         wn, xn, bn = tape.leaf(w), tape.leaf(x), tape.leaf(b)
-        z = tape.add(tape.matmul(wn, xn), bn)
-        loss = tape.sum_pool(tape.sigmoid(z))
+        loss = _matrix_sum(tape, tape.sigmoid(tape.matmul(wn, xn, bn)))
         tape.backward(loss)
 
-        s = 1.0 / (1.0 + np.exp(-(w @ x + b)))
+        s = 1.0 / (1.0 + np.exp(-(w @ x + b[:, None])))
         ds = s * (1.0 - s)
-        np.testing.assert_allclose(bn.grad, ds, rtol=1e-12)
-        np.testing.assert_allclose(wn.grad, np.outer(ds, x), rtol=1e-12)
+        np.testing.assert_allclose(bn.grad, ds.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(wn.grad, ds @ x.T, rtol=1e-12)
         np.testing.assert_allclose(xn.grad, w.T @ ds, rtol=1e-12)
 
     def test_concat_routes_gradient_segments(self):
@@ -118,16 +162,14 @@ class TestStraightLineOracle:
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_add_ops_pass_the_gradient_on_without_a_copy(self):
-        # add, add_bias and add_scalar hand the output's gradient to their
-        # non-reduced inputs as it is: one buffer, no copy, so both leaves
-        # of the add end up with the same buffer; the sweep keeps gradients
-        # on the leaves only
+        # add and add_scalar hand the output's gradient to their non-reduced
+        # inputs as it is: one buffer, no copy, so both leaves of the add end
+        # up with the same buffer; the sweep keeps gradients on the leaves
+        # only
         tape = Tape()
         x, y = tape.leaf(np.ones((2, 3))), tape.leaf(np.full((2, 3), 0.5))
-        b, s = tape.leaf([0.1, -0.2]), tape.leaf(0.3)
-        z = tape.add(x, y)
-        zb = tape.add_bias(z, b)
-        zs = tape.add_scalar(zb, s)
+        s = tape.leaf(0.3)
+        zs = tape.add_scalar(tape.add(x, y), s)
         tape.backward(_matrix_sum(tape, tape.tanh(zs)))
         assert np.shares_memory(x.grad, y.grad)
         np.testing.assert_allclose(x.grad, 1.0 - np.tanh(zs.value) ** 2, rtol=1e-15)
@@ -166,12 +208,12 @@ class TestFiniteDifferenceBattery:
         rng = np.random.default_rng(42)
         params = {
             "W": rng.normal(size=(2, 3)),
-            "x": rng.normal(size=3),
+            "x": rng.normal(size=(3, 2)),
             "b": rng.normal(size=2),
         }
 
         def build(tape, n):
-            return tape.sum_pool(tape.sigmoid(tape.add(tape.matmul(n["W"], n["x"]), n["b"])))
+            return _matrix_sum(tape, tape.sigmoid(tape.matmul(n["W"], n["x"], n["b"])))
 
         report = grad_check(build, params)
         assert report.passed, report
@@ -200,13 +242,14 @@ class TestFiniteDifferenceBattery:
                 "X": rng.normal(size=(4, 5)),
                 "bias": rng.normal(size=3),
                 "roww": rng.normal(size=2),
-                "dotw": rng.normal(size=3),
+                "dotw": rng.normal(size=6),
             }
+            # the split is linear in x for any constant r, 0/1 or not
             coeffs = rng.normal(size=5)
 
             def build(tape, n):
-                y = tape.add_bias(tape.matmul(n["W"], n["X"]), n["bias"])
-                y = tape.scale_columns(tape.tanh(y), coeffs)
+                y = tape.matmul(n["W"], n["X"], n["bias"])
+                y = tape.split_by_response(tape.tanh(y), coeffs)
                 per_col = tape.dot_columns(n["dotw"], y)
                 stacked = tape.vstack([tape.as_row(per_col), tape.as_row(tape.tanh(per_col))])
                 return tape.sum_pool(tape.dot_columns(n["roww"], stacked))
@@ -398,10 +441,10 @@ class TestFiniteDifferenceBattery:
 class TestDeterminism:
     def _run(self):
         rng = np.random.default_rng(123)
-        w, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+        w, x, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 3)), rng.normal(size=4)
         tape = Tape()
         wn, xn = tape.leaf(w), tape.leaf(x)
-        proj = tape.vstack([tape.tanh(tape.matmul(wn, xn)), xn, xn, xn])
+        proj = tape.vstack([tape.tanh(tape.matmul(wn, xn, tape.leaf(b))), xn, xn, xn])
         h = tape.lstm_gates(proj, tape.vstack([wn] * 4), (1, 1, 1))
         loss = _matrix_sum(tape, h)
         tape.backward(loss)

@@ -532,7 +532,7 @@ class TestBatchGraph:
             counts[L] = len(tape.nodes)
             assert sum(node.op == "lstm_gates" for node in tape.nodes) == 2
             assert len(calls) == 2 * (L - 1)
-        assert counts[5] == counts[50] <= 100
+        assert counts[5] == counts[50] == 85
 
     def test_update_memory_budget(self):
         # the sweep frees what it has used and relu_pool keeps a bool mask,

@@ -103,6 +103,11 @@ class TestAdamStep:
         grads = {"a": np.array([1.0]), "bad_one": np.array([np.nan])}
         with pytest.raises(TrainingError, match="bad_one"):
             adam_step(params, grads, state, cfg)
+        # every gradient is checked before any parameter or moment moves
+        assert state.t == 0
+        for name in params:
+            assert params[name].tolist() == [1.0]
+            assert state.m[name].tolist() == state.v[name].tolist() == [0.0]
 
     def test_rejects_negative_lr(self):
         with pytest.raises(ConfigError):
@@ -192,6 +197,24 @@ class TestTrain:
         assert_allclose(report.best_valid_auc, max(report.valid_aucs))
         assert report.best_params.config == self.mcfg
         assert report.total_updates == 4 * 3  # ceil(22 / 8) batches per epoch
+
+    def test_best_params_are_those_of_the_best_epoch(self, monkeypatch):
+        # scripted validation AUCs: epoch 2 is the best, and epoch 4 only
+        # ties it, so the parameters kept are those trained for 2 epochs
+        import qckt.training as tr
+
+        scripted = iter([0.5, 0.5, 0.7, 0.5, 0.7, 0.6, 0.7])
+        monkeypatch.setattr(tr, "auc", lambda ps: next(scripted))
+        one, two, four = (
+            train(self.mcfg, TrainConfig(lr=1e-2, batch_size=8, max_epochs=E, seed=3),
+                  self.train_seqs, self.valid_seqs)
+            for E in (1, 2, 4)
+        )
+        assert (two.best_epoch, four.best_epoch) == (2, 2)
+        assert four.valid_aucs == [0.5, 0.7, 0.6, 0.7]
+        assert any(not np.array_equal(one.best_params[k], v) for k, v in two.best_params.items())
+        for name, arr in two.best_params.items():
+            assert np.array_equal(four.best_params[name], arr), name
 
     def test_lr_zero_is_bit_identical_to_init(self):
         tcfg = TrainConfig(lr=0.0, batch_size=8, max_epochs=3, seed=5)
@@ -361,9 +384,6 @@ class TestRunAblation:
         mcfg = ModelConfig(n_questions=12, n_kcs=5, dim=4)
         tcfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=1, seed=6)
         report = run_ablation(ds, mcfg, tcfg, k=2)
-        assert set(report.per_variant) == set(VARIANTS)
-        for cv in report.per_variant.values():
+        assert list(report) == list(VARIANTS)
+        for cv in report.values():
             assert len(cv.folds) == 2
-        rows = report.rows()
-        assert {r["variant"] for r in rows} == set(VARIANTS)
-        assert all("mean_auc" in r and "std_auc" in r for r in rows)
