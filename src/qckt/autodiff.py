@@ -37,7 +37,6 @@ import numpy as np
 from . import kernels
 from .errors import ShapeError
 
-EPS_PROB = 1e-12  # probability clamp before logs
 # relu_pool works through its rows in blocks of about this many bytes of
 # float64 (r_k x N) activation, so no (r x N) float array outlives a block
 RELU_POOL_BLOCK_BYTES = 2 << 20
@@ -78,12 +77,6 @@ def sigmoid(x):
     for arrays of any shape and for scalars."""
     x = np.asarray(x, dtype=np.float64)
     return kernels._sigmoid(x.reshape(-1)).reshape(x.shape)[()]
-
-
-def bce_value(pred, target):
-    """Binary cross entropy with the standard probability clamp."""
-    p = np.clip(pred, EPS_PROB, 1.0 - EPS_PROB)
-    return -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
 
 
 class Node:
@@ -249,11 +242,6 @@ class Tape:
             raise ShapeError("add_scalar expects a scalar node")
         return self._record("add_scalar", x.value + s.value, (x, s), lambda g: (g, g.sum()))
 
-    def scale_const(self, x, c):
-        """Multiply by a python constant."""
-        c = float(c)
-        return self._record("scale_const", x.value * c, (x,), lambda g: (g * c,))
-
     def embed(self, table, indices):
         """Select rows of an (n x d) table -> columns of a (d x B) matrix."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -341,20 +329,28 @@ class Tape:
         h = np.concatenate(hs, axis=1)
         return self._record("lstm_gates", h, (proj, u), backward)
 
-    def bce_sum(self, pred, targets):
-        """Sum of binary cross entropies of a (N,) prediction vector against
-        constant ``targets``; every position counts."""
-        targets = as_tensor(targets)
-        if pred.value.shape != targets.shape or pred.value.ndim != 1:
-            raise ShapeError(f"bce_sum shapes: {pred.value.shape} and {targets.shape}")
-        p = np.clip(pred.value, EPS_PROB, 1.0 - EPS_PROB)
-        inside = (pred.value > EPS_PROB) & (pred.value < 1.0 - EPS_PROB)
-        val = float(bce_value(p, targets).sum())
+    def logistic_loss(self, scores, targets, weights):
+        """Weighted logistic loss of (N,) logit vectors against constant
+        ``targets``: sum_k w_k sum_j [softplus(s_kj) - t_j s_kj] -> scalar.
+
+        The BCE of sigmoid(s_k) taken from the logits: nothing is clamped, so
+        the gradient w_k (sigmoid(s_k) - t) holds at every s.  A node may be
+        passed more than once; :meth:`backward` sums its contributions.
+        """
+        scores, targets, weights = tuple(scores), as_tensor(targets), tuple(map(float, weights))
+        shapes = sorted({s.value.shape for s in scores})
+        if targets.ndim != 1 or shapes != [targets.shape] or len(weights) != len(scores):
+            raise ShapeError(f"logistic_loss: {shapes}, {len(weights)} weights, {targets.shape}")
+        # exp(-|s|) gives softplus and sigmoid both, and never overflows
+        exps = [np.exp(-np.abs(s.value)) for s in scores]
+        val = sum(w * float(np.log1p(e).sum() + np.maximum(s.value, 0.0).sum() - targets @ s.value)
+                  for s, e, w in zip(scores, exps, weights))
 
         def backward(g):
-            return (g * inside * (p - targets) / (p * (1.0 - p)),)
+            return tuple((g * w) * (np.where(s.value >= 0, 1.0, e) / (1.0 + e) - targets)
+                         for s, e, w in zip(scores, exps, weights))
 
-        return self._record("bce_sum", val, (pred,), backward)
+        return self._record("logistic_loss", val, scores, backward)
 
     # -- reverse sweep -------------------------------------------------------
 

@@ -270,6 +270,8 @@ def cmd_train(args):
     tcfg = _train_config(args)
     if args.grid:
         grid_cells(mcfg, tcfg, args.grid_lambdas, args.grid_lrs, args.grid_dims)
+    else:  # an invalid --k raises here, before --out exists
+        folds = kfold_split(ds, k=args.k, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [REPORT_CSV]
@@ -305,7 +307,7 @@ def cmd_train(args):
         outputs.append(EPOCHS_CSV)
         print(f"cv mean auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f} over {args.k} folds")
     else:
-        fold = run_fold(ds, mcfg, tcfg, fold_i, kfold_split(ds, k=args.k, seed=args.seed)[fold_i])
+        fold = run_fold(ds, mcfg, tcfg, fold_i, folds[fold_i])
         fold.report.best_params.save(out / CHECKPOINT)
         _write_csv(out / EPOCHS_CSV, ["epoch", "train_loss", "valid_auc"], fold.report.epoch_rows())
         _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [fold.row()])
@@ -325,7 +327,10 @@ def _run_fold_metrics(run_dir, raw, digest, data):
 
     pairs = []
     if (run / CHECKPOINT).exists():
-        pairs.append((int(cfg.get("fold", 0)), run / CHECKPOINT))
+        fold = cfg.get("fold", 0)  # train records the --fold flag as text
+        if str(fold) not in map(str, range(k)):
+            raise DataError(f"{MANIFEST} of run {run_dir}: fold {fold!r} is not in [0, {k})")
+        pairs.append((int(fold), run / CHECKPOINT))
     else:
         for i in range(k):
             if (run / fold_checkpoint(i)).exists():

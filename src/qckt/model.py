@@ -28,7 +28,8 @@ recurrence is one :meth:`Tape.lstm_gates` node that steps through time
 inside its own forward and backward.  Each layer is one tape node: an affine
 layer W x + b is one :meth:`Tape.matmul`, and the response split
 [e * r; e * (1 - r)] of an interaction embedding one
-:meth:`Tape.split_by_response`.  Scoring and export run the graph without a
+:meth:`Tape.split_by_response`, and the whole training objective one
+:meth:`Tape.logistic_loss`.  Scoring and export run the graph without a
 backward pass.
 """
 
@@ -370,6 +371,8 @@ def build_graph(tape, nodes, batch, config, export=False):
     ``batch.responses[P:]``.  The fusion and the loss follow the active
     variant; ``export`` also records the scores the variant leaves out and
     the per-KC masteries, which exports report for every variant.
+    The loss, one :meth:`Tape.logistic_loss`, is the mean BCE of the logit
+    plus ``lambda_aux`` times that of each score the variant uses.
     """
     P = batch.n_preds
     n = nodes
@@ -411,14 +414,9 @@ def build_graph(tape, nodes, batch, config, export=False):
     r_hat = tape.sigmoid(logit)
 
     targets = batch.responses[P:]
-    loss = tape.scale_const(tape.bce_sum(r_hat, targets), 1.0 / P)
-    if config.lambda_aux > 0.0:
-        aux = tape.bce_sum(tape.sigmoid(alpha), targets)
-        if config.uses_beta:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(beta), targets))
-        if config.uses_zeta:
-            aux = tape.add(aux, tape.bce_sum(tape.sigmoid(zeta), targets))
-        loss = tape.add(loss, tape.scale_const(aux, config.lambda_aux / P))
+    lam = config.lambda_aux / P
+    aux = [alpha] + [beta] * config.uses_beta + [zeta] * config.uses_zeta if lam else []
+    loss = tape.logistic_loss([logit] + aux, targets, [1 / P] + [lam] * len(aux))
 
     return GraphOutputs(
         loss=loss,

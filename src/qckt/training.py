@@ -33,14 +33,13 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     fold: int = 0
-    grad_clip: float = 5.0  # global norm; None or 0 disables
+    grad_clip: float = 5.0  # global norm; 0 disables
     max_updates: int = 0  # 0 means unlimited
 
     def __post_init__(self):
         # lr = 0 is allowed so the no-op update path stays exercisable
         require_finite_nonnegative("lr", self.lr)
-        if self.grad_clip is not None:
-            require_finite_nonnegative("grad_clip", self.grad_clip)
+        require_finite_nonnegative("grad_clip", self.grad_clip)
         require_ints("counts", 1, batch_size=self.batch_size, max_epochs=self.max_epochs,
                      patience=self.patience)
         require_ints("seeds and limits", 0, seed=self.seed, fold=self.fold,

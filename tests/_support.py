@@ -89,6 +89,11 @@ class Tape(ad.Tape):
         y = np.tanh(x.value)
         return self._record("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
 
+    def scale_const(self, x, c):
+        """Multiply by a python constant."""
+        c = float(c)
+        return self._record("scale_const", x.value * c, (x,), lambda g: (g * c,))
+
     def col_slice(self, x, start, stop):
         """Columns start..stop-1 of a (r x N) matrix -> (r x (stop - start))."""
         if x.value.ndim != 2 or not 0 <= start < stop <= x.value.shape[1]:

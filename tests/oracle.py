@@ -16,6 +16,8 @@ import qckt.model as qm
 from qckt.data import HEADER, Dataset, Interaction, StudentSequence
 from qckt.errors import DataError, DomainError, MetricError, ParseError, ShapeError
 
+EPS_PROB = 1e-12  # probability clamp before logs
+
 
 def load_dataset_rows(path):
     """Parse an interaction log one row at a time, one validated
@@ -90,6 +92,14 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def bce(pred, target):
+    """Binary cross entropy of a probability, clamped away from 0 and 1:
+    :func:`joint_loss` is written with it, independently of the package's
+    loss op, which works on logits."""
+    p = np.clip(pred, EPS_PROB, 1.0 - EPS_PROB)
+    return -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
 
 
 def auc_bruteforce(ps):
@@ -266,13 +276,13 @@ def joint_loss(outputs, targets, lambda_aux, variant="full"):
     total = 0.0
     for out, r in zip(outputs, targets):
         r = _response(r)
-        step = ad.bce_value(out.r_hat, r)
+        step = bce(out.r_hat, r)
         if lambda_aux > 0.0:
-            aux = ad.bce_value(ad.sigmoid(out.alpha), r)
+            aux = bce(ad.sigmoid(out.alpha), r)
             if cfg_beta:
-                aux += ad.bce_value(ad.sigmoid(out.beta), r)
+                aux += bce(ad.sigmoid(out.beta), r)
             if cfg_zeta:
-                aux += ad.bce_value(ad.sigmoid(out.zeta), r)
+                aux += bce(ad.sigmoid(out.zeta), r)
             step += lambda_aux * aux
         total += step
     return float(total / len(outputs))

@@ -21,15 +21,6 @@ class TestScalarHelpers:
         x = rng.normal(size=(5, 7)) * 3.0
         np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
 
-    def test_bce_trivial_value(self):
-        # -ln(1/2) for a 0.5 prediction, either target
-        np.testing.assert_allclose(ad.bce_value(0.5, 1.0), np.log(2.0), rtol=1e-14)
-        np.testing.assert_allclose(ad.bce_value(0.5, 0.0), np.log(2.0), rtol=1e-14)
-
-    def test_bce_clamped_at_endpoints(self):
-        assert np.isfinite(ad.bce_value(0.0, 1.0))
-        assert np.isfinite(ad.bce_value(1.0, 0.0))
-
 
 class TestForwardValues:
     def test_matmul_adds_its_bias_after_the_gemm(self):
@@ -90,6 +81,49 @@ class TestForwardValues:
                 tape.split_by_response(xn, bad)
         with pytest.raises(ShapeError):
             tape.split_by_response(tape.leaf(np.ones(5)), r)
+
+    def test_logistic_loss_is_log_2_per_entry_at_zero(self):
+        # -ln(1/2) for a zero logit, either target, times each weight
+        targets = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+        tape = Tape()
+        a, b = tape.leaf(np.zeros(5)), tape.leaf(np.zeros(5))
+        loss = tape.logistic_loss([a, b], targets, [0.5, 2.0])
+        np.testing.assert_allclose(loss.value, 2.5 * 5 * np.log(2.0), rtol=1e-15)
+        tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, 0.5 * (0.5 - targets))
+        np.testing.assert_array_equal(b.grad, 2.0 * (0.5 - targets))
+
+    def test_logistic_loss_is_the_bce_of_the_sigmoid(self):
+        rng = np.random.default_rng(3)
+        z, t = rng.normal(size=50) * 4.0, (rng.random(50) < 0.5).astype(float)
+        p = 1.0 / (1.0 + np.exp(-z))
+        tape = Tape()
+        loss = tape.logistic_loss([tape.leaf(z)], t, [0.7])
+        want = -0.7 * np.sum(t * np.log(p) + (1.0 - t) * np.log1p(-p))
+        np.testing.assert_allclose(loss.value, want, rtol=1e-13)
+
+    def test_logistic_loss_corrects_a_confidently_wrong_logit(self):
+        # nothing is clamped: at |z| = 40 the wrong target costs 40 and the
+        # gradient is still w (sigmoid(z) - t) = +-w, not 0
+        w = 0.25
+        tape = Tape()
+        z = tape.leaf([40.0, -40.0])
+        loss = tape.logistic_loss([z], [0.0, 1.0], [w])
+        assert loss.value == 2 * 40.0 * w
+        tape.backward(loss)
+        np.testing.assert_array_equal(z.grad, [w, -w])
+
+    def test_logistic_loss_shape_errors(self):
+        tape = Tape()
+        v, short = tape.leaf(np.zeros(3)), tape.leaf(np.zeros(2))
+        for scores, targets, weights in (
+            ([v], np.zeros((3, 1)), [1.0]),  # targets not a vector
+            ([v, short], np.zeros(3), [1.0, 1.0]),  # a score of another length
+            ([v, v], np.zeros(3), [1.0]),  # one weight for two scores
+            ([], np.zeros(3), []),  # no score
+        ):
+            with pytest.raises(ShapeError):
+                tape.logistic_loss(scores, targets, weights)
 
     def test_sum_pool_empty_vector_is_zero(self):
         tape = Tape()
@@ -378,12 +412,15 @@ class TestFiniteDifferenceBattery:
         with pytest.raises(IndexError):
             tape.embed_mean_flat(tape.leaf(M), np.array([4]), np.array([0]), np.ones(1), 1)
 
-    def test_bce_ops(self):
-        params = {"v": np.array([0.2, 0.9, 0.55, 0.4])}
+    def test_logistic_loss_op(self):
+        # weights other than 1, and one node passed twice, as the no_ks_ps
+        # graph passes alpha for the prediction and for its auxiliary loss
+        rng = np.random.default_rng(37)
+        params = {"a": rng.normal(size=4) * 2.0, "b": rng.normal(size=4)}
         targets = np.array([1.0, 0.0, 1.0, 1.0])
 
         def build(tape, n):
-            return tape.bce_sum(n["v"], targets)
+            return tape.logistic_loss([n["a"], tape.tanh(n["b"]), n["a"]], targets, [0.3, 1.7, 2.5])
 
         report = grad_check(build, params)
         assert report.passed, report

@@ -362,6 +362,13 @@ class TestExport:
         assert rc == 1
 
 
+def with_fold(blob, fold):
+    """A manifest whose config names ``fold``."""
+    doc = json.loads(blob)
+    doc["config"]["fold"] = fold
+    return json.dumps(doc).encode("utf-8")
+
+
 # case -> (file to corrupt, corruption of its bytes)
 MALFORMED = {
     "checkpoint cut after its magic": ("checkpoint", lambda b: b[: len(CHECKPOINT_MAGIC)]),
@@ -369,6 +376,9 @@ MALFORMED = {
     "header without config": ("checkpoint", lambda b: with_header(b, lambda h: h.pop("config"))),
     "header not JSON": ("checkpoint", lambda b: CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"{nope" + b),
     "CSV not UTF-8": ("data", lambda b: b.replace(b"s", b"\xff", 1)),
+    "manifest fold null": ("manifest", lambda b: with_fold(b, None)),
+    "manifest fold not a number": ("manifest", lambda b: with_fold(b, "x")),
+    "manifest fold past k": ("manifest", lambda b: with_fold(b, "7")),
 }
 
 
@@ -380,7 +390,7 @@ class TestMalformedInputs:
         shutil.copytree(workspace["run0"], run)
         data = tmp_path / "data.csv"
         shutil.copy(workspace["data"], data)
-        path = run / "checkpoint.bin" if target == "checkpoint" else data
+        path = {"checkpoint": run / "checkpoint.bin", "manifest": run / "manifest.json"}.get(target, data)
         path.write_bytes(corrupt(path.read_bytes()))
         capsys.readouterr()
         rc = main(["eval", "--data", str(data), "--run", str(run), "--out", str(tmp_path / "o")])
@@ -400,6 +410,9 @@ BAD_FLAGS = {
     "train --grid-lambdas -1": ("train", ["--grid", "--grid-lambdas", "-1"]),
     "train --jobs 0": ("train", ["--jobs", "0"]),
     "train --jobs -3": ("train", ["--fold", "all", "--jobs", "-3"]),
+    "train --k 1": ("train", ["--k", "1"]),
+    "train --k 0": ("train", ["--k", "0"]),
+    "train --k past the students": ("train", ["--fold", "0", "--k", "17"]),
     "synth --gamma nan": ("synth", ["--gamma", "nan"]),
     "export --kcs ''": ("export", ["--kcs", ""]),
     "export --kcs ,": ("export", ["--kcs", ","]),
