@@ -1,10 +1,21 @@
 """Reverse-mode automatic differentiation on a per-run tape.
 
-Tensors are C-contiguous float64 numpy arrays (scalars are 0-d arrays).  A
-:class:`Tape` records every operation as an append-only list of nodes, so the
-node list is already topologically ordered and :meth:`Tape.backward` is a
-single reverse sweep.  Tapes are cheap and rebuilt for every sequence batch;
-one tape is single-threaded, distinct tapes share nothing.
+Tensors are C-contiguous numpy arrays of the tape's one float dtype
+(scalars are 0-d arrays).  A :class:`Tape` records every operation as an
+append-only list of nodes, so the node list is already topologically ordered
+and :meth:`Tape.backward` is a single reverse sweep.  Tapes are cheap and
+rebuilt for every sequence batch; one tape is single-threaded, distinct tapes
+share nothing.
+
+Precision: a tape is float64 unless made with another dtype.  Only
+:meth:`Tape.leaf` casts a value, so a float32 tape takes float64 parameters
+and returns float32 gradients; ops cast the constant arrays they take (a
+response vector, targets) the same way.  Every other value an op records,
+and every gradient a backward returns, must already have the tape's dtype:
+anything else raises ``TypeError``, so an op that silently promotes to
+float64 fails at once instead of running the rest of the graph at float64.  A tape made
+with ``grad=False`` is forward-only: it keeps no backward closure and no
+state that only a backward reads, and its :meth:`Tape.backward` raises.
 
 The elementwise ops take any shape.  :meth:`Tape.matmul` multiplies by a
 (feature x column) matrix, never a vector, and the batched ops work over
@@ -38,7 +49,8 @@ from . import kernels
 from .errors import ShapeError
 
 # relu_pool works through its rows in blocks of about this many bytes of
-# float64 (r_k x N) activation, so no (r x N) float array outlives a block
+# float64 (r_k x N) activation, so no (r x N) float array outlives a block; a
+# float32 tape takes blocks of the same rows, half the bytes
 RELU_POOL_BLOCK_BYTES = 2 << 20
 
 # glibc mallopt parameters (malloc.h)
@@ -74,8 +86,11 @@ def as_tensor(x):
 
 def sigmoid(x):
     """Numerically stable logistic function, elementwise: the gate kernel's,
-    for arrays of any shape and for scalars."""
-    x = np.asarray(x, dtype=np.float64)
+    for arrays of any shape and for scalars.  A float32 array stays float32;
+    anything else is computed at float64."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     return kernels._sigmoid(x.reshape(-1)).reshape(x.shape)[()]
 
 
@@ -88,7 +103,8 @@ class Node:
     as ``value``, may share its buffer with other nodes and is never written
     in place.  As the sweep passes a node that is not a leaf, it runs the
     node's backward and then sets ``grad`` and ``_backward`` to None, so after
-    the sweep only leaves carry a gradient.
+    the sweep only leaves carry a gradient.  On a forward-only tape
+    ``_backward`` is None from the start.
     """
 
     __slots__ = ("id", "op", "value", "inputs", "grad", "_backward")
@@ -106,19 +122,30 @@ class Node:
 
 
 class Tape:
-    def __init__(self):
+    """An operation record of one dtype; ``grad=False`` makes it forward-only."""
+
+    def __init__(self, dtype=np.float64, grad=True):
         _keep_freed_memory_in_heap()
+        self.dtype = np.dtype(dtype)
+        self.with_grad = grad
         self.nodes = []
         self.swept = False
 
+    def _check(self, what, arr):
+        if arr.dtype != self.dtype:
+            raise TypeError(f"{what} is {arr.dtype} on a {self.dtype} tape")
+
     def _record(self, op, value, inputs, backward):
-        node = Node(len(self.nodes), op, as_tensor(value), tuple(inputs), backward)
+        value = np.asarray(value, order="C")
+        self._check(f"the value of {op}", value)
+        node = Node(len(self.nodes), op, value, tuple(inputs), backward if self.with_grad else None)
         self.nodes.append(node)
         return node
 
     def leaf(self, value):
-        """Record an input tensor (parameter or constant)."""
-        return self._record("leaf", value, (), None)
+        """Record an input tensor (parameter or constant), cast to the
+        tape's dtype."""
+        return self._record("leaf", np.asarray(value, dtype=self.dtype), (), None)
 
     # -- core ops ----------------------------------------------------------
 
@@ -146,9 +173,9 @@ class Tape:
         return self._record("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
     def relu(self, x):
-        # gradient at exactly 0 is 0 (subgradient choice)
-        pos = x.value > 0
-        return self._record("relu", np.maximum(x.value, 0.0), (x,), lambda g: (g * pos,))
+        # gradient at exactly 0 is 0 (subgradient choice); the mask is made
+        # by the backward, from the input's value, which the tape keeps
+        return self._record("relu", np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0),))
 
     def vstack(self, parts):
         """Axis-0 concatenation of matrices/vectors with equal trailing shape."""
@@ -165,11 +192,11 @@ class Tape:
     def split_by_response(self, x, r):
         """Response split [x * r; x * (1 - r)] of an (h x N) matrix: column
         j scaled by the constant r[j] over column j scaled by 1 - r[j]."""
-        r = as_tensor(r)
+        r = np.asarray(r, dtype=self.dtype)
         if x.value.ndim != 2 or r.shape != (x.value.shape[1],):
             raise ShapeError(f"split_by_response shapes: {x.value.shape} and {r.shape}")
         h, r_not = len(x.value), 1.0 - r
-        out = np.empty((2 * h, len(r)))
+        out = np.empty((2 * h, len(r)), dtype=self.dtype)
         np.multiply(x.value, r, out=out[:h])
         np.multiply(x.value, r_not, out=out[h:])
         return self._record("split_by_response", out, (x,), lambda g: (g[:h] * r + g[h:] * r_not,))
@@ -186,8 +213,8 @@ class Tape:
         One node in place of matmul, relu, a row scaling and a column sum.
         The forward runs over blocks of rows (:data:`RELU_POOL_BLOCK_BYTES`)
         and keeps only the bool (r x N) mask of positive preactivations for
-        the backward; that needs no
-        activation, since sum_j g_j relu(W x_j + b) = rowsum(W * M) + b * (m @ g)
+        the backward, and on a forward-only tape not even that; the backward
+        needs no activation, since sum_j g_j relu(W x_j + b) = rowsum(W * M) + b * (m @ g)
         with m the mask as float and M = m @ (x * g).T.
         """
         Wv, xv, bv, wv = W.value, x.value, b.value, w.value
@@ -199,16 +226,17 @@ class Tape:
             or wv.shape != bv.shape
         ):
             raise ShapeError(f"relu_pool shapes: {Wv.shape}, {xv.shape}, {bv.shape}, {wv.shape}")
-        r, N = len(Wv), xv.shape[1]
+        r, N, dtype = len(Wv), xv.shape[1], self.dtype
         # [W b] @ [x; 1] adds the bias inside the GEMM, saving a pass
-        Wb, x1 = np.hstack([Wv, bv[:, None]]), np.vstack([xv, np.ones(N)])
+        Wb, x1 = np.hstack([Wv, bv[:, None]]), np.vstack([xv, np.ones(N, dtype)])
         step = max(1, RELU_POOL_BLOCK_BYTES // (8 * max(N, 1)))
         blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
-        mask = np.empty((r, N), dtype=bool)
-        out = np.zeros(N)
+        mask = np.empty((r, N), dtype=bool) if self.with_grad else None
+        out = np.zeros(N, dtype)
         for k in blocks:
             act = Wb[k] @ x1
-            np.greater(act, 0.0, out=mask[k])
+            if mask is not None:
+                np.greater(act, 0.0, out=mask[k])
             np.maximum(act, 0.0, out=act)
             out += wv[k] @ act
 
@@ -217,7 +245,7 @@ class Tape:
             dW, dx = np.empty_like(Wv), np.zeros_like(xv)
             db, dw = np.empty_like(bv), np.empty_like(wv)
             for k in blocks:
-                m = mask[k].astype(np.float64)
+                m = mask[k].astype(dtype)
                 M = m @ xg
                 mg = m @ g
                 dW[k] = wv[k, None] * M
@@ -266,7 +294,7 @@ class Tape:
         A = np.bincount(rows * n_cols + cols, wts, minlength=m * n_cols)  # rows < 0 raise here
         if A.size != m * n_cols:
             raise IndexError(f"row index out of range for a table of {m} rows")
-        A = A.reshape(m, n_cols)
+        A = A.reshape(m, n_cols).astype(self.dtype, copy=False)
         return self._record("embed_mean", table.value.T @ A, (table,), lambda g: (A @ g.T,))
 
     def lstm_gates(self, proj, u, widths):
@@ -280,7 +308,8 @@ class Tape:
         h and c keep their first ``widths[t]`` columns: a sequence that ends
         drops out of the state.  The backward is one reverse-time sweep of
         :func:`kernels.gates_backward` that adds each step's dh and dc into
-        the leading columns of the step before.
+        the leading columns of the step before.  What that sweep reads, each
+        step's gates, tanh c, c and h, is kept on a tape with ``grad`` only.
         """
         pv, uv = proj.value, u.value
         d = uv.shape[-1] if uv.ndim else 0
@@ -296,7 +325,7 @@ class Tape:
             or widths != sorted(widths, reverse=True)
         ):
             raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at widths {widths}")
-        h = c = np.zeros((d, widths[0]))
+        h = c = np.zeros((d, widths[0]), self.dtype)
         # (start, gates, tanh c, c_prev, h_prev) per step, as the kernel made them
         steps, hs = [], []
         s = 0
@@ -304,14 +333,15 @@ class Tape:
             if w < h.shape[1]:  # sliced only where the width drops
                 h, c = h[:, :w], c[:, :w]
             gates, tc, c_next, h_next = kernels.gates_forward(pv[:, s : s + w] + uv @ h, c)
-            steps.append((s, gates, tc, c, h))
+            if self.with_grad:
+                steps.append((s, gates, tc, c, h))
             h, c = h_next, c_next
             hs.append(h)
             s += w
 
         def backward(g):
             dproj, du = np.empty_like(pv), np.zeros_like(uv)
-            dh = dc = np.zeros((d, widths[-1]))
+            dh = dc = np.zeros((d, widths[-1]), pv.dtype)
             for s, gates, tc, c_prev, h_prev in reversed(steps):
                 w, k = tc.shape[1], dh.shape[1]
                 if k == w:
@@ -319,7 +349,7 @@ class Tape:
                 else:  # sequences that end at this step get no later gradient
                     dh, dh_later = g[:, s : s + w].copy(), dh
                     dh[:, :k] += dh_later
-                    dc = np.hstack([dc, np.zeros((d, w - k))])
+                    dc = np.hstack([dc, np.zeros((d, w - k), pv.dtype)])
                 dz, dc = kernels.gates_backward(dh, dc, gates, tc, c_prev)
                 dproj[:, s : s + w] = dz
                 du += dz @ h_prev.T
@@ -337,7 +367,8 @@ class Tape:
         the gradient w_k (sigmoid(s_k) - t) holds at every s.  A node may be
         passed more than once; :meth:`backward` sums its contributions.
         """
-        scores, targets, weights = tuple(scores), as_tensor(targets), tuple(map(float, weights))
+        scores, weights = tuple(scores), tuple(map(float, weights))
+        targets = np.asarray(targets, dtype=self.dtype)
         shapes = sorted({s.value.shape for s in scores})
         if targets.ndim != 1 or shapes != [targets.shape] or len(weights) != len(scores):
             raise ShapeError(f"logistic_loss: {shapes}, {len(weights)} weights, {targets.shape}")
@@ -350,7 +381,7 @@ class Tape:
             return tuple((g * w) * (np.where(s.value >= 0, 1.0, e) / (1.0 + e) - targets)
                          for s, e, w in zip(scores, exps, weights))
 
-        return self._record("logistic_loss", val, scores, backward)
+        return self._record("logistic_loss", self.dtype.type(val), scores, backward)
 
     # -- reverse sweep -------------------------------------------------------
 
@@ -361,8 +392,11 @@ class Tape:
         contribution is stored as given, later ones are added out of place.
         Each node that is not a leaf loses its gradient and backward closure
         as soon as the sweep has passed it, so a tape is swept once; a second
-        call raises.
+        call raises, as does any call on a forward-only tape.  A gradient
+        not of the tape's dtype raises ``TypeError``.
         """
+        if not self.with_grad:
+            raise RuntimeError("this tape is forward-only; record on a Tape(grad=True)")
         if loss.value.ndim != 0:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
         if self.swept:
@@ -374,7 +408,8 @@ class Tape:
                 continue
             if node.grad is not None:
                 for inp, g in zip(node.inputs, node._backward(node.grad)):
-                    g = np.asarray(g, dtype=np.float64)
+                    g = np.asarray(g)
+                    self._check(f"a gradient from {node.op}", g)
                     inp.grad = g if inp.grad is None else inp.grad + g
             node.grad = node._backward = None
 

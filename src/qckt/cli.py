@@ -39,8 +39,9 @@ from .evaluation import (
     export_module_outputs,
     pairwise_t_matrix,
 )
-from .model import ModelConfig, Parameters, VARIANTS, sequence_outputs
+from .model import TRAIN_DTYPE, ModelConfig, Parameters, VARIANTS, sequence_outputs
 from .training import (
+    GRID_K,
     TrainConfig,
     grid_cells,
     grid_search,
@@ -111,7 +112,8 @@ THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _environment():
     """The numeric environment a run's figures depend on: Python, numpy and
-    its BLAS, the thread-count variables (None where unset) and the CPUs."""
+    its BLAS, the thread-count variables (None where unset), the CPUs and the
+    dtype training runs at."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
@@ -123,6 +125,7 @@ def _environment():
         "blas": blas,
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
+        "train_dtype": np.dtype(TRAIN_DTYPE).name,
     }
 
 
@@ -161,7 +164,7 @@ def _read_manifest(run_dir):
 def _run_dataset(run_dir, raw, digest, data):
     """A run's manifest and ``raw`` preprocessed as the run preprocessed it,
     plus the run's (k, seed); refuses data whose SHA-256 the manifest does
-    not record among the run's inputs."""
+    not record among the run's inputs, and a k that cannot split it."""
     manifest = _read_manifest(run_dir)
     try:
         trained_on = manifest["inputs"].values()
@@ -172,7 +175,11 @@ def _run_dataset(run_dir, raw, digest, data):
         raise DataError(f"incomplete {MANIFEST} in run directory {run_dir}: {exc!r}") from exc
     if digest not in trained_on:
         raise DataError(f"{data} is not the data run {run_dir} was trained on (SHA-256 differs)")
-    return manifest, preprocess(raw, min_len=min_len, max_len=max_len), k, seed
+    ds = preprocess(raw, min_len=min_len, max_len=max_len)
+    students = len(ds.students())
+    if not 2 <= k <= students:
+        raise DataError(f"{MANIFEST} of run {run_dir}: k = {k} is not in [2, {students}]")
+    return manifest, ds, k, seed
 
 
 def _int_pair(text):
@@ -270,8 +277,9 @@ def cmd_train(args):
     tcfg = _train_config(args)
     if args.grid:
         grid_cells(mcfg, tcfg, args.grid_lambdas, args.grid_lrs, args.grid_dims)
-    else:  # an invalid --k raises here, before --out exists
-        folds = kfold_split(ds, k=args.k, seed=args.seed)
+    # an invalid --k, or too few students for the grid's folds, raises here,
+    # before --out exists
+    folds = kfold_split(ds, k=GRID_K if args.grid else args.k, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [REPORT_CSV]

@@ -6,8 +6,9 @@ every batch.  :meth:`qckt.autodiff.Tape.lstm_gates`, one tape node per
 recurrence, calls :func:`gates_forward` once per step in its forward loop and
 :func:`gates_backward` once per step in its reverse-time sweep.
 
-Both take float64 arrays (``c_prev`` may be a column slice of a wider state)
-and return C-contiguous ones, and both are bit-deterministic.
+Both take float arrays of one dtype, float32 or float64 (``c_prev`` may be a
+column slice of a wider state), return C-contiguous ones of that dtype, and
+are bit-deterministic.
 
 Gate layout: preactivations are stacked as four d-row blocks
 ``[input; forget; output; candidate]`` in a single (4d x B) array.  Every

@@ -31,6 +31,13 @@ layer W x + b is one :meth:`Tape.matmul`, and the response split
 :meth:`Tape.split_by_response`, and the whole training objective one
 :meth:`Tape.logistic_loss`.  Scoring and export run the graph without a
 backward pass.
+
+Precision: training records the graph on a :data:`TRAIN_DTYPE` (float32)
+tape, the mixed-precision recipe of Micikevicius et al. (arXiv:1710.03740):
+parameters, the optimizer and checkpoints stay float64, the tape casts each
+parameter once per update and hands back float32 gradients.  Scoring and
+export record at float64 on a forward-only tape, so their outputs do not
+depend on the training precision's rounding.
 """
 
 import itertools
@@ -51,6 +58,9 @@ from .errors import require_finite_nonnegative, require_ints
 VARIANTS = ("full", "no_irt", "no_ks", "no_ps", "no_ks_ps")
 
 CHECKPOINT_MAGIC = b"QCKT0001"
+
+# the dtype of the training forward and backward; the parameters stay float64
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -431,8 +441,9 @@ def build_graph(tape, nodes, batch, config, export=False):
 
 
 def batch_loss_and_grads(params, batch):
-    """One forward/backward pass; returns (loss value, name -> gradient)."""
-    tape = Tape()
+    """One forward/backward pass on a :data:`TRAIN_DTYPE` tape; returns
+    (loss value, name -> gradient), the gradients of that dtype."""
+    tape = Tape(TRAIN_DTYPE)
     nodes = params.leaves(tape)
     graph = build_graph(tape, nodes, batch, params.config)
     tape.backward(graph.loss)
@@ -442,14 +453,15 @@ def batch_loss_and_grads(params, batch):
 
 def sequence_outputs(params, seq):
     """Export graph of one sequence (B = 1, no backward pass): every score
-    and the per-KC masteries, one column per prediction."""
-    tape = Tape()
+    and the per-KC masteries, one column per prediction, at float64."""
+    tape = Tape(grad=False)
     return build_graph(tape, params.leaves(tape), Batch([seq]), params.config, export=True)
 
 
 def batch_predictions(params, batch):
     """Flat (predictions, targets) for one batch, no backward pass, in the
-    caller's order: step-major over the sequences' positions in the batch."""
-    tape = Tape()
+    caller's order: step-major over the sequences' positions in the batch.
+    Recorded at float64 on a forward-only tape."""
+    tape = Tape(grad=False)
     graph = build_graph(tape, params.leaves(tape), batch, params.config)
     return graph.r_hat.value[batch.order], graph.targets[batch.order]

@@ -23,6 +23,8 @@ from .model import Batch, ModelConfig, Parameters, VARIANTS, batch_loss_and_grad
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_LR_GRID = (1e-3, 1e-4, 1e-5)
 DEFAULT_DIM_GRID = (64, 256)
+# grid cells are scored on fold 0 of this many folds
+GRID_K = 5
 
 
 @dataclass(frozen=True)
@@ -312,12 +314,13 @@ def grid_cells(model_cfg, train_cfg, lambdas=None, lrs=None, dims=None):
 
 
 def grid_search(ds, model_cfg, train_cfg, lambdas=None, lrs=None, dims=None, jobs=1):
-    """Evaluate every (lambda, lr, d) cell by validation AUC on fold 0.
+    """Evaluate every (lambda, lr, d) cell by validation AUC on fold 0 of
+    :data:`GRID_K`.
 
     Ties break toward smaller d, then larger lambda, then larger lr.
     """
     cells = grid_cells(model_cfg, train_cfg, lambdas, lrs, dims)
-    fold0 = kfold_split(ds, k=5, seed=train_cfg.seed)[0]
+    fold0 = kfold_split(ds, k=GRID_K, seed=train_cfg.seed)[0]
     argss = [(ds, model_cfg, train_cfg, fold0, cell) for cell in cells]
     table = _map_jobs(_run_cell, argss, jobs)
     best = max(table, key=lambda r: (r["valid_auc"], -r["d"], r["lambda"], r["lr"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,98 @@ class TestForwardValues:
         with pytest.raises(RuntimeError):
             tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+
+class TestPrecision:
+    """A tape computes in its one dtype; only leaves cast."""
+
+    def _graph(self, tape, rng):
+        # one op of each kind the model records, on float64 inputs
+        w, x = tape.leaf(rng.normal(size=(8, 3))), tape.leaf(rng.normal(size=(3, 5)))
+        h = tape.lstm_gates(tape.matmul(w, x, tape.leaf(rng.normal(size=8))),
+                            tape.leaf(rng.normal(size=(8, 2))), (2, 2, 1))
+        h = tape.split_by_response(tape.relu(h), [1.0, 0.0, 1.0, 1.0, 0.0])
+        k = tape.embed_mean_flat(tape.leaf(rng.normal(size=(3, 4))), np.array([0, 2, 1]),
+                                 np.array([0, 0, 1]), np.array([0.5, 0.5, 1.0]), 5)
+        u = tape.vstack([h, k, tape.embed(tape.leaf(rng.normal(size=(4, 2))), [0, 3, 1, 1, 2])])
+        a = tape.relu_pool(tape.leaf(rng.normal(size=(6, 10))), u,
+                           tape.leaf(rng.normal(size=6)), tape.leaf(rng.normal(size=6)))
+        z = tape.add_scalar(tape.dot_columns(tape.leaf(rng.normal(size=10)), u), tape.leaf(0.3))
+        f = tape.dot_columns(tape.leaf(rng.normal(size=2)), tape.vstack([tape.as_row(a), tape.as_row(z)]))
+        logit = tape.add(f, z)
+        tape.sigmoid(logit)
+        return tape.logistic_loss([logit, a], [1.0, 0.0, 1.0, 0.0, 1.0], [0.2, 0.1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_value_and_gradient_has_the_tape_dtype(self, dtype):
+        tape = ad.Tape(dtype)
+        loss = self._graph(tape, np.random.default_rng(3))
+        assert {node.value.dtype for node in tape.nodes} == {np.dtype(dtype)}
+        leaves = [node for node in tape.nodes if node.op == "leaf"]
+        tape.backward(loss)
+        assert {ad.Tape.grad(node).dtype for node in leaves} == {np.dtype(dtype)}
+
+    def test_float32_tape_agrees_with_float64(self):
+        results = []
+        for dtype in (np.float32, np.float64):
+            tape = ad.Tape(dtype)
+            loss = self._graph(tape, np.random.default_rng(3))
+            leaves = [node for node in tape.nodes if node.op == "leaf"]
+            tape.backward(loss)
+            results.append((float(loss.value), [ad.Tape.grad(n) for n in leaves]))
+        (l32, g32), (l64, g64) = results
+        assert abs(l32 - l64) <= 1e-5 * abs(l64)
+        for a, b in zip(g32, g64):
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+    def test_an_op_that_promotes_raises_type_error(self):
+        class Promoting(Tape):
+            def up(self, x):
+                return self._record("up", x.value.astype(np.float64), (x,), lambda g: (g,))
+
+            def up_in_backward(self, x):
+                return self._record("up_in_backward", x.value, (x,),
+                                    lambda g: (g.astype(np.float64),))
+
+        tape = Promoting(np.float32)
+        x = tape.leaf([1.0, 2.0])
+        with pytest.raises(TypeError, match="float64 on a float32 tape"):
+            tape.up(x)
+        with pytest.raises(TypeError, match="float64 on a float32 tape"):
+            tape.backward(tape.sum_pool(tape.up_in_backward(x)))
+        # a constant that an op takes, like the response vector here, is cast
+        y = tape.leaf(np.ones((2, 3)))
+        assert tape.split_by_response(y, np.array([1.0, 0.0, 1.0])).value.dtype == np.float32
+
+    def test_a_forward_only_tape_keeps_no_backward(self):
+        full, fwd = ad.Tape(), ad.Tape(grad=False)
+        loss_full = self._graph(full, np.random.default_rng(3))
+        loss_fwd = self._graph(fwd, np.random.default_rng(3))
+        assert [n.op for n in fwd.nodes] == [n.op for n in full.nodes]
+        for a, b in zip(fwd.nodes, full.nodes):
+            np.testing.assert_array_equal(a.value, b.value)
+        assert all(node._backward is None for node in fwd.nodes)
+        assert sum(node._backward is not None for node in full.nodes) > 10
+        with pytest.raises(RuntimeError, match="forward-only"):
+            fwd.backward(loss_fwd)
+        full.backward(loss_full)
+
+    def test_a_forward_only_recurrence_keeps_no_step_state(self):
+        # the per-step gates, tanh c, c and h that the backward reads come to
+        # 7 times the output's bytes; a forward-only lstm_gates holds its
+        # output's pieces and their concatenation
+        rng = np.random.default_rng(5)
+        peaks = {}
+        for grad in (True, False):
+            tape = ad.Tape(grad=grad)
+            proj, u = tape.leaf(rng.normal(size=(128, 1280))), tape.leaf(rng.normal(size=(128, 32)) / 8)
+            tracemalloc.start()
+            try:
+                h = tape.lstm_gates(proj, u, (64,) * 20)
+                peaks[grad] = tracemalloc.get_traced_memory()[1] / h.value.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= 3.0 < 7.0 <= peaks[True], peaks
 
 
 class TestStraightLineOracle:

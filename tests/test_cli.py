@@ -44,7 +44,8 @@ def read_csv(path):
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """data/ with a synthetic log plus run/ trained on fold 0."""
+    """data/ with a synthetic log plus run/ trained on fold 0, and few/ with
+    a log of 4 students."""
     root = tmp_path_factory.mktemp("cliws")
     data_dir = root / "data"
     assert main(SYNTH + ["--out", str(data_dir)]) == 0
@@ -54,7 +55,8 @@ def workspace(tmp_path_factory):
         ["train", "--data", str(data), "--fold", "0", "--out", str(run)] + TRAIN_FAST
     )
     assert rc == 0
-    return {"root": root, "data": data, "run0": run}
+    assert main(SYNTH + ["--students", "4", "--out", str(root / "few")]) == 0
+    return {"root": root, "data": data, "run0": run, "few": root / "few" / "dataset.csv"}
 
 
 class TestSynth:
@@ -94,6 +96,7 @@ class TestSynth:
             for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         }
         assert env["cpu_count"] == os.cpu_count()
+        assert env["train_dtype"] == "float32" == np.dtype(qckt.model.TRAIN_DTYPE).name
 
 
 class TestTrain:
@@ -362,10 +365,10 @@ class TestExport:
         assert rc == 1
 
 
-def with_fold(blob, fold):
-    """A manifest whose config names ``fold``."""
+def with_config(blob, key, value):
+    """A manifest whose config sets ``key`` to ``value``."""
     doc = json.loads(blob)
-    doc["config"]["fold"] = fold
+    doc["config"][key] = value
     return json.dumps(doc).encode("utf-8")
 
 
@@ -376,9 +379,11 @@ MALFORMED = {
     "header without config": ("checkpoint", lambda b: with_header(b, lambda h: h.pop("config"))),
     "header not JSON": ("checkpoint", lambda b: CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"{nope" + b),
     "CSV not UTF-8": ("data", lambda b: b.replace(b"s", b"\xff", 1)),
-    "manifest fold null": ("manifest", lambda b: with_fold(b, None)),
-    "manifest fold not a number": ("manifest", lambda b: with_fold(b, "x")),
-    "manifest fold past k": ("manifest", lambda b: with_fold(b, "7")),
+    "manifest fold null": ("manifest", lambda b: with_config(b, "fold", None)),
+    "manifest fold not a number": ("manifest", lambda b: with_config(b, "fold", "x")),
+    "manifest fold past k": ("manifest", lambda b: with_config(b, "fold", "7")),
+    "manifest k 1": ("manifest", lambda b: with_config(b, "k", 1)),
+    "manifest k past the students": ("manifest", lambda b: with_config(b, "k", 40)),
 }
 
 
@@ -413,6 +418,8 @@ BAD_FLAGS = {
     "train --k 1": ("train", ["--k", "1"]),
     "train --k 0": ("train", ["--k", "0"]),
     "train --k past the students": ("train", ["--fold", "0", "--k", "17"]),
+    "train --grid on 4 students": ("train-few", ["--grid", "--grid-lambdas", "1",
+                                                 "--grid-lrs", "1e-3", "--grid-dims", "4"]),
     "synth --gamma nan": ("synth", ["--gamma", "nan"]),
     "export --kcs ''": ("export", ["--kcs", ""]),
     "export --kcs ,": ("export", ["--kcs", ","]),
@@ -427,6 +434,7 @@ class TestMalformedFlags:
         data = str(workspace["data"])
         base = {
             "train": ["train", "--data", data] + TRAIN_FAST,
+            "train-few": ["train", "--data", str(workspace["few"])] + TRAIN_FAST,
             "synth": SYNTH,
             "export": ["export", "--data", data, "--run", str(workspace["run0"]),
                        "--student", read_csv(workspace["data"])[0]["student_id"]],

@@ -538,17 +538,90 @@ class TestBatchGraph:
                 assert len(calls) == tracks * (L - 1)
         assert counts == {(v, L): n for v, n in budget.items() for L in (5, 50)}
 
-    def test_update_memory_budget(self):
-        # the sweep frees what it has used and relu_pool keeps a bool mask,
-        # so one update of this batch peaks near 10 MiB
-        p, batch = budget_batch()
+    @staticmethod
+    def _peak(fn, *args):
         tracemalloc.start()
         try:
-            qm.batch_loss_and_grads(p, batch)
-            peak = tracemalloc.get_traced_memory()[1]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 << 20, peak
+
+    def test_update_memory_budget(self):
+        # the sweep frees what it has used, relu_pool keeps a bool mask and
+        # the update runs at float32, so one update of this batch peaks near
+        # 6 MiB (10 MiB at float64)
+        peak = self._peak(qm.batch_loss_and_grads, *budget_batch())
+        assert peak <= 7 << 20, peak
+
+    def test_scoring_memory_budget(self):
+        # a forward-only tape keeps neither relu_pool's masks nor the
+        # recurrence's per-step state: near 5.7 MiB (7.7 MiB with them)
+        peak = self._peak(qm.batch_predictions, *budget_batch())
+        assert peak <= 6.5 * (1 << 20), peak
+
+    @pytest.mark.parametrize("variant", list(qm.VARIANTS))
+    @pytest.mark.parametrize("n, m, d, lengths", [(20, 5, 4, (2, 12)), (300, 30, 16, (10, 40))])
+    def test_float32_update_agrees_with_float64(self, variant, n, m, d, lengths):
+        # the training pass runs at float32: its loss and every gradient lie
+        # within 1e-5 of the largest entry of the float64 ones
+        rng = np.random.default_rng(41)
+        cfg = qm.ModelConfig(n, m, d, variant=variant)
+        p = random_params(cfg, seed=41, scale=0.3)
+        batch = qm.Batch([make_seq(rng, int(k), n, m) for k in rng.integers(*lengths, size=12)])
+        loss, grads = qm.batch_loss_and_grads(p, batch)
+
+        tape = Tape()
+        nodes = p.leaves(tape)
+        ref = qm.build_graph(tape, nodes, batch, cfg).loss
+        tape.backward(ref)
+        assert abs(loss - float(ref.value)) <= 1e-5 * abs(float(ref.value))
+        for name, node in nodes.items():
+            g64 = Tape.grad(node)
+            assert grads[name].dtype == np.float32, name
+            assert np.abs(grads[name] - g64).max() <= 1e-5 * np.abs(g64).max(), name
+        assert all(arr.dtype == np.float64 for _, arr in p.items())
+
+    @pytest.mark.parametrize("export", [False, True])
+    def test_a_float32_graph_is_float32_throughout(self, export):
+        rng = np.random.default_rng(43)
+        cfg = qm.ModelConfig(6, 3, 3, variant="no_irt")
+        batch = qm.Batch([make_seq(rng, k, 6, 3) for k in (5, 3, 4)])
+        tape = Tape(np.float32)
+        nodes = random_params(cfg, seed=43).leaves(tape)
+        graph = qm.build_graph(tape, nodes, batch, cfg, export=export)
+        assert {node.value.dtype for node in tape.nodes} == {np.dtype(np.float32)}
+        if export:
+            assert graph.mastery.dtype == np.float32
+        tape.backward(graph.loss)
+        assert {Tape.grad(node).dtype for node in nodes.values()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("variant", list(qm.VARIANTS))
+    def test_scoring_runs_forward_only_at_float64(self, variant, monkeypatch):
+        # batch_predictions and sequence_outputs record on a float64
+        # grad=False tape, with the values a differentiable tape gives
+        rng = np.random.default_rng(47)
+        cfg = qm.ModelConfig(6, 3, 3, variant=variant)
+        p = random_params(cfg, seed=47, scale=0.3)
+        seqs = [make_seq(rng, k, 6, 3) for k in (5, 3, 4)]
+        tapes = []
+        monkeypatch.setattr(qm, "Tape", lambda *a, **k: tapes.append(Tape(*a, **k)) or tapes[-1])
+        preds, _ = qm.batch_predictions(p, qm.Batch(seqs))
+        outs = qm.sequence_outputs(p, seqs[0])
+        assert [(t.dtype, t.with_grad) for t in tapes] == [(np.dtype(np.float64), False)] * 2
+        assert all(node._backward is None for t in tapes for node in t.nodes)
+        with pytest.raises(RuntimeError):
+            tapes[0].backward(tapes[0].nodes[-1])
+
+        batch = qm.Batch(seqs)
+        tape = Tape()
+        graph = qm.build_graph(tape, p.leaves(tape), batch, cfg)
+        np.testing.assert_array_equal(preds, graph.r_hat.value[batch.order])
+        tape = Tape()
+        graph = qm.build_graph(tape, p.leaves(tape), qm.Batch(seqs[:1]), cfg, export=True)
+        for name in ("r_hat", "alpha", "beta", "zeta"):
+            np.testing.assert_array_equal(getattr(outs, name).value, getattr(graph, name).value)
+        np.testing.assert_array_equal(outs.mastery, graph.mastery)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the heap setting is glibc's")
     def test_repeated_updates_take_no_page_faults(self):
