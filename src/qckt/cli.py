@@ -5,7 +5,8 @@ defaults, explicit flags win), validates before touching the output
 directory, and finishes by writing a manifest recording the command, the
 resolved configuration, input digests, and output names.  All randomness
 flows from --seed.  eval and export take the folds and the preprocessing from
-each run's manifest and refuse data whose digest it does not record.
+each run's manifest, find its checkpoints in the manifest's outputs, and
+refuse data whose digest it does not record.
 """
 
 import argparse
@@ -31,22 +32,15 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, DataError
-from .evaluation import (
-    PredictionSet,
-    accuracy,
-    auc,
-    export_knowledge_states,
-    export_module_outputs,
-    pairwise_t_matrix,
-)
+from .evaluation import export_knowledge_states, export_module_outputs, pairwise_t_matrix
 from .model import TRAIN_DTYPE, ModelConfig, Parameters, VARIANTS, sequence_outputs
 from .training import (
     GRID_K,
     TrainConfig,
+    fold_metrics,
     grid_cells,
     grid_search,
     mean_std,
-    predictions_over,
     run_ablation,
     run_cv,
     run_fold,
@@ -161,25 +155,43 @@ def _read_manifest(run_dir):
             raise DataError(f"malformed {path}: {exc}") from exc
 
 
-def _run_dataset(run_dir, raw, digest, data):
-    """A run's manifest and ``raw`` preprocessed as the run preprocessed it,
-    plus the run's (k, seed); refuses data whose SHA-256 the manifest does
-    not record among the run's inputs, and a k that cannot split it."""
+def _read_run(run_dir, raw, digest, data):
+    """All eval and export read of a run, taken from its manifest: ``raw``
+    preprocessed as the run preprocessed it, the run's k, seed and batch
+    size, and (fold, path) of each checkpoint the manifest's outputs list,
+    lowest fold first.  checkpoint.bin is the model of ``config.fold`` and
+    checkpoint_fold<i>.bin that of fold i; files it does not list, such as an
+    earlier run's in a reused directory, are ignored.  Refuses data whose
+    SHA-256 the manifest does not record among the run's inputs, and a k,
+    batch size or fold the run cannot have used."""
     manifest = _read_manifest(run_dir)
     try:
         trained_on = manifest["inputs"].values()
-        cfg = manifest["config"]
+        cfg, outputs = manifest["config"], manifest["outputs"]
         min_len, max_len, k = int(cfg["min_len"]), int(cfg["max_len"]), int(cfg["k"])
-        seed = int(manifest["seed"])
+        batch_size, seed = int(cfg["batch_size"]), int(manifest["seed"])
+        if not isinstance(outputs, list):
+            raise TypeError(f"outputs is a {type(outputs).__name__}, not a list")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"incomplete {MANIFEST} in run directory {run_dir}: {exc!r}") from exc
     if digest not in trained_on:
         raise DataError(f"{data} is not the data run {run_dir} was trained on (SHA-256 differs)")
+    if batch_size < 1:
+        raise DataError(f"{MANIFEST} of run {run_dir}: batch_size = {batch_size} is not >= 1")
     ds = preprocess(raw, min_len=min_len, max_len=max_len)
     students = len(ds.students())
     if not 2 <= k <= students:
         raise DataError(f"{MANIFEST} of run {run_dir}: k = {k} is not in [2, {students}]")
-    return manifest, ds, k, seed
+    folds = {fold_checkpoint(i): i for i in range(k)}
+    if CHECKPOINT in outputs:
+        fold = cfg.get("fold", 0)  # train records the --fold flag as text
+        if str(fold) not in map(str, range(k)):
+            raise DataError(f"{MANIFEST} of run {run_dir}: fold {fold!r} is not in [0, {k})")
+        folds[CHECKPOINT] = int(fold)
+    checkpoints = sorted((i, Path(run_dir) / name) for name, i in folds.items() if name in outputs)
+    if not checkpoints:
+        raise DataError(f"{MANIFEST} of run {run_dir} lists no checkpoint")
+    return ds, k, seed, batch_size, checkpoints
 
 
 def _int_pair(text):
@@ -231,7 +243,7 @@ def _train_config(args):
         max_epochs=args.max_epochs,
         patience=args.patience,
         seed=args.seed,
-        grad_clip=0.0 if args.no_clip else 5.0,
+        grad_clip=0.0 if args.no_clip else TrainConfig.grad_clip,
     )
 
 
@@ -326,33 +338,15 @@ def cmd_train(args):
 
 
 def _run_fold_metrics(run_dir, raw, digest, data):
-    """Per-fold (auc, acc) for one run directory's checkpoints, on the folds
-    the run was trained with."""
-    manifest, ds, k, seed = _run_dataset(run_dir, raw, digest, data)
-    cfg = manifest["config"]
+    """Per-fold (auc, acc) of every checkpoint a run's manifest lists, scored
+    as ``run_fold`` scored it: on the run's folds, at its batch size."""
+    ds, k, seed, batch_size, checkpoints = _read_run(run_dir, raw, digest, data)
     folds = kfold_split(ds, k=k, seed=seed)
-    run = Path(run_dir)
-
-    pairs = []
-    if (run / CHECKPOINT).exists():
-        fold = cfg.get("fold", 0)  # train records the --fold flag as text
-        if str(fold) not in map(str, range(k)):
-            raise DataError(f"{MANIFEST} of run {run_dir}: fold {fold!r} is not in [0, {k})")
-        pairs.append((int(fold), run / CHECKPOINT))
-    else:
-        for i in range(k):
-            if (run / fold_checkpoint(i)).exists():
-                pairs.append((i, run / fold_checkpoint(i)))
-    if not pairs:
-        raise DataError(f"no checkpoint files in run directory {run_dir}")
-
     rows = []
-    for fold_i, path in pairs:
-        params = Parameters.load(path)
-        test_idx = folds[fold_i][2]
-        preds, labels = predictions_over(params, [ds.sequences[i] for i in test_idx], 64)
-        ps = PredictionSet(preds, labels)
-        rows.append({"fold": fold_i, "auc": auc(ps), "acc": accuracy(ps)})
+    for fold_i, path in checkpoints:
+        test_seqs = [ds.sequences[i] for i in folds[fold_i][2]]
+        test_auc, test_acc = fold_metrics(Parameters.load(path), test_seqs, batch_size)
+        rows.append({"fold": fold_i, "auc": test_auc, "acc": test_acc})
     return rows
 
 
@@ -381,21 +375,15 @@ def cmd_eval(args):
 
 def cmd_export(args):
     started = time.perf_counter()
-    _, ds, _, _ = _run_dataset(args.run, load_dataset(args.data), _sha256(args.data), args.data)
+    raw = load_dataset(args.data)
+    ds, *_, checkpoints = _read_run(args.run, raw, _sha256(args.data), args.data)
     chunks = [s for s in ds.sequences if s.student_id == args.student]
     if not chunks:
         raise DataError(
             f"unknown student id {args.student!r}; dataset has {len(ds.students())} students"
         )
     seq = chunks[0]
-
-    run = Path(args.run)
-    path = run / CHECKPOINT
-    if not path.exists():
-        path = run / fold_checkpoint(0)
-    if not path.exists():
-        raise DataError(f"no checkpoint files in run directory {args.run}")
-    params = Parameters.load(path)
+    params = Parameters.load(checkpoints[0][1])  # the lowest fold's
 
     kc_subset = args.kcs if args.kcs is not None else list(range(ds.n_kcs))
     outputs = sequence_outputs(params, seq)

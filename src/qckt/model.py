@@ -29,8 +29,8 @@ inside its own forward and backward.  Each layer is one tape node: an affine
 layer W x + b is one :meth:`Tape.matmul`, and the response split
 [e * r; e * (1 - r)] of an interaction embedding one
 :meth:`Tape.split_by_response`, and the whole training objective one
-:meth:`Tape.logistic_loss`.  Scoring and export run the graph without a
-backward pass.
+:meth:`Tape.logistic_loss`.  Scoring and export run the graph without the
+loss or a backward pass.
 
 Precision: training records the graph on a :data:`TRAIN_DTYPE` (float32)
 tape, the mixed-precision recipe of Micikevicius et al. (arXiv:1710.03740):
@@ -335,11 +335,12 @@ class Batch:
 
 @dataclass
 class GraphOutputs:
-    """Tape nodes of one batch forward pass plus the packed targets.
+    """Tape nodes of one batch forward pass.
 
-    ``beta`` and ``zeta`` are None where the variant leaves them out, unless
-    the graph was built for export; ``mastery`` is the (m x n_preds) per-KC
-    mastery matrix of an export graph, else None.
+    ``loss`` is None on a forward-only tape.  ``beta`` and ``zeta`` are None
+    where the variant leaves them out, unless the graph was built for export;
+    ``mastery`` is the (m x n_preds) per-KC mastery matrix of an export graph,
+    else None.
     """
 
     loss: object
@@ -347,8 +348,6 @@ class GraphOutputs:
     alpha: object
     beta: object
     zeta: object
-    targets: np.ndarray
-    n_preds: int
     mastery: np.ndarray = None
 
 
@@ -381,8 +380,9 @@ def build_graph(tape, nodes, batch, config, export=False):
     ``batch.responses[P:]``.  The fusion and the loss follow the active
     variant; ``export`` also records the scores the variant leaves out and
     the per-KC masteries, which exports report for every variant.
-    The loss, one :meth:`Tape.logistic_loss`, is the mean BCE of the logit
-    plus ``lambda_aux`` times that of each score the variant uses.
+    The loss, one :meth:`Tape.logistic_loss` recorded only on a tape with
+    gradients, is the mean BCE of the logit plus ``lambda_aux`` times that of
+    each score the variant uses.
     """
     P = batch.n_preds
     n = nodes
@@ -423,21 +423,12 @@ def build_graph(tape, nodes, batch, config, export=False):
             logit = tape.add(logit, zeta)
     r_hat = tape.sigmoid(logit)
 
-    targets = batch.responses[P:]
-    lam = config.lambda_aux / P
-    aux = [alpha] + [beta] * config.uses_beta + [zeta] * config.uses_zeta if lam else []
-    loss = tape.logistic_loss([logit] + aux, targets, [1 / P] + [lam] * len(aux))
-
-    return GraphOutputs(
-        loss=loss,
-        r_hat=r_hat,
-        alpha=alpha,
-        beta=beta,
-        zeta=zeta,
-        targets=targets,
-        n_preds=P,
-        mastery=mastery,
-    )
+    loss = None
+    if tape.with_grad:
+        lam = config.lambda_aux / P
+        aux = [alpha] + [beta] * config.uses_beta + [zeta] * config.uses_zeta if lam else []
+        loss = tape.logistic_loss([logit] + aux, batch.responses[P:], [1 / P] + [lam] * len(aux))
+    return GraphOutputs(loss, r_hat, alpha, beta, zeta, mastery)
 
 
 def batch_loss_and_grads(params, batch):
@@ -464,4 +455,4 @@ def batch_predictions(params, batch):
     Recorded at float64 on a forward-only tape."""
     tape = Tape(grad=False)
     graph = build_graph(tape, params.leaves(tape), batch, params.config)
-    return graph.r_hat.value[batch.order], graph.targets[batch.order]
+    return graph.r_hat.value[batch.order], batch.responses[batch.n_preds :][batch.order]

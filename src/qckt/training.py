@@ -145,6 +145,14 @@ def predictions_over(params, seqs, batch_size):
     return np.concatenate(preds), np.concatenate(labels)
 
 
+def fold_metrics(params, test_seqs, batch_size):
+    """(AUC, accuracy) on a test fold, scored by :func:`predictions_over` in
+    batches of the run's ``batch_size``; ``run_fold`` and ``qckt eval`` both
+    score through this, so eval reproduces train's report exactly."""
+    ps = PredictionSet(*predictions_over(params, test_seqs, batch_size))
+    return auc(ps), accuracy(ps)
+
+
 def train(model_cfg, train_cfg, train_seqs, valid_seqs):
     """Adam-train one model; keeps the best-validation-AUC parameter copy."""
     if not train_seqs or not valid_seqs:
@@ -251,10 +259,10 @@ def run_fold(ds, model_cfg, train_cfg, fold_i, fold_idx):
         [seqs[i] for i in train_idx],
         [seqs[i] for i in valid_idx],
     )
-    test_seqs = [seqs[i] for i in test_idx]
-    preds, labels = predictions_over(report.best_params, test_seqs, train_cfg.batch_size)
-    ps = PredictionSet(preds, labels)
-    return FoldResult(fold_i, auc(ps), accuracy(ps), report)
+    test_auc, test_acc = fold_metrics(
+        report.best_params, [seqs[i] for i in test_idx], train_cfg.batch_size
+    )
+    return FoldResult(fold_i, test_auc, test_acc, report)
 
 
 def _run_fold(args):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qckt.model
+import qckt.training
 from _support import with_header
 from qckt.cli import main
 from qckt.model import CHECKPOINT_MAGIC, Parameters
@@ -57,6 +58,18 @@ def workspace(tmp_path_factory):
     assert rc == 0
     assert main(SYNTH + ["--students", "4", "--out", str(root / "few")]) == 0
     return {"root": root, "data": data, "run0": run, "few": root / "few" / "dataset.csv"}
+
+
+@pytest.fixture(scope="module")
+def reused(workspace):
+    """A --fold all --k 3 run in a clean directory, and the same run trained
+    into a directory that holds an earlier --fold 1 --d 3 run."""
+    root, data = workspace["root"], workspace["data"]
+    train = ["train", "--data", str(data)] + TRAIN_FAST
+    assert main(train + ["--fold", "1", "--d", "3", "--out", str(root / "reused")]) == 0
+    for name in ("clean", "reused"):
+        assert main(train + ["--fold", "all", "--k", "3", "--out", str(root / name)]) == 0
+    return {"data": data, "clean": root / "clean", "reused": root / "reused"}
 
 
 class TestSynth:
@@ -279,7 +292,8 @@ class TestEval:
         assert rc == 0
         trained = read_csv(run / "report.csv")[0]
         evaluated = read_csv(tmp_path / "ev" / "report.csv")[0]
-        assert (evaluated["fold"], evaluated["auc"]) == (trained["fold"], trained["auc"])
+        for key in ("fold", "auc", "acc"):
+            assert evaluated[key] == trained[key], key
         # a student with fewer than 30 interactions is not in the run's data
         lengths = {}
         for row in read_csv(data):
@@ -289,6 +303,39 @@ class TestEval:
         rc = main(["export", "--data", str(data), "--run", str(run), "--student", short,
                    "--out", str(tmp_path / "ex")])
         assert rc == 2
+
+    def test_scores_at_the_runs_batch_size(self, workspace, tmp_path, monkeypatch):
+        # eval scores a test fold as run_fold did, in batches of --batch-size
+        sizes = []
+        scorer = qckt.training.predictions_over
+        monkeypatch.setattr(qckt.training, "predictions_over",
+                            lambda p, seqs, size: sizes.append(size) or scorer(p, seqs, size))
+        rc = main(["eval", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert sizes == [16]
+
+    def test_missing_listed_checkpoint_exits_2_before_writing(self, reused, tmp_path, capsys):
+        run = tmp_path / "cv3"
+        shutil.copytree(reused["clean"], run)
+        (run / "checkpoint_fold1.bin").unlink()
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(reused["data"]), "--run", str(run),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "checkpoint_fold1.bin" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_ignores_an_earlier_runs_files(self, reused, tmp_path):
+        # the reused directory still holds the single-fold run's checkpoint.bin
+        assert (reused["reused"] / "checkpoint.bin").exists()
+        rc = main(["eval", "--data", str(reused["data"]), "--run", str(reused["reused"]),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        rows = read_csv(tmp_path / "o" / "report.csv")
+        assert [r["fold"] for r in rows] == ["0", "1", "2", "mean", "std"]
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_data_the_run_was_not_trained_on_exits_2(self, workspace, tmp_path, capsys, command):
@@ -348,6 +395,16 @@ class TestExport:
         assert rc == 0
         assert len(calls) == 1
 
+    def test_reused_directory_exports_the_runs_own_model(self, reused, tmp_path):
+        # steps.csv comes from fold 0 of the --fold all run, not from the
+        # earlier run's checkpoint.bin left in the directory
+        student = read_csv(reused["data"])[0]["student_id"]
+        for name in ("clean", "reused"):
+            assert main(["export", "--data", str(reused["data"]), "--run", str(reused[name]),
+                         "--student", student, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "reused" / "steps.csv").read_bytes() == (
+            tmp_path / "clean" / "steps.csv").read_bytes()
+
     def test_unknown_student_reports_count(self, workspace, tmp_path, capsys):
         rc = main(
             ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
@@ -365,10 +422,11 @@ class TestExport:
         assert rc == 1
 
 
-def with_config(blob, key, value):
-    """A manifest whose config sets ``key`` to ``value``."""
+def with_manifest(blob, key, value, section="config"):
+    """A manifest whose ``section`` (None: the top level) sets ``key`` to
+    ``value``."""
     doc = json.loads(blob)
-    doc["config"][key] = value
+    (doc[section] if section else doc)[key] = value
     return json.dumps(doc).encode("utf-8")
 
 
@@ -379,11 +437,14 @@ MALFORMED = {
     "header without config": ("checkpoint", lambda b: with_header(b, lambda h: h.pop("config"))),
     "header not JSON": ("checkpoint", lambda b: CHECKPOINT_MAGIC + struct.pack("<I", 5) + b"{nope" + b),
     "CSV not UTF-8": ("data", lambda b: b.replace(b"s", b"\xff", 1)),
-    "manifest fold null": ("manifest", lambda b: with_config(b, "fold", None)),
-    "manifest fold not a number": ("manifest", lambda b: with_config(b, "fold", "x")),
-    "manifest fold past k": ("manifest", lambda b: with_config(b, "fold", "7")),
-    "manifest k 1": ("manifest", lambda b: with_config(b, "k", 1)),
-    "manifest k past the students": ("manifest", lambda b: with_config(b, "k", 40)),
+    "manifest fold null": ("manifest", lambda b: with_manifest(b, "fold", None)),
+    "manifest fold not a number": ("manifest", lambda b: with_manifest(b, "fold", "x")),
+    "manifest fold past k": ("manifest", lambda b: with_manifest(b, "fold", "7")),
+    "manifest k 1": ("manifest", lambda b: with_manifest(b, "k", 1)),
+    "manifest k past the students": ("manifest", lambda b: with_manifest(b, "k", 40)),
+    "manifest batch_size 0": ("manifest", lambda b: with_manifest(b, "batch_size", 0)),
+    "manifest outputs not a list": (
+        "manifest", lambda b: with_manifest(b, "outputs", "checkpoint.bin", section=None)),
 }
 
 

@@ -538,6 +538,22 @@ class TestBatchGraph:
                 assert len(calls) == tracks * (L - 1)
         assert counts == {(v, L): n for v, n in budget.items() for L in (5, 50)}
 
+    def test_forward_only_node_budget(self):
+        # a forward-only tape records no loss: one node fewer than the
+        # training graph of test_node_budget, and GraphOutputs.loss is None
+        budget = {"full": 73, "no_irt": 79, "no_ks": 69, "no_ps": 65, "no_ks_ps": 55}
+        rng = np.random.default_rng(3)
+        batch = qm.Batch([make_seq(rng, n, 20, 5) for n in rng.integers(2, 6, size=8)])
+        counts = {}
+        for variant in qm.VARIANTS:
+            cfg = qm.ModelConfig(20, 5, 4, variant=variant)
+            tape = Tape(grad=False)
+            graph = qm.build_graph(tape, qm.Parameters.init(cfg, seed=3).leaves(tape), batch, cfg)
+            assert graph.loss is None
+            assert not any(node.op == "logistic_loss" for node in tape.nodes)
+            counts[variant] = len(tape.nodes)
+        assert counts == budget
+
     @staticmethod
     def _peak(fn, *args):
         tracemalloc.start()
