@@ -4,9 +4,9 @@ Every run resolves its flags up front (a --config key=value file supplies
 defaults, explicit flags win), validates before touching the output
 directory, and finishes by writing a manifest recording the command, the
 resolved configuration, input digests, and output names.  All randomness
-flows from --seed.  eval and export take the folds and the preprocessing from
-each run's manifest, find its checkpoints in the manifest's outputs, and
-refuse data whose digest it does not record.
+flows from --seed.  eval and export take the folds, the preprocessing and the
+label tables from each run's manifest, find its checkpoints in the manifest's
+outputs, and refuse data whose digest it does not record.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .data import (
     gen_synthetic,
     kfold_split,
     load_dataset,
+    parse_log,
     preprocess,
     save_dataset,
 )
@@ -124,6 +126,8 @@ def _environment():
 
 
 def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
+    """manifest.json of a command; ``inputs`` maps each input file to the
+    SHA-256 the command took of it."""
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")
     }
@@ -132,7 +136,7 @@ def _write_manifest(out, command, args, inputs, outputs, started, extra=None):
         "command": command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "outputs": sorted(outputs),
         "duration_s": round(time.perf_counter() - started, 3),
         "environment": _environment(),
@@ -155,18 +159,50 @@ def _read_manifest(run_dir):
             raise DataError(f"malformed {path}: {exc}") from exc
 
 
-def _read_run(run_dir, raw, digest, data):
-    """All eval and export read of a run, taken from its manifest: ``raw``
-    preprocessed as the run preprocessed it, the run's k, seed and batch
-    size, and (fold, path) of each checkpoint the manifest's outputs list,
-    lowest fold first.  checkpoint.bin is the model of ``config.fold`` and
-    checkpoint_fold<i>.bin that of fold i; files it does not list, such as an
-    earlier run's in a reused directory, are ignored.  Refuses data whose
-    SHA-256 the manifest does not record among the run's inputs, and a k,
-    batch size or fold the run cannot have used."""
+@dataclass(frozen=True)
+class _Run:
+    """What eval and export read of a run directory, all from its manifest."""
+
+    dir: str
+    digests: frozenset  # SHA-256 of each file the run was trained on
+    k: int
+    seed: int
+    batch_size: int
+    min_len: int
+    max_len: int
+    label_tables: tuple  # (question labels, KC labels) in index order
+    students: int  # after preprocessing
+    checkpoints: list  # (fold, path), lowest fold first
+
+    def require_trained_on(self, digest, data):
+        if digest not in self.digests:
+            raise DataError(f"{data} is not the data run {self.dir} was trained on (SHA-256 differs)")
+
+    def load(self, path):
+        """The checkpoint at ``path``, whose sizes must be those of the
+        run's label tables."""
+        params = Parameters.load(path)
+        sizes = tuple(map(len, self.label_tables))
+        if sizes != (params.config.n_questions, params.config.n_kcs):
+            raise DataError(
+                f"{MANIFEST} of run {self.dir} records {sizes[0]} questions and {sizes[1]} KCs, "
+                f"{path} has {params.config.n_questions} and {params.config.n_kcs}"
+            )
+        return params
+
+
+def _read_run(run_dir):
+    """All eval and export read of a run, taken from its manifest: the run's
+    input digests, k, seed, batch size and preprocessing, its label tables
+    and student count, and (fold, path) of each checkpoint the manifest's
+    outputs list, lowest fold first.  checkpoint.bin is the model of
+    ``config.fold`` and checkpoint_fold<i>.bin that of fold i; files it does
+    not list, such as an earlier run's in a reused directory, are ignored.
+    Refuses a k, batch size, preprocessing, fold or dataset block the run
+    cannot have used, and a manifest without a dataset block."""
     manifest = _read_manifest(run_dir)
     try:
-        trained_on = manifest["inputs"].values()
+        digests = frozenset(manifest["inputs"].values())
         cfg, outputs = manifest["config"], manifest["outputs"]
         min_len, max_len, k = int(cfg["min_len"]), int(cfg["max_len"]), int(cfg["k"])
         batch_size, seed = int(cfg["batch_size"]), int(manifest["seed"])
@@ -174,12 +210,16 @@ def _read_run(run_dir, raw, digest, data):
             raise TypeError(f"outputs is a {type(outputs).__name__}, not a list")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"incomplete {MANIFEST} in run directory {run_dir}: {exc!r}") from exc
-    if digest not in trained_on:
-        raise DataError(f"{data} is not the data run {run_dir} was trained on (SHA-256 differs)")
+    if "dataset" not in manifest:
+        raise DataError(
+            f"{MANIFEST} of run {run_dir} has no dataset block: "
+            "it was written by an earlier version of qckt; retrain the run"
+        )
+    label_tables, students = _dataset_block(manifest["dataset"], run_dir)
     if batch_size < 1:
         raise DataError(f"{MANIFEST} of run {run_dir}: batch_size = {batch_size} is not >= 1")
-    ds = preprocess(raw, min_len=min_len, max_len=max_len)
-    students = len(ds.students())
+    if not 2 <= min_len <= max_len:
+        raise DataError(f"{MANIFEST} of run {run_dir}: min_len {min_len}, max_len {max_len}")
     if not 2 <= k <= students:
         raise DataError(f"{MANIFEST} of run {run_dir}: k = {k} is not in [2, {students}]")
     folds = {fold_checkpoint(i): i for i in range(k)}
@@ -191,7 +231,35 @@ def _read_run(run_dir, raw, digest, data):
     checkpoints = sorted((i, Path(run_dir) / name) for name, i in folds.items() if name in outputs)
     if not checkpoints:
         raise DataError(f"{MANIFEST} of run {run_dir} lists no checkpoint")
-    return ds, k, seed, batch_size, checkpoints
+    return _Run(str(run_dir), digests, k, seed, batch_size, min_len, max_len,
+                label_tables, students, checkpoints)
+
+
+def _dataset_block(block, run_dir):
+    """The label tables and the student count ``train`` recorded in a
+    manifest's dataset block."""
+    try:
+        label_tables = (block["question_labels"], block["kc_labels"])
+        students = block["students"]
+    except (KeyError, TypeError) as exc:  # a missing key, or not an object
+        raise DataError(f"malformed dataset block in {MANIFEST} of run {run_dir}: {exc!r}") from exc
+    for labels in label_tables:
+        if not (isinstance(labels, list) and all(type(x) is str for x in labels)
+                and len(set(labels)) == len(labels)):
+            raise DataError(f"{MANIFEST} of run {run_dir}: labels are not a list of distinct strings")
+    if type(students) is not int:
+        raise DataError(f"{MANIFEST} of run {run_dir}: students = {students!r} is not an integer")
+    return label_tables, students
+
+
+def _dataset_record(ds):
+    """The dataset block of a training run's manifest: what export needs of
+    the parse, so that it reads only one student's rows."""
+    return {
+        "question_labels": ds.question_labels,
+        "kc_labels": ds.kc_labels,
+        "students": len(ds.students()),
+    }
 
 
 def _int_pair(text):
@@ -270,7 +338,7 @@ def cmd_synth(args):
         for (sid, ts), p in sorted(oracle.items())
     ]
     _write_csv(out / ORACLE_CSV, ["student_id", "timestamp", "prob"], rows)
-    _write_manifest(out, "synth", args, [], [DATASET_CSV, ORACLE_CSV], started)
+    _write_manifest(out, "synth", args, {}, [DATASET_CSV, ORACLE_CSV], started)
     print(f"wrote {len(ds.sequences)} sequences, {ds.n_interactions} interactions to {out}")
 
 
@@ -284,7 +352,7 @@ def cmd_train(args):
             raise ConfigError(f"--fold must be an integer or 'all', got {args.fold!r}")
         if not (0 <= fold_i < args.k):
             raise ConfigError(f"--fold must be in [0, {args.k}) or 'all', got {fold_i}")
-    ds = _load_dataset(args)
+    ds, digest = _load_dataset(args), _sha256(args.data)
     mcfg = _model_config(args, ds)
     tcfg = _train_config(args)
     if args.grid:
@@ -295,7 +363,7 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [REPORT_CSV]
-    extra = {}
+    extra = {"dataset": _dataset_record(ds)}
 
     if args.grid:
         result = grid_search(
@@ -334,18 +402,22 @@ def cmd_train(args):
         outputs += [CHECKPOINT, EPOCHS_CSV]
         print(f"fold {fold_i}: test auc {fold.test_auc:.4f} acc {fold.test_acc:.4f}")
 
-    _write_manifest(out, "train", args, [args.data], outputs, started, extra)
+    _write_manifest(out, "train", args, {args.data: digest}, outputs, started, extra)
 
 
 def _run_fold_metrics(run_dir, raw, digest, data):
     """Per-fold (auc, acc) of every checkpoint a run's manifest lists, scored
     as ``run_fold`` scored it: on the run's folds, at its batch size."""
-    ds, k, seed, batch_size, checkpoints = _read_run(run_dir, raw, digest, data)
-    folds = kfold_split(ds, k=k, seed=seed)
+    run = _read_run(run_dir)
+    run.require_trained_on(digest, data)
+    ds = preprocess(raw, min_len=run.min_len, max_len=run.max_len)
+    if (ds.question_labels, ds.kc_labels, len(ds.students())) != (*run.label_tables, run.students):
+        raise DataError(f"the dataset block of {MANIFEST} of run {run_dir} does not match {data}")
+    folds = kfold_split(ds, k=run.k, seed=run.seed)
     rows = []
-    for fold_i, path in checkpoints:
+    for fold_i, path in run.checkpoints:
         test_seqs = [ds.sequences[i] for i in folds[fold_i][2]]
-        test_auc, test_acc = fold_metrics(Parameters.load(path), test_seqs, batch_size)
+        test_auc, test_acc = fold_metrics(run.load(path), test_seqs, run.batch_size)
         rows.append({"fold": fold_i, "auc": test_auc, "acc": test_acc})
     return rows
 
@@ -370,22 +442,34 @@ def cmd_eval(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _write_fold_tables(out, "run", per_run)
-    _write_manifest(out, "eval", args, [args.data], outputs, started)
+    _write_manifest(out, "eval", args, {args.data: digest}, outputs, started)
 
 
 def cmd_export(args):
+    """Per-step module outputs and per-KC mastery for one student.  Only that
+    student's rows of --data are parsed, with the run's label tables; the
+    digest check vouches for the rest, which train parsed and checked."""
     started = time.perf_counter()
-    raw = load_dataset(args.data)
-    ds, *_, checkpoints = _read_run(args.run, raw, _sha256(args.data), args.data)
-    chunks = [s for s in ds.sequences if s.student_id == args.student]
+    run = _read_run(args.run)
+    n_kcs = len(run.label_tables[1])
+    kc_subset = args.kcs if args.kcs is not None else list(range(n_kcs))
+    if not all(0 <= k < n_kcs for k in kc_subset):
+        raise ConfigError(f"--kcs must name KC ids in [0, {n_kcs}), got {kc_subset}")
+    if len(set(kc_subset)) != len(kc_subset):
+        raise ConfigError(f"--kcs names a KC id twice: {kc_subset}")
+    with open(args.data, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    run.require_trained_on(digest, args.data)
+    params = run.load(run.checkpoints[0][1])  # the lowest fold's
+    rows = parse_log(raw, args.data, student=args.student, label_tables=run.label_tables)
+    chunks = preprocess(rows, min_len=run.min_len, max_len=run.max_len).sequences
     if not chunks:
         raise DataError(
-            f"unknown student id {args.student!r}; dataset has {len(ds.students())} students"
+            f"unknown student id {args.student!r}; dataset has {run.students} students"
         )
     seq = chunks[0]
-    params = Parameters.load(checkpoints[0][1])  # the lowest fold's
 
-    kc_subset = args.kcs if args.kcs is not None else list(range(ds.n_kcs))
     outputs = sequence_outputs(params, seq)
     steps = export_module_outputs(params, seq, outputs=outputs)
     states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
@@ -402,7 +486,7 @@ def cmd_export(args):
         for t, row in enumerate(states)
     ]
     _write_csv(out / STATES_CSV, ["step"] + [f"kc_{k}" for k in kc_subset], state_rows)
-    _write_manifest(out, "export", args, [args.data], [STEPS_CSV, STATES_CSV], started)
+    _write_manifest(out, "export", args, {args.data: digest}, [STEPS_CSV, STATES_CSV], started)
     print(f"exported {len(steps)} steps for student {args.student!r} to {out}")
 
 
@@ -426,7 +510,7 @@ def cmd_ablate(args):
         for v, cv in cvs.items()
     }
     outputs = _write_fold_tables(out, "variant", per_variant)
-    _write_manifest(out, "ablate", args, [args.data], outputs, started)
+    _write_manifest(out, "ablate", args, {args.data: _sha256(args.data)}, outputs, started)
 
 
 # -- parser ------------------------------------------------------------------

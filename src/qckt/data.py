@@ -127,7 +127,7 @@ class Dataset:
 
 def _check_row(raw, lineno):
     """The checks of one log row in the order they apply, raising for the
-    first that fails; returns the row's question label."""
+    first that fails."""
     if raw.strip() == HEADER:
         raise ParseError("duplicate header", line=lineno)
     parts = raw.split(",")
@@ -146,7 +146,6 @@ def _check_row(raw, lineno):
         int(ts_s)
     except ValueError:
         raise ParseError(f"bad timestamp {ts_s!r}", line=lineno)
-    return qlabel
 
 
 def _first_non_int(values):
@@ -162,7 +161,14 @@ BLOCK_ROWS = 1024  # rows parsed at once: bounds the loader's transient field st
 
 
 def load_dataset(path):
-    """Parse an interaction log; ids become dense 0-based ranges.
+    """Parse the interaction log at ``path``, as :func:`parse_log` does."""
+    with open(path, "rb") as fh:
+        return parse_log(fh.read(), path)
+
+
+def parse_log(raw, source, student=None, label_tables=None):
+    """Parse the bytes of an interaction log named ``source`` in messages;
+    ids become dense 0-based ranges.
 
     The log is read column by column, a block of rows at a time: a block's
     rows are split into fields once, each check runs over a whole column,
@@ -171,23 +177,39 @@ def load_dataset(path):
     timestamp.  Blank lines are skipped.  A faulty log raises for its first
     faulty row, as :func:`_check_row` reports it, or for the first row whose
     KC set conflicts with its question's first.
+
+    ``student`` keeps only the rows whose student field, stripped as every
+    field is, equals it; no other row is parsed or checked.  ``label_tables``
+    (the question labels and the KC labels, in index order) fixes the ids: a
+    row naming any other label raises, and the q-matrix holds only the
+    questions of the rows parsed.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     if not lines:
-        raise ParseError(f"{path} is empty")
+        raise ParseError(f"{source} is empty")
     if lines[0].strip() != HEADER:
         raise ParseError(f"bad header {lines[0]!r}, expected {HEADER!r}", line=1)
     # splitlines cut at every line break, so within a line ASCII text holds
     # no whitespace but these; a log without them needs no stripping
     strip = not text.isascii() or any(c in text for c in " \t\x1f")
     del text
+    numbers = range(len(lines))  # each line's index in the log
+    if student is not None:
+        numbers = [0] + [
+            i for i, line in enumerate(lines)
+            if student in line and i and _student_field(line, strip) == student
+        ]
+        lines = [lines[i] for i in numbers]
 
     smap, qmap, kmap, qmatrix = {}, {}, {}, {}
+    known_q = known_k = None  # the sizes of fixed label tables
+    if label_tables is not None:
+        qmap, kmap = ({label: i for i, label in enumerate(t)} for t in label_tables)
+        known_q, known_k = len(qmap), len(kmap)
     pair_q = {}  # (question label, KC field) -> question id
     blocks = []  # (student, question, response, timestamp) columns per block
     for lo in range(1, len(lines), BLOCK_ROWS):
@@ -220,22 +242,28 @@ def load_dataset(path):
 
         # a question's first (question, KC field) pair fixes its KC set; a
         # label repeated within a field counts once, so KC sets compare as sets
+        pair_fault = None
         for pair in dict.fromkeys(zip(qlabels, kc_fields)):
             qlabel, kc_field = pair
             if pair in pair_q or kc_field in bad_fields:
                 continue
             q = qmap.setdefault(qlabel, len(qmap))
             kcs = tuple(sorted({kmap.setdefault(k, len(kmap)) for k in labels[kc_field]}))
-            if qmatrix.setdefault(q, kcs) != kcs:
+            if known_q is not None and (q >= known_q or kcs[-1] >= known_k):
+                new = qlabel if q >= known_q else next(k for k in labels[kc_field] if kmap[k] >= known_k)
+                pair_fault = f"label {new!r} is not in the label tables"
+            elif qmatrix.setdefault(q, kcs) != kcs:
+                pair_fault = f"question {qlabel!r} has conflicting KC sets"
+            if pair_fault:
                 faults.append(next(i for i, p in enumerate(zip(qlabels, kc_fields)) if p == pair))
                 break
             pair_q[pair] = q
 
         fault = min(faults)
         if fault < len(kept):
-            lineno = lo + kept[fault] + 1
-            qlabel = _check_row(block[kept[fault]], lineno)
-            raise DataError(f"question {qlabel!r} has conflicting KC sets at line {lineno}")
+            lineno = numbers[lo + kept[fault]] + 1
+            _check_row(block[kept[fault]], lineno)
+            raise DataError(f"{pair_fault} at line {lineno}")
         for sid in dict.fromkeys(sids):
             smap.setdefault(sid, len(smap))
         n = len(sids)
@@ -252,7 +280,7 @@ def load_dataset(path):
     )
     order = np.lexsort((timestamps, student))
     questions, responses, timestamps = questions[order], responses[order], timestamps[order]
-    kc_of = [qmatrix[q] for q in range(len(qmap))]
+    kc_of = [qmatrix.get(q) for q in range(len(qmap))]
     kcs = list(map(kc_of.__getitem__, questions.tolist()))
 
     ends = np.cumsum(np.bincount(student, minlength=len(smap))).tolist()
@@ -261,6 +289,11 @@ def load_dataset(path):
         for sid, a, b in zip(smap, [0] + ends, ends)
     ]
     return Dataset(sequences, len(qmap), len(kmap), qmatrix, list(qmap), list(kmap))
+
+
+def _student_field(line, strip):
+    field = line.split(",", 1)[0]
+    return field.strip() if strip else field
 
 
 @contextmanager

@@ -6,6 +6,7 @@ codes, the fixed output file names, and the documented error buckets
 """
 
 import csv
+import io
 import json
 import os
 import platform
@@ -14,12 +15,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import qckt.model
 import qckt.training
 from _support import with_header
 from qckt.cli import main
-from qckt.model import CHECKPOINT_MAGIC, Parameters
+from qckt.data import HEADER, load_dataset, preprocess
+from qckt.evaluation import export_knowledge_states, export_module_outputs
+from qckt.model import CHECKPOINT_MAGIC, Parameters, sequence_outputs
 
 SYNTH = [
     "synth",
@@ -421,6 +426,99 @@ class TestExport:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("kcs", ["0,99", "0,0,1"])
+    def test_bad_kcs_exit_1_before_the_data_is_read(self, workspace, tmp_path, kcs):
+        # an absent --data would exit 2 if it were read first
+        rc = main(
+            ["export", "--data", str(tmp_path / "absent.csv"), "--run", str(workspace["run0"]),
+             "--student", "s0", "--kcs", kcs, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+
+
+def interleaved_log(padded):
+    """An interaction log whose students' rows are interleaved, with
+    timestamps out of order and tied, a KC label repeated within a field
+    (``k1_k1``), a student longer than --max-len 8 and one shorter than
+    --min-len 3.  ``padded`` pads every field with whitespace and gives one
+    student a non-ASCII id.  Returns the log and its student ids."""
+    rng = np.random.default_rng(7)
+    kc_fields = {"A": ["k1_k1", "k1"], "B": ["k2"], "C": ["k1_k3"], "D": ["k3_k2", "k2_k3"],
+                 "E": ["k4"], "F": ["k2_k4_k1"]}
+    lengths = {f"s{i}": int(rng.integers(4, 8)) for i in range(10)}
+    lengths.update({"long": 19, "short": 2, "\u00e9mile" if padded else "emile": 5})
+    rows = []
+    for sid, n in lengths.items():
+        for _ in range(n):
+            q = str(rng.choice(list(kc_fields)))
+            kc = str(rng.choice(kc_fields[q]))
+            rows.append([sid, q, kc, str(rng.integers(2)), str(rng.integers(0, 6))])
+    pad = (lambda f: f" {f}\t") if padded else (lambda f: f)
+    lines = [HEADER] + [",".join(map(pad, rows[i])) for i in rng.permutation(len(rows))]
+    return "\n".join(lines) + "\n", list(lengths)
+
+
+def csv_text(fieldnames, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestExportAgainstTheFullParse:
+    """export parses one student's rows with the run's label tables; its
+    tables must be those of the first chunk of that student in the whole
+    log, loaded and preprocessed as training did."""
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+    def test_every_student(self, tmp_path, capsys, padded):
+        text, students = interleaved_log(padded)
+        data, run = tmp_path / "log.csv", tmp_path / "run"
+        data.write_text(text, encoding="utf-8")
+        assert main(["train", "--data", str(data), "--fold", "0", "--min-len", "3",
+                     "--max-len", "8", "--out", str(run)] + TRAIN_FAST) == 0
+        ds = preprocess(load_dataset(data), min_len=3, max_len=8)
+        params = Parameters.load(run / "checkpoint.bin")
+        kcs = list(range(ds.n_kcs))
+        for sid in students:
+            out = tmp_path / "export"
+            capsys.readouterr()
+            rc = main(["export", "--data", str(data), "--run", str(run), "--student", sid,
+                       "--out", str(out)])
+            chunks = [s for s in ds.sequences if s.student_id == sid]
+            if not chunks:
+                assert sid == "short"
+                assert rc == 2
+                err = capsys.readouterr().err
+                assert f"unknown student id {sid!r}; dataset has {len(ds.students())} students" in err
+                continue
+            assert rc == 0, capsys.readouterr().err
+            seq = chunks[0]
+            outputs = sequence_outputs(params, seq)
+            steps = export_module_outputs(params, seq, outputs=outputs)
+            states = export_knowledge_states(params, seq, kcs, outputs=outputs)
+            want_steps = csv_text(
+                ["step", "question", "response", "r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta"],
+                steps,
+            )
+            want_states = csv_text(
+                ["step"] + [f"kc_{k}" for k in kcs],
+                [{"step": t + 1, **{f"kc_{k}": v for k, v in zip(kcs, row)}}
+                 for t, row in enumerate(states)],
+            )
+            assert (out / "steps.csv").read_bytes().decode("utf-8") == want_steps, sid
+            assert (out / "states.csv").read_bytes().decode("utf-8") == want_states, sid
+        assert [len(s) for s in ds.sequences if s.student_id == "long"] == [8, 8, 3]
+
+
+def with_dataset(blob, edit):
+    """A manifest whose dataset block is ``edit`` of it."""
+    doc = json.loads(blob)
+    doc["dataset"] = edit(doc["dataset"])
+    return json.dumps(doc).encode("utf-8")
+
 
 def with_manifest(blob, key, value, section="config"):
     """A manifest whose ``section`` (None: the top level) sets ``key`` to
@@ -445,12 +543,51 @@ MALFORMED = {
     "manifest batch_size 0": ("manifest", lambda b: with_manifest(b, "batch_size", 0)),
     "manifest outputs not a list": (
         "manifest", lambda b: with_manifest(b, "outputs", "checkpoint.bin", section=None)),
+    "dataset block not an object": (
+        "manifest", lambda b: with_manifest(b, "dataset", [], section=None)),
+    "dataset question labels not a list": (
+        "manifest", lambda b: with_manifest(b, "question_labels", "q0", section="dataset")),
+    "dataset KC label not a string": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "kc_labels": [0] + d["kc_labels"][1:]})),
+    "dataset question label repeated": (
+        "manifest", lambda b: with_dataset(
+            b, lambda d: {**d, "question_labels": d["question_labels"][:1] * len(d["question_labels"])})),
+    "dataset one question too few": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "question_labels": d["question_labels"][:-1]})),
+    "dataset one KC too many": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "kc_labels": d["kc_labels"] + ["extra"]})),
+    "dataset question labels renamed": (
+        "manifest", lambda b: with_dataset(
+            b, lambda d: {**d, "question_labels": [x + "x" for x in d["question_labels"]]})),
+    "dataset KC labels renamed": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "kc_labels": [x + "x" for x in d["kc_labels"]]})),
+    "dataset students not an int": ("manifest", lambda b: with_manifest(b, "students", 16.0, section="dataset")),
+    "dataset students a string": ("manifest", lambda b: with_manifest(b, "students", "16", section="dataset")),
 }
+# eval cases keep the bare case name as their id
+MALFORMED_RUNS = [pytest.param("eval", case, id=case) for case in MALFORMED] + [
+    pytest.param("export", case, id=f"export: {case}") for case in MALFORMED
+]
+
+
+def exit_code_and_errors(capsys, command, data, run, out, student):
+    capsys.readouterr()
+    argv = [command, "--data", str(data), "--run", str(run), "--out", str(out)]
+    rc = main(argv + (["--student", student] if command == "export" else []))
+    return rc, capsys.readouterr().err.splitlines()
+
+
+@pytest.fixture(scope="module")
+def fuzzed_run(workspace, tmp_path_factory):
+    """A copy of run0 whose manifest a test may rewrite."""
+    run = tmp_path_factory.mktemp("fuzzed") / "run"
+    shutil.copytree(workspace["run0"], run)
+    return run
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_exit_2_with_one_error_line(self, workspace, tmp_path, capsys, case):
+    @pytest.mark.parametrize("command,case", MALFORMED_RUNS)
+    def test_exit_2_with_one_error_line(self, workspace, tmp_path, capsys, command, case):
         target, corrupt = MALFORMED[case]
         run = tmp_path / "run"
         shutil.copytree(workspace["run0"], run)
@@ -458,11 +595,44 @@ class TestMalformedInputs:
         shutil.copy(workspace["data"], data)
         path = {"checkpoint": run / "checkpoint.bin", "manifest": run / "manifest.json"}.get(target, data)
         path.write_bytes(corrupt(path.read_bytes()))
-        capsys.readouterr()
-        rc = main(["eval", "--data", str(data), "--run", str(run), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err.splitlines()
+        student = read_csv(workspace["data"])[0]["student_id"]
+        rc, err = exit_code_and_errors(capsys, command, data, run, tmp_path / "o", student)
         assert rc == 2, err
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_run_without_dataset_block_must_be_retrained(self, workspace, tmp_path, capsys, command):
+        # as every run written before the manifest carried the block
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run0"], run)
+        doc = json.loads((run / "manifest.json").read_text())
+        del doc["dataset"]
+        (run / "manifest.json").write_text(json.dumps(doc))
+        student = read_csv(workspace["data"])[0]["student_id"]
+        rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "retrain" in err[0], err
+
+    # exit_code_and_errors drains capsys before each call
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(block=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+            st.sampled_from(["question_labels", "kc_labels", "students"]) | st.text(max_size=4), inner),
+        max_leaves=12,
+    ))
+    def test_any_json_dataset_block_exits_2(self, workspace, fuzzed_run, capsys, block):
+        doc = json.loads((workspace["run0"] / "manifest.json").read_text())
+        assume(block != doc["dataset"])
+        doc["dataset"] = block
+        (fuzzed_run / "manifest.json").write_text(json.dumps(doc))
+        student = read_csv(workspace["data"])[0]["student_id"]
+        out = fuzzed_run / "o"
+        rc, err = exit_code_and_errors(capsys, "export", workspace["data"], fuzzed_run, out, student)
+        assert rc == 2, err
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
 
 
 # case -> (subcommand, invalid flags); each is invalid configuration, found
@@ -484,6 +654,8 @@ BAD_FLAGS = {
     "synth --gamma nan": ("synth", ["--gamma", "nan"]),
     "export --kcs ''": ("export", ["--kcs", ""]),
     "export --kcs ,": ("export", ["--kcs", ","]),
+    "export --kcs 0,99": ("export", ["--kcs", "0,99"]),
+    "export --kcs 0,0,1": ("export", ["--kcs", "0,0,1"]),
     "--config without a file": ("train", ["--config"]),
 }
 

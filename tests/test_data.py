@@ -229,6 +229,51 @@ class TestColumnLoaderAgainstRowOracle:
         assert bob.questions.tolist() == [1, 0]
 
 
+class TestParseOneStudent:
+    """parse_log(..., student=, label_tables=): the rows of one student,
+    with the ids of the whole log."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=log_text(), block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2]))
+    def test_same_sequence_as_the_whole_log(self, text, block_rows):
+        raw = text.encode("utf-8")
+        with mock.patch.object(qd, "BLOCK_ROWS", block_rows):
+            try:
+                whole = qd.parse_log(raw, "log")
+            except PACKAGE_ERRORS:
+                return
+            tables = (whole.question_labels, whole.kc_labels)
+            for sid in ("s1", "s2", "s3", "s", "1"):
+                one = qd.parse_log(raw, "log", student=sid, label_tables=tables)
+                assert (one.n_questions, one.n_kcs) == (whole.n_questions, whole.n_kcs)
+                assert one.sequences == [s for s in whole.sequences if s.student_id == sid]
+                for q, kcs in one.qmatrix.items():
+                    assert whole.qmatrix[q] == kcs
+
+    def test_reads_no_other_students_rows(self):
+        raw = (EXAMPLE + "bob,A,,1,0\nalice,B,X_Y,1,9\n").encode("utf-8")
+        alice = qd.parse_log(raw, "log", student="alice")
+        assert [s.questions.tolist() for s in alice.sequences] == [[0, 1, 1]]
+        with pytest.raises(DataError, match="at line 4"):
+            qd.parse_log(raw, "log", student="bob")
+
+    def test_a_faulty_row_reports_its_line_in_the_log(self):
+        raw = (EXAMPLE + "bob,A,X,1,0\nalice,B,X_Y,2,9\n").encode("utf-8")
+        with pytest.raises(ParseError, match="line 5: response"):
+            qd.parse_log(raw, "log", student="alice")
+
+    @pytest.mark.parametrize("tables,label", [
+        ((["A"], ["X", "Y"]), "'B'"), ((["A", "B"], ["X"]), "'Y'"),
+    ])
+    def test_a_label_outside_the_tables_raises(self, tables, label):
+        with pytest.raises(DataError, match=f"label {label} is not in the label tables at line 3"):
+            qd.parse_log(EXAMPLE.encode("utf-8"), "log", student="alice", label_tables=tables)
+
+    def test_the_header_is_no_student(self):
+        raw = EXAMPLE.encode("utf-8")
+        assert qd.parse_log(raw, "log", student="student_id").sequences == []
+
+
 def seq_of(sid, length, q=0):
     items = [qd.Interaction(q, (0,), t % 2, t) for t in range(length)]
     return qd.StudentSequence(sid, items)
