@@ -271,13 +271,23 @@ class Tape:
         return self._record("add_scalar", x.value + s.value, (x, s), lambda g: (g, g.sum()))
 
     def embed(self, table, indices):
-        """Select rows of an (n x d) table -> columns of a (d x B) matrix."""
+        """Select rows of an (n x d) table -> columns of a (d x B) matrix.
+
+        The backward sums the columns of g into the rows they came from with
+        one ``np.bincount`` per feature row, in index order: at float64 that
+        is ``np.add.at`` bit for bit, and at float32 it sums in float64 and
+        rounds once.  A negative index raises ``IndexError``.
+        """
         indices = np.asarray(indices, dtype=np.int64)
+        n, d = table.value.shape
+        if indices.size and indices.min() < 0:
+            raise IndexError(f"negative row index into a table of {n} rows")
 
         def backward(g):
-            gt = np.zeros_like(table.value)
-            np.add.at(gt, indices, g.T)
-            return (gt,)
+            gt = np.empty((d, n), self.dtype)
+            for k in range(d):
+                gt[k] = np.bincount(indices, g[k], minlength=n)
+            return (gt.T,)
 
         return self._record("embed", table.value[indices].T, (table,), backward)
 
@@ -291,7 +301,9 @@ class Tape:
         forward is the GEMM table.T @ A and the backward A @ g.T.
         """
         m = len(table.value)
-        A = np.bincount(rows * n_cols + cols, wts, minlength=m * n_cols)  # rows < 0 raise here
+        if len(rows) and rows.min() < 0:
+            raise IndexError(f"negative row index into a table of {m} rows")
+        A = np.bincount(rows * n_cols + cols, wts, minlength=m * n_cols)
         if A.size != m * n_cols:
             raise IndexError(f"row index out of range for a table of {m} rows")
         A = A.reshape(m, n_cols).astype(self.dtype, copy=False)
@@ -332,7 +344,9 @@ class Tape:
         for w in widths:
             if w < h.shape[1]:  # sliced only where the width drops
                 h, c = h[:, :w], c[:, :w]
-            gates, tc, c_next, h_next = kernels.gates_forward(pv[:, s : s + w] + uv @ h, c)
+            z = uv @ h
+            z += pv[:, s : s + w]
+            gates, tc, c_next, h_next = kernels.gates_forward(z, c)
             if self.with_grad:
                 steps.append((s, gates, tc, c, h))
             h, c = h_next, c_next

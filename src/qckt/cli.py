@@ -33,7 +33,7 @@ from .data import (
     preprocess,
     save_dataset,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingError
 from .evaluation import export_knowledge_states, export_module_outputs, pairwise_t_matrix
 from .model import TRAIN_DTYPE, ModelConfig, Parameters, VARIANTS, sequence_outputs
 from .training import (
@@ -471,6 +471,13 @@ def cmd_export(args):
     seq = chunks[0]
 
     outputs = sequence_outputs(params, seq)
+    values = (outputs.r_hat.value, outputs.alpha.value, outputs.beta.value, outputs.zeta.value,
+              outputs.mastery)
+    if not all(np.isfinite(v).all() for v in values):
+        raise TrainingError(
+            f"the model of {run.checkpoints[0][1]} diverged: non-finite outputs for student "
+            f"{args.student!r}; retrain the run"
+        )
     steps = export_module_outputs(params, seq, outputs=outputs)
     states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
 
@@ -646,6 +653,9 @@ def main(argv=None):
         return 1
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,8 @@ from .errors import MetricError, ShapeError
 
 
 class PredictionSet:
-    """Aligned predicted probabilities and 0/1 labels."""
+    """Aligned predicted probabilities and 0/1 labels; a prediction outside
+    [0, 1], nan included, raises MetricError."""
 
     def __init__(self, preds, labels):
         self.preds = np.asarray(preds, dtype=np.float64)
@@ -24,6 +25,10 @@ class PredictionSet:
             raise ShapeError(
                 f"preds {self.preds.shape} and labels {self.labels.shape} must be aligned vectors"
             )
+        finite = np.isfinite(self.preds)
+        if not finite.all():
+            bad = self.preds.size - np.count_nonzero(finite)
+            raise MetricError(f"{bad} of {self.preds.size} predictions are not finite")
         if self.preds.size and (self.preds.min() < 0.0 or self.preds.max() > 1.0):
             raise MetricError("predictions must lie in [0, 1]")
         if not np.all((self.labels == 0.0) | (self.labels == 1.0)):

@@ -1,14 +1,19 @@
 """The fused LSTM gate kernel, forward and backward.
 
 The per-timestep gate math of the two recurrent cells is the inner loop of
-training: a dozen elementwise passes over (4d x B) arrays for every step of
-every batch.  :meth:`qckt.autodiff.Tape.lstm_gates`, one tape node per
-recurrence, calls :func:`gates_forward` once per step in its forward loop and
-:func:`gates_backward` once per step in its reverse-time sweep.
+training: a few elementwise passes over (4d x B) arrays for every step of
+every batch, where the fixed cost is numpy's per-pass overhead and the
+temporaries it allocates, not the arithmetic.  So each kernel writes its
+intermediates into its own output arrays (``out=`` and in-place operators)
+in the evaluation order of the plain formulas, which keeps its results bit
+for bit those of the formulas.  :meth:`qckt.autodiff.Tape.lstm_gates`, one
+tape node per recurrence, calls :func:`gates_forward` once per step in its
+forward loop and :func:`gates_backward` once per step in its reverse-time
+sweep.
 
 Both take float arrays of one dtype, float32 or float64 (``c_prev`` may be a
-column slice of a wider state), return C-contiguous ones of that dtype, and
-are bit-deterministic.
+column slice of a wider state), return C-contiguous ones of that dtype, are
+bit-deterministic and write into none of their inputs.
 
 Gate layout: preactivations are stacked as four d-row blocks
 ``[input; forget; output; candidate]`` in a single (4d x B) array.  Every
@@ -20,15 +25,25 @@ import numpy as np
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; both branches are computed and one is kept
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(min(x, 0)) / (1 + exp(-|x|)): for x >= 0 the numerator is exactly 1
+    # and for x < 0 exactly exp(x), so this is the sign-split form
+    # 1 / (1 + exp(-x)) | exp(x) / (1 + exp(x)) bit for bit, and neither
+    # exp overflows; seven passes over two fresh arrays, with no mask
+    num = np.minimum(x, 0)
+    np.exp(num, out=num)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def gates_forward(z, c_prev):
     """z: (4d x B) stacked preactivations, c_prev: (d x B).
 
-    Returns (gates, tanh_c, c, h) with gates stacked like z.
+    Returns (gates, tanh_c, c, h) with gates stacked like z: c = f * c_prev +
+    i * cand, tanh_c = tanh(c), h = o * tanh_c.
     """
     d = c_prev.shape[0]
     gates = _sigmoid(z)
@@ -36,23 +51,44 @@ def gates_forward(z, c_prev):
     f = gates[d : 2 * d]
     o = gates[2 * d : 3 * d]
     cand = gates[3 * d :]
-    c = f * c_prev + i * cand
-    tc = np.tanh(c)
-    h = o * tc
-    return gates, tc, c, h
+    c = f * c_prev
+    tc = i * cand
+    c += tc
+    np.tanh(c, out=tc)
+    return gates, tc, c, o * tc
+
+
+def _gate_grad(out, a, b, g, buf):
+    """out = ((a * b) * g) * (1 - g), the derivative through a logistic gate
+    g, evaluated in that order; ``buf`` takes 1 - g."""
+    np.multiply(a, b, out=out)
+    out *= g
+    np.subtract(1.0, g, out=buf)
+    out *= buf
 
 
 def gates_backward(dh, dc_in, gates, tc, c_prev):
-    """Reverse of :func:`gates_forward`; returns (dz, dc_prev)."""
+    """Reverse of :func:`gates_forward`; returns (dz, dc_prev).
+
+    dc = dc_in + (dh * o) * (1 - tanh_c^2); the gate blocks of dz are
+    ((dc * cand) * i) * (1 - i), ((dc * c_prev) * f) * (1 - f),
+    ((dh * tanh_c) * o) * (1 - o) and ((dc * i) * cand) * (1 - cand), and
+    dc_prev = dc * f.
+    """
     d = c_prev.shape[0]
     i = gates[:d]
     f = gates[d : 2 * d]
     o = gates[2 * d : 3 * d]
     cand = gates[3 * d :]
-    dc = dc_in + dh * o * (1.0 - tc * tc)
+    buf = tc * tc
+    np.subtract(1.0, buf, out=buf)
+    dc = dh * o
+    dc *= buf
+    dc += dc_in
     dz = np.empty_like(gates)
-    dz[:d] = dc * cand * i * (1.0 - i)
-    dz[d : 2 * d] = dc * c_prev * f * (1.0 - f)
-    dz[2 * d : 3 * d] = dh * tc * o * (1.0 - o)
-    dz[3 * d :] = dc * i * cand * (1.0 - cand)
-    return dz, dc * f
+    _gate_grad(dz[:d], dc, cand, i, buf)
+    _gate_grad(dz[d : 2 * d], dc, c_prev, f, buf)
+    _gate_grad(dz[2 * d : 3 * d], dh, tc, o, buf)
+    _gate_grad(dz[3 * d :], dc, i, cand, buf)
+    dc *= f
+    return dz, dc

@@ -145,6 +145,11 @@ def param_shapes(config):
     return shapes
 
 
+def param_count(config):
+    """Number of trainable scalars of a model, from :func:`param_shapes`."""
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
+
+
 class Parameters:
     """Named tensor store for one model; iteration order is fixed."""
 

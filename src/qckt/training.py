@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError, TrainingError
 from .errors import require_finite_nonnegative, require_ints
 from .evaluation import PredictionSet, accuracy, auc
 from .model import Batch, ModelConfig, Parameters, VARIANTS, batch_loss_and_grads, batch_predictions
+from .model import param_count
 
 # hyper-parameter grids used when nothing narrower is requested
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -154,13 +155,24 @@ def fold_metrics(params, test_seqs, batch_size):
 
 
 def train(model_cfg, train_cfg, train_seqs, valid_seqs):
-    """Adam-train one model; keeps the best-validation-AUC parameter copy."""
+    """Adam-train one model; keeps the best-validation-AUC parameter copy.
+
+    A non-finite loss, or a non-finite prediction on the validation set,
+    raises TrainingError ("diverged"); the parameters that gave it are not
+    kept.  A model too large to allocate raises MemoryError naming its
+    parameter count."""
     if not train_seqs or not valid_seqs:
         raise DataError("train and valid sets must be non-empty")
-    params = Parameters.init(model_cfg, seed=(train_cfg.seed, train_cfg.fold, 0))
-    state = AdamState(params)
+    try:
+        params = Parameters.init(model_cfg, seed=(train_cfg.seed, train_cfg.fold, 0))
+        state = AdamState(params)
+        best_params = params.copy()
+    except MemoryError as exc:
+        raise MemoryError(
+            f"not enough memory for a model of {param_count(model_cfg):,} parameters "
+            f"(d = {model_cfg.dim}): {exc}"
+        ) from exc
     stopper = EarlyStopping(train_cfg.patience)
-    best_params = params.copy()
 
     train_losses, valid_aucs = [], []
     updates = 0
@@ -187,6 +199,8 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
 
         train_losses.append(loss_sum / weight_sum)
         preds, labels = predictions_over(params, valid_seqs, train_cfg.batch_size)
+        if not np.all(np.isfinite(preds)):
+            raise TrainingError(f"diverged: non-finite validation prediction at epoch {epoch}")
         epoch_auc = auc(PredictionSet(preds, labels))
         valid_aucs.append(epoch_auc)
         keep_going = stopper.update(epoch, epoch_auc)

@@ -329,6 +329,48 @@ def _matrix_sum(tape, x):
     return tape.sum_pool(tape.dot_columns(tape.leaf(np.ones(x.value.shape[0])), x))
 
 
+class TestEmbed:
+    """The row gather and its scatter-add backward."""
+
+    def _table_grad(self, dtype, table, idx, G):
+        # loss = sum(embed(table, idx) * G), so the table's gradient is G's
+        # columns summed into the rows idx names
+        tape = Tape(dtype)
+        t = tape.leaf(table)
+        tape.backward(_matrix_sum(tape, tape.mul(tape.embed(t, idx), tape.leaf(G))))
+        return t.grad
+
+    def _case(self, n=7, d=3, P=2000):
+        rng = np.random.default_rng(31)
+        idx = rng.integers(0, n - 1, size=P)  # row n - 1 is never used; every other repeats
+        return rng.normal(size=(n, d)), idx, rng.normal(size=(d, P))
+
+    def test_backward_is_add_at_bit_for_bit_at_float64(self):
+        table, idx, G = self._case()
+        want = np.zeros_like(table)
+        np.add.at(want, idx, G.T)
+        got = self._table_grad(np.float64, table, idx, G)
+        assert got.shape == table.shape and got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_float32_backward_is_the_float64_sum_rounded(self):
+        table, idx, G = self._case()
+        G32 = G.astype(np.float32)
+        want = np.zeros_like(table)
+        np.add.at(want, idx, G32.astype(np.float64).T)
+        got = self._table_grad(np.float32, table, idx, G32)
+        assert got.shape == table.shape and got.dtype == np.float32
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
+
+    def test_negative_indices_raise_index_error(self):
+        tape = Tape()
+        table = tape.leaf(np.ones((3, 2)))
+        with pytest.raises(IndexError):
+            tape.embed(table, [0, -1])
+        with pytest.raises(IndexError):
+            tape.embed_mean_flat(table, np.array([0, -1]), np.array([0, 1]), np.ones(2), 2)
+
+
 class TestFiniteDifferenceBattery:
     """Every op checked against central finite differences."""
 

@@ -682,6 +682,54 @@ class TestMalformedFlags:
             assert err == "error: --config needs a key=value file\n"
 
 
+class TestDivergence:
+    """A diverged model is refused with exit 2 and no checkpoint or table."""
+
+    def test_one_epoch_at_a_huge_lr_exits_2_without_outputs(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--students", "20", "--out", str(data)]) == 0
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--data", str(data / "dataset.csv"), "--fold", "0", "--d", "3",
+                       "--max-epochs", "1", "--lr", "1e308", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: diverged"), err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_non_finite_model_outputs_exit_2_without_tables(self, workspace, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run0"], run)
+        params = Parameters.load(run / "checkpoint.bin")
+        Parameters(params.config, {k: v * 1e300 for k, v in params.items()}).save(run / "checkpoint.bin")
+        student = read_csv(workspace["data"])[0]["student_id"]
+        with np.errstate(all="ignore"):
+            rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert ("not finite" if command == "eval" else "diverged") in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_memory_error_names_the_parameter_count(self, workspace, tmp_path, capsys, monkeypatch):
+        def no_memory(cls, config, seed):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        # the allocation fails as a --d this large would, without allocating
+        monkeypatch.setattr(qckt.model.Parameters, "init", classmethod(no_memory))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(workspace["data"]), "--fold", "0", "--d", "200000",
+                   "--out", str(out)])
+        ds = preprocess(load_dataset(workspace["data"]))
+        count = qckt.model.param_count(qckt.model.ModelConfig(ds.n_questions, ds.n_kcs, dim=200000))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:") and f"{count:,} parameters" in err[0], err
+        assert list(out.iterdir()) == []
+
+
 class TestAtomicWrites:
     def test_failed_manifest_write_keeps_the_old_one(self, tmp_path, monkeypatch):
         out = tmp_path / "data"

@@ -25,6 +25,12 @@ class TestPredictionSet:
         with pytest.raises(MetricError):
             ps([0.5], [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_is_refused(self, bad):
+        # every comparison with nan is false, so a range check alone passes it
+        with pytest.raises(MetricError, match="not finite"):
+            ps([bad, 0.2, 0.9, 0.4], [1, 0, 1, 0])
+
 
 class TestAuc:
     def test_perfect_and_reversed_ranking(self):

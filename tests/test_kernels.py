@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from oracle import sigmoid_masked
 from qckt import kernels
@@ -70,3 +71,67 @@ class TestNumpyKernelMath:
         special = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
         x = np.concatenate([special, np.random.default_rng(3).normal(scale=20.0, size=20_000)])
         assert np.array_equal(kernels._sigmoid(x), sigmoid_masked(x), equal_nan=True)
+
+    def test_sigmoid_equals_the_masked_form_bit_for_bit_at_float32(self):
+        special = [0.0, -0.0, 1e-40, -1e-40, 88.0, -88.0, 104.0, -104.0, 800.0, -800.0,
+                   np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(4)
+        x = np.concatenate([special, rng.normal(scale=20.0, size=20_000)]).astype(np.float32)
+        got = kernels._sigmoid(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, sigmoid_masked(x), equal_nan=True)
+
+
+def _straight_line_backward(dh, dc_in, gates, tc, c_prev):
+    # the plain formulas, in the order the kernel must keep
+    d = c_prev.shape[0]
+    i, f, o, cand = gates[:d], gates[d : 2 * d], gates[2 * d : 3 * d], gates[3 * d :]
+    dc = dc_in + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate([
+        dc * cand * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dh * tc * o * (1.0 - o),
+        dc * i * cand * (1.0 - cand),
+    ])
+    return dz, dc * f
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestKernelContract:
+    def _case(self, dtype, d=6, batch=9):
+        # c_prev is a column slice of a wider state, as in Tape.lstm_gates
+        rng = np.random.default_rng(11)
+        z, c_wide, dh, dc = (a.astype(dtype) for a in _random_case(rng, d=d, batch=batch + 4))
+        return z[:, :batch].copy(), c_wide[:, :batch], dh[:, :batch].copy(), dc[:, :batch].copy()
+
+    def test_forward_and_backward_leave_their_inputs_unmodified(self, dtype):
+        z, c_prev, dh, dc = self._case(dtype)
+        assert not c_prev.flags.c_contiguous
+        before = [a.copy() for a in (z, c_prev, dh, dc)]
+        gates, tc, c, h = kernels.gates_forward(z, c_prev)
+        kept = [a.copy() for a in (gates, tc, c, h)]
+        dz, dc_prev = kernels.gates_backward(dh, dc, gates, tc, c_prev)
+        for old, new in zip(before + kept, (z, c_prev, dh, dc, gates, tc, c, h)):
+            assert np.array_equal(old, new)
+        for out in (gates, tc, c, h, dz, dc_prev):
+            assert out.dtype == dtype and out.flags.c_contiguous
+
+    def test_forward_equals_the_straight_line_formulas_exactly(self, dtype):
+        z, c_prev, _, _ = self._case(dtype)
+        d = c_prev.shape[0]
+        gates, tc, c, h = kernels.gates_forward(z, c_prev)
+        sig = sigmoid_masked(z)
+        i, f, o, cand = sig[:d], sig[d : 2 * d], sig[2 * d : 3 * d], sig[3 * d :]
+        c_ref = f * c_prev + i * cand
+        assert np.array_equal(gates, sig)
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(tc, np.tanh(c_ref))
+        assert np.array_equal(h, o * np.tanh(c_ref))
+
+    def test_backward_equals_the_straight_line_formulas_exactly(self, dtype):
+        z, c_prev, dh, dc = self._case(dtype)
+        gates, tc, _, _ = kernels.gates_forward(z, c_prev)
+        got = kernels.gates_backward(dh, dc, gates, tc, c_prev)
+        want = _straight_line_backward(dh, dc, gates, tc, c_prev)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)

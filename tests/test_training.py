@@ -260,6 +260,13 @@ class TestTrain:
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
+    def test_non_finite_validation_prediction_is_divergence(self):
+        # one update at lr 1e308 leaves finite float64 parameters near 1e308
+        # whose validation forward yields nan; no later update sees the loss
+        tcfg = TrainConfig(lr=1e308, batch_size=64, max_epochs=1, seed=3)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="diverged.*validation"):
+            train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs)
+
     def test_max_updates_cap(self):
         tcfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=100, seed=4, max_updates=5)
         report = train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs)
