@@ -17,6 +17,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from .data import (
     atomic_write,
     gen_synthetic,
     kfold_split,
-    load_dataset,
     parse_log,
     preprocess,
     save_dataset,
@@ -63,20 +63,28 @@ def fold_checkpoint(i):
     return f"checkpoint_fold{i}.bin"
 
 
-def _sha256(path):
-    h = hashlib.sha256()
+def _read_data(path):
+    """The bytes of the file at ``path`` and their SHA-256, so that a
+    manifest records the digest of the very bytes a command parsed."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
+        raw = fh.read()
+    return raw, hashlib.sha256(raw).hexdigest()
 
 
 def _write_csv(path, fieldnames, rows):
+    """A CSV of ``rows``, dicts keyed by ``fieldnames``."""
     with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_rows(path, header, rows):
+    """A CSV of ``rows``, lists in the order of ``header``."""
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_fold_tables(out, key, per_fold):
@@ -289,9 +297,32 @@ def _list_of(kind):
     return parse
 
 
+def _read_log(path):
+    """The interaction log at ``path``, parsed, and the digest of its bytes."""
+    raw, digest = _read_data(path)
+    return parse_log(raw, path), digest
+
+
 def _load_dataset(args):
-    ds = load_dataset(args.data)
-    return preprocess(ds, min_len=args.min_len, max_len=args.max_len)
+    """The preprocessed dataset of --data and the digest of its bytes."""
+    ds, digest = _read_log(args.data)
+    return preprocess(ds, min_len=args.min_len, max_len=args.max_len), digest
+
+
+@contextmanager
+def _output_dir(path):
+    """The directory ``path``, made if need be.  If the block raises, a
+    directory made here and still empty is removed again."""
+    out = Path(path)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        if made:
+            with suppress(OSError):  # not empty
+                out.rmdir()
+        raise
 
 
 def _model_config(args, ds):
@@ -352,7 +383,7 @@ def cmd_train(args):
             raise ConfigError(f"--fold must be an integer or 'all', got {args.fold!r}")
         if not (0 <= fold_i < args.k):
             raise ConfigError(f"--fold must be in [0, {args.k}) or 'all', got {fold_i}")
-    ds, digest = _load_dataset(args), _sha256(args.data)
+    ds, digest = _load_dataset(args)
     mcfg = _model_config(args, ds)
     tcfg = _train_config(args)
     if args.grid:
@@ -360,49 +391,38 @@ def cmd_train(args):
     # an invalid --k, or too few students for the grid's folds, raises here,
     # before --out exists
     folds = kfold_split(ds, k=GRID_K if args.grid else args.k, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [REPORT_CSV]
-    extra = {"dataset": _dataset_record(ds)}
+    # made before training, so that an unwritable --out fails first
+    with _output_dir(args.out) as out:
+        outputs = [REPORT_CSV]
+        extra = {"dataset": _dataset_record(ds)}
 
-    if args.grid:
-        result = grid_search(
-            ds,
-            mcfg,
-            tcfg,
-            lambdas=args.grid_lambdas,
-            lrs=args.grid_lrs,
-            dims=args.grid_dims,
-            jobs=args.jobs,
-        )
-        _write_csv(out / REPORT_CSV, ["lambda", "lr", "d", "valid_auc"], result.table)
-        extra["best"] = result.best
-        print(
-            "best cell: lambda={lambda} lr={lr} d={d} valid_auc={valid_auc:.4f}".format(
-                **result.best
-            )
-        )
-    elif args.fold == "all":
-        cv = run_cv(ds, mcfg, tcfg, k=args.k, jobs=args.jobs)
-        epoch_rows = []
-        for fold in cv.folds:
-            fold.report.best_params.save(out / fold_checkpoint(fold.fold))
-            outputs.append(fold_checkpoint(fold.fold))
-            for row in fold.report.epoch_rows():
-                epoch_rows.append({"fold": fold.fold, **row})
-        _write_csv(out / EPOCHS_CSV, ["fold", "epoch", "train_loss", "valid_auc"], epoch_rows)
-        _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], cv.rows())
-        outputs.append(EPOCHS_CSV)
-        print(f"cv mean auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f} over {args.k} folds")
-    else:
-        fold = run_fold(ds, mcfg, tcfg, fold_i, folds[fold_i])
-        fold.report.best_params.save(out / CHECKPOINT)
-        _write_csv(out / EPOCHS_CSV, ["epoch", "train_loss", "valid_auc"], fold.report.epoch_rows())
-        _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [fold.row()])
-        outputs += [CHECKPOINT, EPOCHS_CSV]
-        print(f"fold {fold_i}: test auc {fold.test_auc:.4f} acc {fold.test_acc:.4f}")
+        if args.grid:
+            result = grid_search(ds, mcfg, tcfg, lambdas=args.grid_lambdas, lrs=args.grid_lrs,
+                                 dims=args.grid_dims, jobs=args.jobs)
+            _write_csv(out / REPORT_CSV, ["lambda", "lr", "d", "valid_auc"], result.table)
+            extra["best"] = result.best
+            print("best cell: lambda={lambda} lr={lr} d={d} valid_auc={valid_auc:.4f}".format(**result.best))
+        elif args.fold == "all":
+            cv = run_cv(ds, mcfg, tcfg, k=args.k, jobs=args.jobs)
+            epoch_rows = []
+            for fold in cv.folds:
+                fold.report.best_params.save(out / fold_checkpoint(fold.fold))
+                outputs.append(fold_checkpoint(fold.fold))
+                for row in fold.report.epoch_rows():
+                    epoch_rows.append({"fold": fold.fold, **row})
+            _write_csv(out / EPOCHS_CSV, ["fold", "epoch", "train_loss", "valid_auc"], epoch_rows)
+            _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], cv.rows())
+            outputs.append(EPOCHS_CSV)
+            print(f"cv mean auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f} over {args.k} folds")
+        else:
+            fold = run_fold(ds, mcfg, tcfg, fold_i, folds[fold_i])
+            fold.report.best_params.save(out / CHECKPOINT)
+            _write_csv(out / EPOCHS_CSV, ["epoch", "train_loss", "valid_auc"], fold.report.epoch_rows())
+            _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [fold.row()])
+            outputs += [CHECKPOINT, EPOCHS_CSV]
+            print(f"fold {fold_i}: test auc {fold.test_auc:.4f} acc {fold.test_acc:.4f}")
 
-    _write_manifest(out, "train", args, {args.data: digest}, outputs, started, extra)
+        _write_manifest(out, "train", args, {args.data: digest}, outputs, started, extra)
 
 
 def _run_fold_metrics(run_dir, raw, digest, data):
@@ -424,7 +444,7 @@ def _run_fold_metrics(run_dir, raw, digest, data):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    raw, digest = load_dataset(args.data), _sha256(args.data)
+    raw, digest = _read_log(args.data)
     per_run = {}
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
@@ -457,9 +477,7 @@ def cmd_export(args):
         raise ConfigError(f"--kcs must name KC ids in [0, {n_kcs}), got {kc_subset}")
     if len(set(kc_subset)) != len(kc_subset):
         raise ConfigError(f"--kcs names a KC id twice: {kc_subset}")
-    with open(args.data, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    raw, digest = _read_data(args.data)
     run.require_trained_on(digest, args.data)
     params = run.load(run.checkpoints[0][1])  # the lowest fold's
     rows = parse_log(raw, args.data, student=args.student, label_tables=run.label_tables)
@@ -488,18 +506,18 @@ def cmd_export(args):
         ["step", "question", "response", "r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta"],
         steps,
     )
-    state_rows = [
-        {"step": t + 1, **{f"kc_{k}": v for k, v in zip(kc_subset, row)}}
-        for t, row in enumerate(states)
-    ]
-    _write_csv(out / STATES_CSV, ["step"] + [f"kc_{k}" for k in kc_subset], state_rows)
+    _write_rows(
+        out / STATES_CSV,
+        ["step"] + [f"kc_{k}" for k in kc_subset],
+        ([t, *row] for t, row in enumerate(states.tolist(), start=1)),
+    )
     _write_manifest(out, "export", args, {args.data: digest}, [STEPS_CSV, STATES_CSV], started)
     print(f"exported {len(steps)} steps for student {args.student!r} to {out}")
 
 
 def cmd_ablate(args):
     started = time.perf_counter()
-    ds = _load_dataset(args)
+    ds, digest = _load_dataset(args)
     mcfg = _model_config(args, ds)
     tcfg = _train_config(args)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
@@ -517,26 +535,21 @@ def cmd_ablate(args):
         for v, cv in cvs.items()
     }
     outputs = _write_fold_tables(out, "variant", per_variant)
-    _write_manifest(out, "ablate", args, {args.data: _sha256(args.data)}, outputs, started)
+    _write_manifest(out, "ablate", args, {args.data: digest}, outputs, started)
 
 
 # -- parser ------------------------------------------------------------------
 
 
-def _add_data_flags(p):
+def _add_fit_flags(p):
+    """The data, model and training flags of train and ablate."""
     p.add_argument("--data", required=True, help="interaction-log CSV")
     p.add_argument("--min-len", type=int, default=3, help="drop shorter sequences")
     p.add_argument("--max-len", type=int, default=200, help="chunk longer sequences")
-
-
-def _add_model_flags(p):
     p.add_argument("--d", dest="dim", type=int, default=64, help="hidden/embedding size")
     p.add_argument("--lambda", dest="lambda_aux", type=float, default=1.0,
                    help="auxiliary loss weight")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-
-
-def _add_train_flags(p):
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--max-epochs", type=int, default=200)
@@ -547,15 +560,7 @@ def _add_train_flags(p):
                    help="parallel fold/cell workers (at most one per fold or cell)")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qckt",
-        description="question-centric knowledge tracing: data, training, evaluation",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic interaction log")
+def _synth_flags(p):
     p.add_argument("--students", type=int, default=100)
     p.add_argument("--questions", type=int, default=50)
     p.add_argument("--kcs", type=int, default=10)
@@ -563,14 +568,10 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=0.05, help="per-attempt ability gain")
     p.add_argument("--seq-len", type=_int_pair, default=(10, 50), metavar="LO,HI")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value defaults file")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train one fold, all folds, or the tuning grid")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+
+def _train_flags(p):
+    _add_fit_flags(p)
     p.add_argument("--fold", default="all", help="fold index or 'all'")
     p.add_argument("--grid", action="store_true", help="run the 30-cell tuning grid")
     p.add_argument("--grid-lambdas", type=_list_of(float), default=None, metavar="0,0.5,1",
@@ -580,37 +581,55 @@ def build_parser():
     p.add_argument("--grid-dims", type=_list_of(int), default=None, metavar="64,256",
                    help="override the d axis of --grid")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value defaults file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate run directories on their test folds")
+
+def _eval_flags(p):
     p.add_argument("--data", required=True, help="the CSV the runs were trained on")
     p.add_argument("--run", action="append", required=True, help="run directory (repeatable)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value defaults file")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", help="per-step module outputs and knowledge states")
+
+def _export_flags(p):
     p.add_argument("--data", required=True, help="the CSV the run was trained on")
     p.add_argument("--run", required=True, help="run directory with a checkpoint")
     p.add_argument("--student", required=True, help="student id as it appears in the data")
     p.add_argument("--kcs", type=_list_of(int), default=None, metavar="0,1,2",
                    help="KC subset for the state matrix (default: all)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value defaults file")
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("ablate", help="cross-validate every model variant")
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+
+def _ablate_flags(p):
+    _add_fit_flags(p)
     p.add_argument("--variants", default=None, help="comma-separated subset (default: all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value defaults file")
-    p.set_defaults(func=cmd_ablate)
 
+
+# name -> (help, adder of the flags before --out and --config, handler)
+COMMANDS = {
+    "synth": ("generate a synthetic interaction log", _synth_flags, cmd_synth),
+    "train": ("train one fold, all folds, or the tuning grid", _train_flags, cmd_train),
+    "eval": ("evaluate run directories on their test folds", _eval_flags, cmd_eval),
+    "export": ("per-step module outputs and knowledge states", _export_flags, cmd_export),
+    "ablate": ("cross-validate every model variant", _ablate_flags, cmd_ablate),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of ``command``'s alone: an argv
+    that names ``command`` parses the same with either."""
+    parser = argparse.ArgumentParser(
+        prog="qckt",
+        description="question-centric knowledge tracing: data, training, evaluation",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    # the usage line of an error names every command, whichever were added
+    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.add_argument("--out", required=True)
+            p.add_argument("--config", help="key=value defaults file")
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -642,11 +661,16 @@ def main(argv=None):
     try:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
+        # only the parser of the command argv names: --help, --version, no
+        # argument and an unknown command get every subcommand's
+        command = argv[0] if argv and argv[0] in COMMANDS else None
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(command).parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
-        args.func(args)
+        # a diverged model overflows; the finiteness checks refuse it
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
         return 0
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,32 +179,84 @@ def parse_log(raw, source, student=None, label_tables=None):
     KC set conflicts with its question's first.
 
     ``student`` keeps only the rows whose student field, stripped as every
-    field is, equals it; no other row is parsed or checked.  ``label_tables``
-    (the question labels and the KC labels, in index order) fixes the ids: a
-    row naming any other label raises, and the q-matrix holds only the
-    questions of the rows parsed.
+    field is, equals it; no other row is parsed or checked.  On a plain log
+    (see :func:`_plain_student_rows`) they are found by a byte search, so
+    the cost grows with the student's rows, not with the log.
+    ``label_tables`` (the question labels and the KC labels, in index order)
+    fixes the ids: a row naming any other label raises, and the q-matrix
+    holds only the questions of the rows parsed.
     """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
+    found = None if student is None else _plain_student_rows(raw, student)
+    if found is not None:
+        end = raw.find(b"\n")
+        lines = [(raw if end < 0 else raw[:end]).decode("ascii")] if raw else []
+    else:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
+        lines = text.splitlines()
     if not lines:
         raise ParseError(f"{source} is empty")
     if lines[0].strip() != HEADER:
         raise ParseError(f"bad header {lines[0]!r}, expected {HEADER!r}", line=1)
+    if found is not None:
+        rows, starts = found
+        # a line number is counted only for the message of a faulty row
+        return _parse_rows(rows, lambda i: raw.count(b"\n", 0, starts[i]) + 1, False, label_tables)
     # splitlines cut at every line break, so within a line ASCII text holds
     # no whitespace but these; a log without them needs no stripping
     strip = not text.isascii() or any(c in text for c in " \t\x1f")
     del text
-    numbers = range(len(lines))  # each line's index in the log
+    rows, numbers = lines[1:], range(2, len(lines) + 1)  # each row's line number
     if student is not None:
-        numbers = [0] + [
-            i for i, line in enumerate(lines)
-            if student in line and i and _student_field(line, strip) == student
+        keep = [
+            i for i, row in enumerate(rows)
+            if student in row and _student_field(row, strip) == student
         ]
-        lines = [lines[i] for i in numbers]
+        rows, numbers = [rows[i] for i in keep], [numbers[i] for i in keep]
+    return _parse_rows(rows, numbers.__getitem__, strip, label_tables)
 
+
+# Besides "\n", the ASCII bytes at which str.splitlines ends a line or that
+# str.strip removes from a field
+_BREAKS_AND_BLANKS = tuple(bytes([c]) for c in b"\r\x0b\x0c\x1c\x1d\x1e\x1f \t")
+
+
+def _plain_student_rows(raw, student):
+    """The rows of ``student`` in a plain log and the offset in ``raw`` at
+    which each begins, or None for any other log.
+
+    A plain log is ASCII without _BREAKS_AND_BLANKS: its lines end at "\n"
+    only and no field needs stripping.  So the student's rows are the lines
+    after the header that begin with its id and a comma, found with
+    ``bytes.find``; the "\n" before a row's offset number its line.  A line
+    that is the id alone (a faulty row, or a blank line for an empty id)
+    would be a row too, so a log with one is left to the line path.
+    """
+    if not raw.isascii() or any(c in raw for c in _BREAKS_AND_BLANKS):
+        return None
+    if not student.isascii():
+        return [], []  # in no line of an ASCII log
+    key = b"\n" + student.encode("ascii")
+    if key + b"\n" in raw or raw.endswith(key):
+        return None
+    needle = key + b","
+    rows, starts = [], []
+    hit = raw.find(needle)
+    while hit >= 0:
+        end = raw.find(b"\n", hit + 1)
+        end = len(raw) if end < 0 else end
+        rows.append(raw[hit + 1 : end].decode("ascii"))
+        starts.append(hit + 1)
+        hit = raw.find(needle, end)
+    return rows, starts
+
+
+def _parse_rows(lines, line_of, strip, label_tables):
+    """The dataset of the log rows ``lines`` (the header excluded);
+    ``line_of(i)`` is the number of row i's line in the log, and ``strip``
+    strips every field.  The rest is as :func:`parse_log` says."""
     smap, qmap, kmap, qmatrix = {}, {}, {}, {}
     known_q = known_k = None  # the sizes of fixed label tables
     if label_tables is not None:
@@ -212,7 +264,7 @@ def parse_log(raw, source, student=None, label_tables=None):
         known_q, known_k = len(qmap), len(kmap)
     pair_q = {}  # (question label, KC field) -> question id
     blocks = []  # (student, question, response, timestamp) columns per block
-    for lo in range(1, len(lines), BLOCK_ROWS):
+    for lo in range(0, len(lines), BLOCK_ROWS):
         block = lines[lo : lo + BLOCK_ROWS]
         # the columns end at the first row with a wrong field count; each
         # check adds the index of its first failing row
@@ -261,7 +313,7 @@ def parse_log(raw, source, student=None, label_tables=None):
 
         fault = min(faults)
         if fault < len(kept):
-            lineno = numbers[lo + kept[fault]] + 1
+            lineno = line_of(lo + kept[fault])
             _check_row(block[kept[fault]], lineno)
             raise DataError(f"{pair_fault} at line {lineno}")
         for sid in dict.fromkeys(sids):

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import qckt.cli
 import qckt.model
 import qckt.training
 from _support import with_header
-from qckt.cli import main
+from qckt.cli import COMMANDS, build_parser, main
 from qckt.data import HEADER, load_dataset, preprocess
 from qckt.evaluation import export_knowledge_states, export_module_outputs
 from qckt.model import CHECKPOINT_MAGIC, Parameters, sequence_outputs
@@ -418,6 +419,20 @@ class TestExport:
         assert rc == 2
         assert "16 students" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("student", ["\u00e9mile", "s1,q0", ""])
+    def test_an_id_in_no_row_is_an_unknown_student(self, workspace, tmp_path, capsys, student):
+        # the log is plain ASCII, so export finds rows by byte search; a
+        # non-ASCII id is in no row
+        capsys.readouterr()
+        rc = main(
+            ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
+             "--student", student, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown student id {student!r}; dataset has 16 students\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_kc_is_validation_error(self, workspace, tmp_path):
         student = read_csv(workspace["data"])[0]["student_id"]
         rc = main(
@@ -682,6 +697,8 @@ class TestMalformedFlags:
             assert err == "error: --config needs a key=value file\n"
 
 
+# numpy's RuntimeWarnings raise, so an overflow warning main lets through fails
+@pytest.mark.filterwarnings("error")
 class TestDivergence:
     """A diverged model is refused with exit 2 and no checkpoint or table."""
 
@@ -690,13 +707,13 @@ class TestDivergence:
         assert main(["synth", "--students", "20", "--out", str(data)]) == 0
         out = tmp_path / "run"
         capsys.readouterr()
-        with np.errstate(all="ignore"):
-            rc = main(["train", "--data", str(data / "dataset.csv"), "--fold", "0", "--d", "3",
-                       "--max-epochs", "1", "--lr", "1e308", "--out", str(out)])
+        rc = main(["train", "--data", str(data / "dataset.csv"), "--fold", "0", "--d", "3",
+                   "--max-epochs", "1", "--lr", "1e308", "--out", str(out)])
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
+        # numpy's overflow warnings are silenced: stderr is the error line alone
         assert len(err) == 1 and err[0].startswith("error: diverged"), err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_non_finite_model_outputs_exit_2_without_tables(self, workspace, tmp_path, capsys, command):
@@ -705,8 +722,7 @@ class TestDivergence:
         params = Parameters.load(run / "checkpoint.bin")
         Parameters(params.config, {k: v * 1e300 for k, v in params.items()}).save(run / "checkpoint.bin")
         student = read_csv(workspace["data"])[0]["student_id"]
-        with np.errstate(all="ignore"):
-            rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
+        rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert ("not finite" if command == "eval" else "diverged") in err[0]
@@ -727,7 +743,7 @@ class TestDivergence:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("error:") and f"{count:,} parameters" in err[0], err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestAtomicWrites:
@@ -769,12 +785,91 @@ class TestAblate:
         assert rc == 1
 
 
+BAD_PARSES = [
+    ["synth", "--students", "x", "--out", "o"],
+    ["train", "--data", "d.csv", "--variant", "bogus", "--out", "o"],
+    ["train", "--data", "d.csv"],
+    ["export", "--data", "d.csv", "--run", "r", "--out", "o"],
+    ["eval", "--data", "d.csv", "--run", "r", "--min-len", "3", "--out", "o"],
+    ["ablate", "--out", "o", "--jobs", "1.5"],
+    ["train", "--version"],
+    ["export", "--data", "d.csv", "--run", "r", "--student", "s0", "--out", "o", "extra"],
+]
+# argv that parse, with every flag of every command
+GOOD_PARSES = [
+    SYNTH + ["--kcs-per-question", "1,2", "--gamma", "0.1", "--out", "o"],
+    ["train", "--data", "d.csv", "--fold", "0", "--min-len", "3", "--max-len", "8",
+     "--variant", "no_ks", "--out", "o"] + TRAIN_FAST,
+    ["train", "--data", "d.csv", "--grid", "--grid-lambdas", "0,1", "--grid-lrs", "1e-2",
+     "--grid-dims", "4", "--max-epochs", "1", "--batch-size", "16", "--seed", "1", "--out", "o"],
+    ["train", "--config", "run.cfg", "--data", "d.csv", "--lambda", "0.5", "--lr", "1e-2",
+     "--patience", "3", "--no-clip", "--jobs", "2", "--out", "o"],
+    ["eval", "--data", "d.csv", "--run", "a", "--run", "b", "--out", "o"],
+    ["export", "--data", "d.csv", "--run", "r", "--student", "s0", "--kcs", "0,1,2", "--out", "o"],
+    ["ablate", "--data", "d.csv", "--variants", "full,no_ks_ps", "--d", "4", "--max-epochs", "1",
+     "--batch-size", "16", "--k", "2", "--seed", "1", "--out", "o"],
+]
+
+
+def bad_flags_argv(case):
+    command, flags = BAD_FLAGS[case]
+    base = {
+        "train": ["train", "--data", "d.csv"] + TRAIN_FAST,
+        "train-few": ["train", "--data", "few.csv"] + TRAIN_FAST,
+        "synth": SYNTH,
+        "export": ["export", "--data", "d.csv", "--run", "r", "--student", "s0"],
+    }[command]
+    return base + ["--out", "o"] + flags
+
+
+def parse(parser, argv, capsys):
+    """The namespace (as text, so that nan equals nan), or the exit code,
+    and the printed text of a parse."""
+    capsys.readouterr()
+    try:
+        result = repr(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
 class TestParsing:
     def test_version_exits_zero(self):
         assert main(["--version"]) == 0
 
     def test_no_command_is_validation_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        GOOD_PARSES + BAD_PARSES + [bad_flags_argv(case) for case in BAD_FLAGS]
+        + [[command, "--help"] for command in COMMANDS],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_one_commands_parser_parses_as_the_whole_tree(self, argv, capsys):
+        # same namespace, or same exit code and error text, and same help
+        assert parse(build_parser(argv[0]), argv, capsys) == parse(build_parser(), argv, capsys)
+
+    def test_main_builds_only_the_named_commands_parser(self, tmp_path, monkeypatch):
+        built, whole = [], qckt.cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return whole(command)
+
+        monkeypatch.setattr(qckt.cli, "build_parser", recording)
+        for argv in (["synth", "--students", "0", "--out", str(tmp_path / "o")], ["--version"], ["bogus"]):
+            main(argv)
+        assert built == ["synth", None, None]
+
+    def test_the_whole_tree_stays_reachable(self, capsys):
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert "{synth,train,eval,export,ablate}" in capsys.readouterr().out
+        assert main(["export", "--help"]) == 0
+        assert "--student STUDENT" in capsys.readouterr().out
+        assert main(["bogus"]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert main(["synth", "--bogus", "1", "--out", str(tmp_path / "o")]) == 1

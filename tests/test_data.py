@@ -127,10 +127,12 @@ FAULTS = [
 
 
 @st.composite
-def log_line(draw):
-    """One line of an interaction log: mostly valid rows, some faulty or blank."""
+def log_line(draw, plain=False):
+    """One line of an interaction log: mostly valid rows, some faulty or
+    blank.  A ``plain`` line is ASCII without whitespace, and its student
+    ids prefix one another."""
     fault = draw(st.sampled_from(FAULTS)) if draw(st.integers(0, 7)) == 0 else None
-    if fault == "blank":
+    if fault == "blank" or (fault == "spaces" and plain):
         return ""
     if fault == "spaces":
         return draw(st.sampled_from([" ", "\t", "  \t "]))
@@ -138,7 +140,7 @@ def log_line(draw):
     labels = draw(st.permutations(KC_LABELS[q]))
     labels += draw(st.lists(st.sampled_from(labels), max_size=2))
     fields = {
-        "sid": draw(st.sampled_from(["s1", "s2", "s3"])),
+        "sid": draw(st.sampled_from(["s1", "s12", "s"] if plain else ["s1", "s2", "s3"])),
         "question": q,
         "no_kcs": "_".join(labels),
         "response": draw(st.sampled_from(["0", "1"])),
@@ -159,7 +161,7 @@ def log_line(draw):
         fields[fault] = bad[fault]
     if draw(st.integers(0, 9)) == 0:  # a huge timestamp is valid, only not 64-bit
         fields["timestamp"] = draw(st.sampled_from(["-99999999999999999999", "+3", "1_0"]))
-    pads = st.sampled_from(["", "", "", " ", "\t", "\x1f", "\xa0"])
+    pads = st.just("") if plain else st.sampled_from(["", "", "", " ", "\t", "\x1f", "\xa0"])
     parts = [draw(pads) + v + draw(pads) for v in fields.values()]
     if fault == "short":
         parts = parts[: draw(st.integers(1, 4))]
@@ -177,6 +179,23 @@ def log_text(draw):
         lines.insert(draw(st.integers(1, len(lines))), again)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def plain_log_text(draw):
+    """A log that ``parse_log(..., student=)`` scans by bytes: ASCII, lines
+    ended by "\n" alone, no whitespace within a line."""
+    lines = [qd.HEADER] + draw(st.lists(log_line(plain=True), max_size=12))
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), qd.HEADER)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parsed_or_error(parse):
+    try:
+        return parse()
+    except PACKAGE_ERRORS as exc:
+        return type(exc), str(exc)
 
 
 class TestColumnLoaderAgainstRowOracle:
@@ -271,7 +290,45 @@ class TestParseOneStudent:
 
     def test_the_header_is_no_student(self):
         raw = EXAMPLE.encode("utf-8")
+        assert qd._plain_student_rows(raw, "student_id") == ([], [])
         assert qd.parse_log(raw, "log", student="student_id").sequences == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=plain_log_text(), block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2]))
+    def test_byte_scan_equals_the_line_path(self, text, block_rows):
+        raw = text.encode("ascii")
+        tables = parsed_or_error(lambda: qd.parse_log(raw, "log"))
+        tables = (tables.question_labels, tables.kc_labels) if isinstance(tables, qd.Dataset) else None
+        for sid in ("s1", "s12", "s", "1", "student_id", ""):
+            # the scan runs unless a line after the header is the id alone
+            assert (qd._plain_student_rows(raw, sid) is None) == (sid in text.split("\n")[1:])
+            for labels in (None, tables):
+                def one():
+                    return qd.parse_log(raw, "log", student=sid, label_tables=labels)
+
+                with mock.patch.object(qd, "BLOCK_ROWS", block_rows):
+                    scanned = parsed_or_error(one)
+                    with mock.patch.object(qd, "_plain_student_rows", lambda raw, student: None):
+                        assert parsed_or_error(one) == scanned
+
+    def test_a_non_ascii_id_is_in_no_row_of_an_ascii_log(self):
+        raw = EXAMPLE.encode("utf-8")
+        assert qd._plain_student_rows(raw, "\u00e9mile") == ([], [])
+        assert qd.parse_log(raw, "log", student="\u00e9mile").sequences == []
+
+    @pytest.mark.parametrize("student", ["alice", "", "\u00e9mile"])
+    def test_an_empty_log_is_refused_on_either_path(self, student):
+        with pytest.raises(ParseError, match="^log is empty$"):
+            qd.parse_log(b"", "log", student=student)
+        with pytest.raises(ParseError, match="line 1: bad header ''"):
+            qd.parse_log(b"\n", "log", student=student)
+
+    def test_a_last_row_without_a_newline(self):
+        raw = EXAMPLE.rstrip("\n").encode("utf-8")
+        assert qd._plain_student_rows(raw, "alice") == (["alice,A,X,1,0", "alice,B,X_Y,0,5"], [49, 63])
+        assert qd.parse_log(raw, "log", student="alice") == qd.parse_log(raw, "log")
+        with pytest.raises(ParseError, match="line 5: response"):
+            qd.parse_log(raw + b"\nbob,A,X,1,0\nalice,B,X,2,9", "log", student="alice")
 
 
 def seq_of(sid, length, q=0):
