@@ -602,13 +602,15 @@ def _ablate_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-# name -> (help, adder of the flags before --out and --config, handler)
+# name -> (help, adder of the flags before --out and --config); the handler
+# is cmd_<name>, looked up when the parser is built, so that one patched into
+# the module after import (as a tracer does) is the one run
 COMMANDS = {
-    "synth": ("generate a synthetic interaction log", _synth_flags, cmd_synth),
-    "train": ("train one fold, all folds, or the tuning grid", _train_flags, cmd_train),
-    "eval": ("evaluate run directories on their test folds", _eval_flags, cmd_eval),
-    "export": ("per-step module outputs and knowledge states", _export_flags, cmd_export),
-    "ablate": ("cross-validate every model variant", _ablate_flags, cmd_ablate),
+    "synth": ("generate a synthetic interaction log", _synth_flags),
+    "train": ("train one fold, all folds, or the tuning grid", _train_flags),
+    "eval": ("evaluate run directories on their test folds", _eval_flags),
+    "export": ("per-step module outputs and knowledge states", _export_flags),
+    "ablate": ("cross-validate every model variant", _ablate_flags),
 }
 
 
@@ -623,13 +625,13 @@ def build_parser(command=None):
     # the usage line of an error names every command, whichever were added
     every = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name, (help_text, add_flags, handler) in COMMANDS.items():
+    for name, (help_text, add_flags) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
             add_flags(p)
             p.add_argument("--out", required=True)
             p.add_argument("--config", help="key=value defaults file")
-            p.set_defaults(func=handler)
+            p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

@@ -229,27 +229,26 @@ def _plain_student_rows(raw, student):
 
     A plain log is ASCII without _BREAKS_AND_BLANKS: its lines end at "\n"
     only and no field needs stripping.  So the student's rows are the lines
-    after the header that begin with its id and a comma, found with
-    ``bytes.find``; the "\n" before a row's offset number its line.  A line
-    that is the id alone (a faulty row, or a blank line for an empty id)
-    would be a row too, so a log with one is left to the line path.
+    after the header that hold its id alone or begin with its id and a
+    comma, found with ``bytes.find``; the "\n" before a row's offset number
+    its line.  A line that is the id alone is a faulty row, or a blank line
+    for an empty id, as on the line path.
     """
     if not raw.isascii() or any(c in raw for c in _BREAKS_AND_BLANKS):
         return None
-    if not student.isascii():
-        return [], []  # in no line of an ASCII log
+    if not student.isascii() or "," in student or "\n" in student:
+        return [], []  # no student field of an ASCII log holds it
     key = b"\n" + student.encode("ascii")
-    if key + b"\n" in raw or raw.endswith(key):
-        return None
-    needle = key + b","
     rows, starts = [], []
-    hit = raw.find(needle)
+    hit = raw.find(key)
     while hit >= 0:
-        end = raw.find(b"\n", hit + 1)
-        end = len(raw) if end < 0 else end
-        rows.append(raw[hit + 1 : end].decode("ascii"))
-        starts.append(hit + 1)
-        hit = raw.find(needle, end)
+        end = hit + len(key)
+        if raw[end : end + 1] in (b",", b"\n", b""):
+            end = raw.find(b"\n", end)
+            end = len(raw) if end < 0 else end
+            rows.append(raw[hit + 1 : end].decode("ascii"))
+            starts.append(hit + 1)
+        hit = raw.find(key, end)
     return rows, starts
 
 

@@ -12,6 +12,7 @@ import os
 import platform
 import shutil
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -424,6 +425,24 @@ class TestExport:
         # the log is plain ASCII, so export finds rows by byte search; a
         # non-ASCII id is in no row
         capsys.readouterr()
+        rc = main(
+            ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
+             "--student", student, "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown student id {student!r}; dataset has 16 students\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_an_id_with_a_comma_matches_no_row(self, workspace, tmp_path, capsys):
+        # "<sid>,<q>" begins every row in which sid answered q; no student
+        # field holds a comma, so it is an unknown student even when those
+        # rows would make a sequence of min-len steps
+        pairs = Counter((r["student_id"], r["question_id"]) for r in read_csv(workspace["data"]))
+        (sid, q), n = pairs.most_common(1)[0]
+        assert n >= 3  # the default --min-len
+        capsys.readouterr()
+        student = f"{sid},{q}"
         rc = main(
             ["export", "--data", str(workspace["data"]), "--run", str(workspace["run0"]),
              "--student", student, "--out", str(tmp_path / "o")]
@@ -861,6 +880,17 @@ class TestParsing:
         for argv in (["synth", "--students", "0", "--out", str(tmp_path / "o")], ["--version"], ["bogus"]):
             main(argv)
         assert built == ["synth", None, None]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_main_runs_the_handler_the_module_holds_now(self, tmp_path, monkeypatch, command):
+        # a handler patched into the module after import is the one run
+        ran = []
+        monkeypatch.setattr(qckt.cli, f"cmd_{command}", ran.append)
+        argv = {"eval": ["--run", "r"], "export": ["--run", "r", "--student", "s"]}.get(command, [])
+        if command != "synth":
+            argv += ["--data", "d.csv"]
+        assert main([command, *argv, "--out", str(tmp_path / "o")]) == 0
+        assert [args.command for args in ran] == [command]
 
     def test_the_whole_tree_stays_reachable(self, capsys):
         capsys.readouterr()

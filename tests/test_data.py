@@ -299,9 +299,10 @@ class TestParseOneStudent:
         raw = text.encode("ascii")
         tables = parsed_or_error(lambda: qd.parse_log(raw, "log"))
         tables = (tables.question_labels, tables.kc_labels) if isinstance(tables, qd.Dataset) else None
-        for sid in ("s1", "s12", "s", "1", "student_id", ""):
-            # the scan runs unless a line after the header is the id alone
-            assert (qd._plain_student_rows(raw, sid) is None) == (sid in text.split("\n")[1:])
+        # ids with a comma or a newline begin rows and span lines, but are
+        # in no student field
+        for sid in ("s1", "s12", "s", "1", "student_id", "", "s1,A", "s1,", "s1\ns1"):
+            assert qd._plain_student_rows(raw, sid) is not None
             for labels in (None, tables):
                 def one():
                     return qd.parse_log(raw, "log", student=sid, label_tables=labels)
