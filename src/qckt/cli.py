@@ -6,7 +6,8 @@ directory, and finishes by writing a manifest recording the command, the
 resolved configuration, input digests, and output names.  All randomness
 flows from --seed.  eval and export take the folds, the preprocessing and the
 label tables from each run's manifest, find its checkpoints in the manifest's
-outputs, and refuse data whose digest it does not record.
+outputs, and refuse data whose digest it does not record.  train records each
+fold's test students in the manifest, so eval parses only their rows.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -173,13 +175,12 @@ class _Run:
 
     dir: str
     digests: frozenset  # SHA-256 of each file the run was trained on
-    k: int
-    seed: int
     batch_size: int
     min_len: int
     max_len: int
     label_tables: tuple  # (question labels, KC labels) in index order
     students: int  # after preprocessing
+    test_students: tuple  # a frozenset of student ids per fold
     checkpoints: list  # (fold, path), lowest fold first
 
     def require_trained_on(self, digest, data):
@@ -201,19 +202,20 @@ class _Run:
 
 def _read_run(run_dir):
     """All eval and export read of a run, taken from its manifest: the run's
-    input digests, k, seed, batch size and preprocessing, its label tables
-    and student count, and (fold, path) of each checkpoint the manifest's
-    outputs list, lowest fold first.  checkpoint.bin is the model of
-    ``config.fold`` and checkpoint_fold<i>.bin that of fold i; files it does
-    not list, such as an earlier run's in a reused directory, are ignored.
-    Refuses a k, batch size, preprocessing, fold or dataset block the run
-    cannot have used, and a manifest without a dataset block."""
+    input digests, batch size and preprocessing, its label tables, student
+    count and the test students of each of its k folds, and (fold, path) of
+    each checkpoint the manifest's outputs list, lowest fold first.
+    checkpoint.bin is the model of ``config.fold`` and checkpoint_fold<i>.bin
+    that of fold i; files it does not list, such as an earlier run's in a
+    reused directory, are ignored.  Refuses a k, batch size, preprocessing,
+    fold or dataset block the run cannot have used, and a manifest without a
+    dataset block or without the test students in it."""
     manifest = _read_manifest(run_dir)
     try:
         digests = frozenset(manifest["inputs"].values())
         cfg, outputs = manifest["config"], manifest["outputs"]
         min_len, max_len, k = int(cfg["min_len"]), int(cfg["max_len"]), int(cfg["k"])
-        batch_size, seed = int(cfg["batch_size"]), int(manifest["seed"])
+        batch_size = int(cfg["batch_size"])
         if not isinstance(outputs, list):
             raise TypeError(f"outputs is a {type(outputs).__name__}, not a list")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -223,7 +225,7 @@ def _read_run(run_dir):
             f"{MANIFEST} of run {run_dir} has no dataset block: "
             "it was written by an earlier version of qckt; retrain the run"
         )
-    label_tables, students = _dataset_block(manifest["dataset"], run_dir)
+    label_tables, students, record = _dataset_block(manifest["dataset"], run_dir)
     if batch_size < 1:
         raise DataError(f"{MANIFEST} of run {run_dir}: batch_size = {batch_size} is not >= 1")
     if not 2 <= min_len <= max_len:
@@ -239,13 +241,14 @@ def _read_run(run_dir):
     checkpoints = sorted((i, Path(run_dir) / name) for name, i in folds.items() if name in outputs)
     if not checkpoints:
         raise DataError(f"{MANIFEST} of run {run_dir} lists no checkpoint")
-    return _Run(str(run_dir), digests, k, seed, batch_size, min_len, max_len,
-                label_tables, students, checkpoints)
+    test_students = _test_students(record, k, students, run_dir)
+    return _Run(str(run_dir), digests, batch_size, min_len, max_len,
+                label_tables, students, test_students, checkpoints)
 
 
 def _dataset_block(block, run_dir):
-    """The label tables and the student count ``train`` recorded in a
-    manifest's dataset block."""
+    """The label tables, the student count and the test students record
+    ``train`` wrote in a manifest's dataset block."""
     try:
         label_tables = (block["question_labels"], block["kc_labels"])
         students = block["students"]
@@ -257,16 +260,43 @@ def _dataset_block(block, run_dir):
             raise DataError(f"{MANIFEST} of run {run_dir}: labels are not a list of distinct strings")
     if type(students) is not int:
         raise DataError(f"{MANIFEST} of run {run_dir}: students = {students!r} is not an integer")
-    return label_tables, students
+    if "test_students" not in block:
+        raise DataError(
+            f"{MANIFEST} of run {run_dir} records no test_students: "
+            "it was written by an earlier version of qckt; retrain the run"
+        )
+    return label_tables, students, block["test_students"]
 
 
-def _dataset_record(ds):
-    """The dataset block of a training run's manifest: what export needs of
-    the parse, so that it reads only one student's rows."""
+def _test_students(record, k, students, run_dir):
+    """The test_students record as a frozenset per fold: ``k`` non-empty
+    lists of ids that name ``students`` distinct students in all."""
+    if not (isinstance(record, list) and len(record) == k
+            and all(isinstance(ids, list) and ids and all(type(x) is str for x in ids)
+                    for ids in record)):
+        raise DataError(
+            f"{MANIFEST} of run {run_dir}: test_students is not {k} non-empty lists of student ids"
+        )
+    folds = tuple(map(frozenset, record))
+    if sum(map(len, record)) != students or len(frozenset().union(*folds)) != students:
+        raise DataError(
+            f"{MANIFEST} of run {run_dir}: test_students does not name {students} distinct students"
+        )
+    return folds
+
+
+def _dataset_record(ds, folds):
+    """The dataset block of a training run's manifest: what eval and export
+    need of the parse, so that they read only the rows they score: the label
+    tables, the student count and each fold's test students in order of
+    first appearance."""
     return {
         "question_labels": ds.question_labels,
         "kc_labels": ds.kc_labels,
         "students": len(ds.students()),
+        "test_students": [
+            list(dict.fromkeys(ds.sequences[i].student_id for i in test)) for _, _, test in folds
+        ],
     }
 
 
@@ -297,16 +327,10 @@ def _list_of(kind):
     return parse
 
 
-def _read_log(path):
-    """The interaction log at ``path``, parsed, and the digest of its bytes."""
-    raw, digest = _read_data(path)
-    return parse_log(raw, path), digest
-
-
 def _load_dataset(args):
     """The preprocessed dataset of --data and the digest of its bytes."""
-    ds, digest = _read_log(args.data)
-    return preprocess(ds, min_len=args.min_len, max_len=args.max_len), digest
+    raw, digest = _read_data(args.data)
+    return preprocess(parse_log(raw, args.data), min_len=args.min_len, max_len=args.max_len), digest
 
 
 @contextmanager
@@ -394,7 +418,7 @@ def cmd_train(args):
     # made before training, so that an unwritable --out fails first
     with _output_dir(args.out) as out:
         outputs = [REPORT_CSV]
-        extra = {"dataset": _dataset_record(ds)}
+        extra = {"dataset": _dataset_record(ds, folds)}
 
         if args.grid:
             result = grid_search(ds, mcfg, tcfg, lambdas=args.grid_lambdas, lrs=args.grid_lrs,
@@ -425,18 +449,30 @@ def cmd_train(args):
         _write_manifest(out, "train", args, {args.data: digest}, outputs, started, extra)
 
 
-def _run_fold_metrics(run_dir, raw, digest, data):
+def _run_fold_metrics(run_dir, raw, digest, data, whole_log):
     """Per-fold (auc, acc) of every checkpoint a run's manifest lists, scored
-    as ``run_fold`` scored it: on the run's folds, at its batch size."""
+    as ``run_fold`` scored it: on the test students the manifest records for
+    its fold, at the run's batch size.  A run that scores some folds has
+    only their students' rows of ``raw`` parsed, with its label tables.  A
+    run that scores every fold takes ``whole_log()``, the parse of the whole
+    log, and its label tables must equal those of that parse."""
     run = _read_run(run_dir)
     run.require_trained_on(digest, data)
-    ds = preprocess(raw, min_len=run.min_len, max_len=run.max_len)
-    if (ds.question_labels, ds.kc_labels, len(ds.students())) != (*run.label_tables, run.students):
-        raise DataError(f"the dataset block of {MANIFEST} of run {run_dir} does not match {data}")
-    folds = kfold_split(ds, k=run.k, seed=run.seed)
+    tested = [run.test_students[fold_i] for fold_i, _ in run.checkpoints]
+    wanted = frozenset().union(*tested)
+    mismatch = DataError(f"the dataset block of {MANIFEST} of run {run_dir} does not match {data}")
+    if len(wanted) == run.students:
+        ds = preprocess(whole_log(), min_len=run.min_len, max_len=run.max_len)
+        if (ds.question_labels, ds.kc_labels) != run.label_tables:
+            raise mismatch
+    else:
+        ds = preprocess(parse_log(raw, data, students=wanted, label_tables=run.label_tables),
+                        min_len=run.min_len, max_len=run.max_len)
+    if set(ds.students()) != wanted:
+        raise mismatch
     rows = []
-    for fold_i, path in run.checkpoints:
-        test_seqs = [ds.sequences[i] for i in folds[fold_i][2]]
+    for (fold_i, path), fold in zip(run.checkpoints, tested):
+        test_seqs = [seq for seq in ds.sequences if seq.student_id in fold]
         test_auc, test_acc = fold_metrics(run.load(path), test_seqs, run.batch_size)
         rows.append({"fold": fold_i, "auc": test_auc, "acc": test_acc})
     return rows
@@ -444,13 +480,14 @@ def _run_fold_metrics(run_dir, raw, digest, data):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    raw, digest = _read_log(args.data)
+    raw, digest = _read_data(args.data)
     per_run = {}
+    whole_log = cache(lambda: parse_log(raw, args.data))  # parsed once for the runs that need it
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
         if name in per_run:
             name = str(run_dir)
-        per_run[name] = _run_fold_metrics(run_dir, raw, digest, args.data)
+        per_run[name] = _run_fold_metrics(run_dir, raw, digest, args.data, whole_log)
     counts = {len(rows) for rows in per_run.values()}
     if len(per_run) >= 2 and (len(counts) != 1 or counts == {1}):
         raise DataError("p-value matrix needs the same number of folds (>= 2) in every run")
@@ -480,9 +517,16 @@ def cmd_export(args):
     raw, digest = _read_data(args.data)
     run.require_trained_on(digest, args.data)
     params = run.load(run.checkpoints[0][1])  # the lowest fold's
-    rows = parse_log(raw, args.data, student=args.student, label_tables=run.label_tables)
+    rows = parse_log(raw, args.data, students={args.student}, label_tables=run.label_tables)
     chunks = preprocess(rows, min_len=run.min_len, max_len=run.max_len).sequences
+    if bool(chunks) != any(args.student in fold for fold in run.test_students):
+        raise DataError(f"the dataset block of {MANIFEST} of run {args.run} does not match {args.data}")
     if not chunks:
+        if rows.n_interactions:
+            raise DataError(
+                f"student {args.student!r} has {rows.n_interactions} interactions, "
+                f"fewer than the run's min_len {run.min_len}"
+            )
         raise DataError(
             f"unknown student id {args.student!r}; dataset has {run.students} students"
         )

@@ -11,9 +11,11 @@ one object per row.
 """
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -166,7 +168,7 @@ def load_dataset(path):
         return parse_log(fh.read(), path)
 
 
-def parse_log(raw, source, student=None, label_tables=None):
+def parse_log(raw, source, students=None, label_tables=None):
     """Parse the bytes of an interaction log named ``source`` in messages;
     ids become dense 0-based ranges.
 
@@ -178,15 +180,18 @@ def parse_log(raw, source, student=None, label_tables=None):
     faulty row, as :func:`_check_row` reports it, or for the first row whose
     KC set conflicts with its question's first.
 
-    ``student`` keeps only the rows whose student field, stripped as every
-    field is, equals it; no other row is parsed or checked.  On a plain log
-    (see :func:`_plain_student_rows`) they are found by a byte search, so
-    the cost grows with the student's rows, not with the log.
+    ``students``, a collection of ids, keeps only the rows whose student
+    field, stripped as every field is, is one of them; no other row is
+    parsed or checked.  For one id on a plain log (see
+    :func:`_plain_student_rows`) the rows are found by a search of the
+    bytes, so the cost grows with the student's rows, not with the log.
     ``label_tables`` (the question labels and the KC labels, in index order)
     fixes the ids: a row naming any other label raises, and the q-matrix
     holds only the questions of the rows parsed.
     """
-    found = None if student is None else _plain_student_rows(raw, student)
+    found = None
+    if students is not None and len(students) == 1:
+        found = _plain_student_rows(raw, next(iter(students)))
     if found is not None:
         end = raw.find(b"\n")
         lines = [(raw if end < 0 else raw[:end]).decode("ascii")] if raw else []
@@ -209,12 +214,10 @@ def parse_log(raw, source, student=None, label_tables=None):
     strip = not text.isascii() or any(c in text for c in " \t\x1f")
     del text
     rows, numbers = lines[1:], range(2, len(lines) + 1)  # each row's line number
-    if student is not None:
-        keep = [
-            i for i, row in enumerate(rows)
-            if student in row and _student_field(row, strip) == student
-        ]
-        rows, numbers = [rows[i] for i in keep], [numbers[i] for i in keep]
+    if students is not None:
+        fields = map(itemgetter(0), map(str.partition, rows, repeat(",")))
+        keep = list(map(set(students).__contains__, map(str.strip, fields) if strip else fields))
+        rows, numbers = list(compress(rows, keep)), list(compress(numbers, keep))
     return _parse_rows(rows, numbers.__getitem__, strip, label_tables)
 
 
@@ -230,25 +233,26 @@ def _plain_student_rows(raw, student):
     A plain log is ASCII without _BREAKS_AND_BLANKS: its lines end at "\n"
     only and no field needs stripping.  So the student's rows are the lines
     after the header that hold its id alone or begin with its id and a
-    comma, found with ``bytes.find``; the "\n" before a row's offset number
-    its line.  A line that is the id alone is a faulty row, or a blank line
-    for an empty id, as on the line path.
+    comma; the "\n" before a row's offset number its line.  A line that is
+    the id alone is a faulty row, or a blank line for an empty id, as on the
+    line path.  ``bytes.find`` finds them until it meets an id that begins
+    with the student's; from there a regular expression that matches no
+    other id takes over, so such ids cost no Python step per row.
     """
     if not raw.isascii() or any(c in raw for c in _BREAKS_AND_BLANKS):
         return None
     if not student.isascii() or "," in student or "\n" in student:
         return [], []  # no student field of an ASCII log holds it
     key = b"\n" + student.encode("ascii")
-    rows, starts = [], []
-    hit = raw.find(key)
-    while hit >= 0:
-        end = hit + len(key)
-        if raw[end : end + 1] in (b",", b"\n", b""):
-            end = raw.find(b"\n", end)
-            end = len(raw) if end < 0 else end
-            rows.append(raw[hit + 1 : end].decode("ascii"))
-            starts.append(hit + 1)
-        hit = raw.find(key, end)
+    starts, hit = [], raw.find(key)
+    while hit >= 0 and raw[hit + len(key) : hit + len(key) + 1] in (b",", b"\n", b""):
+        starts.append(hit + 1)
+        hit = raw.find(key, hit + len(key))
+    if hit >= 0:
+        pattern = re.compile(re.escape(key) + rb"(?=[,\n]|\Z)")
+        starts += [m.start() + 1 for m in pattern.finditer(raw, hit)]
+    ends = [raw.find(b"\n", start) for start in starts]
+    rows = [raw[start : len(raw) if end < 0 else end].decode("ascii") for start, end in zip(starts, ends)]
     return rows, starts
 
 
@@ -340,11 +344,6 @@ def _parse_rows(lines, line_of, strip, label_tables):
         for sid, a, b in zip(smap, [0] + ends, ends)
     ]
     return Dataset(sequences, len(qmap), len(kmap), qmatrix, list(qmap), list(kmap))
-
-
-def _student_field(line, strip):
-    field = line.split(",", 1)[0]
-    return field.strip() if strip else field
 
 
 @contextmanager

@@ -24,7 +24,7 @@ import qckt.model
 import qckt.training
 from _support import with_header
 from qckt.cli import COMMANDS, build_parser, main
-from qckt.data import HEADER, load_dataset, preprocess
+from qckt.data import HEADER, kfold_split, load_dataset, preprocess
 from qckt.evaluation import export_knowledge_states, export_module_outputs
 from qckt.model import CHECKPOINT_MAGIC, Parameters, sequence_outputs
 
@@ -162,6 +162,15 @@ class TestTrain:
         epochs = read_csv(out / "epochs.csv")
         assert {r["fold"] for r in epochs} == {"0", "1"}
 
+    def test_manifest_records_each_folds_test_students(self, workspace):
+        # in order of first appearance, as kfold_split's test indices give them
+        ds = preprocess(load_dataset(workspace["data"]))
+        folds = kfold_split(ds, k=2, seed=1)
+        doc = json.loads((workspace["run0"] / "manifest.json").read_text())
+        want = [list(dict.fromkeys(ds.sequences[i].student_id for i in test)) for _, _, test in folds]
+        assert doc["dataset"]["test_students"] == want
+        assert sorted(sum(want, [])) == sorted(ds.students())
+
     def test_grid_with_overridden_axes(self, workspace, tmp_path):
         out = tmp_path / "grid"
         rc = main(
@@ -286,7 +295,7 @@ class TestEval:
         )
         assert rc == 2
 
-    def test_uses_the_runs_folds_and_preprocessing(self, tmp_path):
+    def test_uses_the_runs_folds_and_preprocessing(self, tmp_path, capsys):
         # trained with --min-len 30, the run's test fold exists only under
         # that preprocessing; eval must reproduce the training report exactly
         data_dir, run = tmp_path / "data", tmp_path / "run"
@@ -307,9 +316,14 @@ class TestEval:
             lengths[row["student_id"]] = lengths.get(row["student_id"], 0) + 1
         short = min(lengths, key=lengths.get)
         assert lengths[short] < 30
+        capsys.readouterr()
         rc = main(["export", "--data", str(data), "--run", str(run), "--student", short,
                    "--out", str(tmp_path / "ex")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: student {short!r} has {lengths[short]} interactions, "
+            "fewer than the run's min_len 30\n")
+        assert not (tmp_path / "ex").exists()
 
     def test_scores_at_the_runs_batch_size(self, workspace, tmp_path, monkeypatch):
         # eval scores a test fold as run_fold did, in batches of --batch-size
@@ -526,7 +540,7 @@ class TestExportAgainstTheFullParse:
                 assert sid == "short"
                 assert rc == 2
                 err = capsys.readouterr().err
-                assert f"unknown student id {sid!r}; dataset has {len(ds.students())} students" in err
+                assert err == f"error: student {sid!r} has 2 interactions, fewer than the run's min_len 3\n"
                 continue
             assert rc == 0, capsys.readouterr().err
             seq = chunks[0]
@@ -545,6 +559,44 @@ class TestExportAgainstTheFullParse:
             assert (out / "steps.csv").read_bytes().decode("utf-8") == want_steps, sid
             assert (out / "states.csv").read_bytes().decode("utf-8") == want_states, sid
         assert [len(s) for s in ds.sequences if s.student_id == "long"] == [8, 8, 3]
+
+
+class TestEvalAgainstTraining:
+    """eval parses only the rows of the test students a run's manifest
+    records, or the whole log for a run that scores every fold; its report
+    must be train's, on a log whose --min-len drops a student and whose
+    --max-len chunks one."""
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+    @pytest.mark.parametrize("fold", ["0", "all"])
+    def test_report_equals_trains(self, tmp_path, monkeypatch, padded, fold):
+        text, _ = interleaved_log(padded)
+        data, run, out = tmp_path / "log.csv", tmp_path / "run", tmp_path / "ev"
+        data.write_text(text, encoding="utf-8")
+        assert main(["train", "--data", str(data), "--fold", fold, "--min-len", "3",
+                     "--max-len", "8", "--out", str(run)] + TRAIN_FAST) == 0
+        asked = []
+        parse = qckt.cli.parse_log
+        monkeypatch.setattr(qckt.cli, "parse_log",
+                            lambda *a, **kw: asked.append(kw.get("students")) or parse(*a, **kw))
+        assert main(["eval", "--data", str(data), "--run", str(run), "--out", str(out)]) == 0
+        recorded = json.loads((run / "manifest.json").read_text())["dataset"]["test_students"]
+        assert asked == [None if fold == "all" else frozenset(recorded[0])]
+        trained = [(r["fold"], r["auc"], r["acc"]) for r in read_csv(run / "report.csv")]
+        if fold != "all":
+            trained += [("mean",) + trained[0][1:], ("std", "0.0", "0.0")]
+        assert [(r["fold"], r["auc"], r["acc"]) for r in read_csv(out / "report.csv")] == trained
+
+    def test_runs_that_score_every_fold_share_one_parse(self, reused, tmp_path, monkeypatch):
+        asked = []
+        parse = qckt.cli.parse_log
+        monkeypatch.setattr(qckt.cli, "parse_log",
+                            lambda *a, **kw: asked.append(kw.get("students")) or parse(*a, **kw))
+        out = tmp_path / "cmp"
+        assert main(["eval", "--data", str(reused["data"]), "--run", str(reused["clean"]),
+                     "--run", str(reused["reused"]), "--out", str(out)]) == 0
+        assert asked == [None]
+        assert (out / "pmatrix.csv").exists()
 
 
 def with_dataset(blob, edit):
@@ -597,6 +649,23 @@ MALFORMED = {
         "manifest", lambda b: with_dataset(b, lambda d: {**d, "kc_labels": [x + "x" for x in d["kc_labels"]]})),
     "dataset students not an int": ("manifest", lambda b: with_manifest(b, "students", 16.0, section="dataset")),
     "dataset students a string": ("manifest", lambda b: with_manifest(b, "students", "16", section="dataset")),
+    "test_students missing": (
+        "manifest", lambda b: with_dataset(b, lambda d: {k: v for k, v in d.items() if k != "test_students"})),
+    "test_students not a list": (
+        "manifest", lambda b: with_manifest(b, "test_students", "s0", section="dataset")),
+    "test_students one fold too few": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "test_students": d["test_students"][:-1]})),
+    "test_students one fold too many": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "test_students": d["test_students"] + [["x"]]})),
+    "test_students id repeated across folds": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "test_students": [
+            d["test_students"][0], d["test_students"][0][:1] + d["test_students"][1][1:]]})),
+    "test_students id not a string": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "test_students": [
+            [0] + d["test_students"][0][1:], d["test_students"][1]]})),
+    "test_students ids not in the data": (
+        "manifest", lambda b: with_dataset(b, lambda d: {**d, "test_students": [
+            [sid + "x" for sid in ids] for ids in d["test_students"]]})),
 }
 # eval cases keep the bare case name as their id
 MALFORMED_RUNS = [pytest.param("eval", case, id=case) for case in MALFORMED] + [
@@ -635,25 +704,44 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("labels", ["question_labels", "kc_labels"])
+    def test_all_folds_eval_refuses_permuted_labels(self, reused, tmp_path, capsys, labels):
+        # a run that scores every fold parses the whole log, so it can check
+        # the recorded label tables; a subset parse takes them as given
+        run = tmp_path / "run"
+        shutil.copytree(reused["clean"], run)
+        manifest = run / "manifest.json"
+        manifest.write_bytes(with_dataset(manifest.read_bytes(), lambda d: {**d, labels: d[labels][::-1]}))
+        rc, err = exit_code_and_errors(capsys, "eval", reused["data"], run, tmp_path / "o", None)
+        assert rc == 2, err
+        assert len(err) == 1 and err[0].startswith("error: ") and "does not match" in err[0], err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_run_without_dataset_block_must_be_retrained(self, workspace, tmp_path, capsys, command):
-        # as every run written before the manifest carried the block
+        # as every run written before the manifest carried the block, or
+        # before the block recorded the test students
         run = tmp_path / "run"
         shutil.copytree(workspace["run0"], run)
-        doc = json.loads((run / "manifest.json").read_text())
-        del doc["dataset"]
-        (run / "manifest.json").write_text(json.dumps(doc))
+        written = (run / "manifest.json").read_text()
         student = read_csv(workspace["data"])[0]["student_id"]
-        rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
-        assert rc == 2
-        assert len(err) == 1 and err[0].startswith("error: ") and "retrain" in err[0], err
+        for drop in ("dataset", "test_students"):
+            doc = json.loads(written)
+            del (doc if drop == "dataset" else doc["dataset"])[drop]
+            (run / "manifest.json").write_text(json.dumps(doc))
+            rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
+            assert rc == 2, drop
+            assert len(err) == 1 and err[0].startswith("error: ") and "retrain" in err[0], err
+            assert (f"records no {drop}" if drop == "test_students" else "no dataset block") in err[0], err
+            assert not (tmp_path / "o").exists()
 
     # exit_code_and_errors drains capsys before each call
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(block=st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
         lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
-            st.sampled_from(["question_labels", "kc_labels", "students"]) | st.text(max_size=4), inner),
+            st.sampled_from(["question_labels", "kc_labels", "students", "test_students"])
+            | st.text(max_size=4), inner),
         max_leaves=12,
     ))
     def test_any_json_dataset_block_exits_2(self, workspace, fuzzed_run, capsys, block):

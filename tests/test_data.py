@@ -127,10 +127,10 @@ FAULTS = [
 
 
 @st.composite
-def log_line(draw, plain=False):
+def log_line(draw, plain=False, ids=("s1", "s2", "s3")):
     """One line of an interaction log: mostly valid rows, some faulty or
-    blank.  A ``plain`` line is ASCII without whitespace, and its student
-    ids prefix one another."""
+    blank, with a student id of ``ids``.  A ``plain`` line is ASCII without
+    whitespace, and its student ids prefix one another."""
     fault = draw(st.sampled_from(FAULTS)) if draw(st.integers(0, 7)) == 0 else None
     if fault == "blank" or (fault == "spaces" and plain):
         return ""
@@ -140,7 +140,7 @@ def log_line(draw, plain=False):
     labels = draw(st.permutations(KC_LABELS[q]))
     labels += draw(st.lists(st.sampled_from(labels), max_size=2))
     fields = {
-        "sid": draw(st.sampled_from(["s1", "s12", "s"] if plain else ["s1", "s2", "s3"])),
+        "sid": draw(st.sampled_from(["s1", "s12", "s"] if plain else ids)),
         "question": q,
         "no_kcs": "_".join(labels),
         "response": draw(st.sampled_from(["0", "1"])),
@@ -171,9 +171,9 @@ def log_line(draw, plain=False):
 
 
 @st.composite
-def log_text(draw):
+def log_text(draw, ids=("s1", "s2", "s3")):
     header = draw(st.sampled_from([qd.HEADER, qd.HEADER + " "]))
-    lines = [header] + draw(st.lists(log_line(), max_size=12))
+    lines = [header] + draw(st.lists(log_line(ids=ids), max_size=12))
     if draw(st.integers(0, 5)) == 0:  # a second header, maybe with spaces in or around it
         again = draw(st.sampled_from([qd.HEADER, " " + qd.HEADER + "\t", qd.HEADER.replace(",", " , ")]))
         lines.insert(draw(st.integers(1, len(lines))), again)
@@ -183,7 +183,7 @@ def log_text(draw):
 
 @st.composite
 def plain_log_text(draw):
-    """A log that ``parse_log(..., student=)`` scans by bytes: ASCII, lines
+    """A log that ``parse_log(..., students={id})`` scans by bytes: ASCII, lines
     ended by "\n" alone, no whitespace within a line."""
     lines = [qd.HEADER] + draw(st.lists(log_line(plain=True), max_size=12))
     if draw(st.integers(0, 5)) == 0:
@@ -249,8 +249,8 @@ class TestColumnLoaderAgainstRowOracle:
 
 
 class TestParseOneStudent:
-    """parse_log(..., student=, label_tables=): the rows of one student,
-    with the ids of the whole log."""
+    """parse_log(..., students={id}, label_tables=): the rows of one
+    student, with the ids of the whole log."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=log_text(), block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2]))
@@ -263,7 +263,7 @@ class TestParseOneStudent:
                 return
             tables = (whole.question_labels, whole.kc_labels)
             for sid in ("s1", "s2", "s3", "s", "1"):
-                one = qd.parse_log(raw, "log", student=sid, label_tables=tables)
+                one = qd.parse_log(raw, "log", students={sid}, label_tables=tables)
                 assert (one.n_questions, one.n_kcs) == (whole.n_questions, whole.n_kcs)
                 assert one.sequences == [s for s in whole.sequences if s.student_id == sid]
                 for q, kcs in one.qmatrix.items():
@@ -271,27 +271,27 @@ class TestParseOneStudent:
 
     def test_reads_no_other_students_rows(self):
         raw = (EXAMPLE + "bob,A,,1,0\nalice,B,X_Y,1,9\n").encode("utf-8")
-        alice = qd.parse_log(raw, "log", student="alice")
+        alice = qd.parse_log(raw, "log", students={"alice"})
         assert [s.questions.tolist() for s in alice.sequences] == [[0, 1, 1]]
         with pytest.raises(DataError, match="at line 4"):
-            qd.parse_log(raw, "log", student="bob")
+            qd.parse_log(raw, "log", students={"bob"})
 
     def test_a_faulty_row_reports_its_line_in_the_log(self):
         raw = (EXAMPLE + "bob,A,X,1,0\nalice,B,X_Y,2,9\n").encode("utf-8")
         with pytest.raises(ParseError, match="line 5: response"):
-            qd.parse_log(raw, "log", student="alice")
+            qd.parse_log(raw, "log", students={"alice"})
 
     @pytest.mark.parametrize("tables,label", [
         ((["A"], ["X", "Y"]), "'B'"), ((["A", "B"], ["X"]), "'Y'"),
     ])
     def test_a_label_outside_the_tables_raises(self, tables, label):
         with pytest.raises(DataError, match=f"label {label} is not in the label tables at line 3"):
-            qd.parse_log(EXAMPLE.encode("utf-8"), "log", student="alice", label_tables=tables)
+            qd.parse_log(EXAMPLE.encode("utf-8"), "log", students={"alice"}, label_tables=tables)
 
     def test_the_header_is_no_student(self):
         raw = EXAMPLE.encode("utf-8")
         assert qd._plain_student_rows(raw, "student_id") == ([], [])
-        assert qd.parse_log(raw, "log", student="student_id").sequences == []
+        assert qd.parse_log(raw, "log", students={"student_id"}).sequences == []
 
     @settings(max_examples=300, deadline=None)
     @given(text=plain_log_text(), block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2]))
@@ -305,7 +305,7 @@ class TestParseOneStudent:
             assert qd._plain_student_rows(raw, sid) is not None
             for labels in (None, tables):
                 def one():
-                    return qd.parse_log(raw, "log", student=sid, label_tables=labels)
+                    return qd.parse_log(raw, "log", students={sid}, label_tables=labels)
 
                 with mock.patch.object(qd, "BLOCK_ROWS", block_rows):
                     scanned = parsed_or_error(one)
@@ -315,21 +315,90 @@ class TestParseOneStudent:
     def test_a_non_ascii_id_is_in_no_row_of_an_ascii_log(self):
         raw = EXAMPLE.encode("utf-8")
         assert qd._plain_student_rows(raw, "\u00e9mile") == ([], [])
-        assert qd.parse_log(raw, "log", student="\u00e9mile").sequences == []
+        assert qd.parse_log(raw, "log", students={"\u00e9mile"}).sequences == []
 
     @pytest.mark.parametrize("student", ["alice", "", "\u00e9mile"])
     def test_an_empty_log_is_refused_on_either_path(self, student):
         with pytest.raises(ParseError, match="^log is empty$"):
-            qd.parse_log(b"", "log", student=student)
+            qd.parse_log(b"", "log", students={student})
         with pytest.raises(ParseError, match="line 1: bad header ''"):
-            qd.parse_log(b"\n", "log", student=student)
+            qd.parse_log(b"\n", "log", students={student})
 
     def test_a_last_row_without_a_newline(self):
         raw = EXAMPLE.rstrip("\n").encode("utf-8")
         assert qd._plain_student_rows(raw, "alice") == (["alice,A,X,1,0", "alice,B,X_Y,0,5"], [49, 63])
-        assert qd.parse_log(raw, "log", student="alice") == qd.parse_log(raw, "log")
+        assert qd.parse_log(raw, "log", students={"alice"}) == qd.parse_log(raw, "log")
         with pytest.raises(ParseError, match="line 5: response"):
-            qd.parse_log(raw + b"\nbob,A,X,1,0\nalice,B,X,2,9", "log", student="alice")
+            qd.parse_log(raw + b"\nbob,A,X,1,0\nalice,B,X,2,9", "log", students={"alice"})
+
+    def test_ids_that_begin_with_the_id_are_not_rows(self):
+        # s1 begins the ids of s10..s19 and s100..s199, whose rows the scan
+        # must pass over
+        rng = np.random.default_rng(3)
+        rows = [f"s{i},{'AB'[t % 2]},X,{t % 2},{t}" for i in range(1, 200) for t in range(3)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        raw = "\n".join([qd.HEADER] + rows).encode("ascii")
+        mine = [i for i, row in enumerate(rows) if row.startswith("s1,")]
+        found, starts = qd._plain_student_rows(raw, "s1")
+        assert found == [rows[i] for i in mine]
+        assert [raw.count(b"\n", 0, at) for at in starts] == [i + 1 for i in mine]  # the header is line 1
+        whole = qd.parse_log(raw, "log")
+        one = qd.parse_log(raw, "log", students={"s1"}, label_tables=(whole.question_labels, whole.kc_labels))
+        assert one.sequences == [s for s in whole.sequences if s.student_id == "s1"]
+        # a line holding the id alone is still a faulty row at its own line
+        with pytest.raises(ParseError, match=f"line {len(rows) + 2}: expected 5 fields, got 1"):
+            qd.parse_log(raw + b"\ns1\n", "log", students={"s1"})
+        with pytest.raises(ParseError, match=f"line {len(rows) + 2}: expected 5 fields, got 1"):
+            qd.parse_log(raw + b"\ns1", "log", students={"s1"})
+
+
+# the ids of TestParseSomeStudents' logs: prefixes of one another, and
+# non-ASCII ones
+SOME_IDS = ("s1", "s12", "s", "\u00e9mile", "\u00e9", "s\u00e9")
+
+
+def restricted(text, students):
+    """``text`` with every row whose stripped student field is not one of
+    ``students`` made blank, so that each line keeps its number."""
+    lines = text.splitlines()
+    kept = [line if line.split(",", 1)[0].strip() in students else "" for line in lines[1:]]
+    return "\n".join(lines[:1] + kept).encode("utf-8")
+
+
+class TestParseSomeStudents:
+    """parse_log(..., students=S, label_tables=) against the whole log with
+    every row of a student outside S made blank: the same dataset, q-matrix
+    and error; with the whole log's label tables, S's sequences of it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.one_of(plain_log_text(), log_text(ids=SOME_IDS)),
+        students=st.sets(st.sampled_from(SOME_IDS + ("", "s2")), min_size=1, max_size=3),
+        block_rows=st.sampled_from([qd.BLOCK_ROWS, 1, 2]),
+    )
+    def test_same_as_the_restricted_log(self, text, students, block_rows):
+        raw = text.encode("utf-8")
+        with mock.patch.object(qd, "BLOCK_ROWS", block_rows):
+            whole = parsed_or_error(lambda: qd.parse_log(raw, "log"))
+            tables = None
+            if isinstance(whole, qd.Dataset):
+                tables = (whole.question_labels, whole.kc_labels)
+            for labels in (None, tables):
+                some = parsed_or_error(lambda: qd.parse_log(raw, "log", students=students, label_tables=labels))
+                want = parsed_or_error(lambda: qd.parse_log(restricted(text, students), "log", label_tables=labels))
+                assert some == want
+            if tables is None:
+                return
+            assert some.sequences == [s for s in whole.sequences if s.student_id in students]
+            assert (some.n_questions, some.n_kcs) == (whole.n_questions, whole.n_kcs)
+            assert some.qmatrix == {q: kcs for q, kcs in whole.qmatrix.items() if q in some.qmatrix}
+
+    def test_any_collection_of_ids(self):
+        raw = (EXAMPLE + "bob,A,X,1,3\ncarol,B,X_Y,1,4\n").encode("utf-8")
+        whole = qd.parse_log(raw, "log")
+        for students in (["bob", "alice"], ("carol",), {"bob": 1}, frozenset({"alice", "carol"})):
+            got = qd.parse_log(raw, "log", students=students)
+            assert got.students() == [s for s in whole.students() if s in students]
 
 
 def seq_of(sid, length, q=0):
