@@ -58,15 +58,6 @@ def gates_forward(z, c_prev):
     return gates, tc, c, o * tc
 
 
-def _gate_grad(out, a, b, g, buf):
-    """out = ((a * b) * g) * (1 - g), the derivative through a logistic gate
-    g, evaluated in that order; ``buf`` takes 1 - g."""
-    np.multiply(a, b, out=out)
-    out *= g
-    np.subtract(1.0, g, out=buf)
-    out *= buf
-
-
 def gates_backward(dh, dc_in, gates, tc, c_prev):
     """Reverse of :func:`gates_forward`; returns (dz, dc_prev).
 
@@ -85,10 +76,14 @@ def gates_backward(dh, dc_in, gates, tc, c_prev):
     dc = dh * o
     dc *= buf
     dc += dc_in
+    # each block's product a * b, then * g and * (1 - g) in one pass each
+    # over all four blocks, so every element is ((a * b) * g) * (1 - g)
     dz = np.empty_like(gates)
-    _gate_grad(dz[:d], dc, cand, i, buf)
-    _gate_grad(dz[d : 2 * d], dc, c_prev, f, buf)
-    _gate_grad(dz[2 * d : 3 * d], dh, tc, o, buf)
-    _gate_grad(dz[3 * d :], dc, i, cand, buf)
+    np.multiply(dc, cand, out=dz[:d])
+    np.multiply(dc, c_prev, out=dz[d : 2 * d])
+    np.multiply(dh, tc, out=dz[2 * d : 3 * d])
+    np.multiply(dc, i, out=dz[3 * d :])
+    dz *= gates
+    dz *= np.subtract(1.0, gates)
     dc *= f
     return dz, dc

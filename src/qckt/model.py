@@ -35,9 +35,12 @@ loss or a backward pass.
 Precision: training records the graph on a :data:`TRAIN_DTYPE` (float32)
 tape, the mixed-precision recipe of Micikevicius et al. (arXiv:1710.03740):
 parameters, the optimizer and checkpoints stay float64, the tape casts each
-parameter once per update and hands back float32 gradients.  Scoring and
-export record at float64 on a forward-only tape, so their outputs do not
-depend on the training precision's rounding.
+parameter once per update and hands back float32 gradients.  Fold scoring
+(validation during training, test folds and ``qckt eval``) follows the
+training dtype on a forward-only tape.  Only export (:func:`sequence_outputs`)
+and :func:`batch_predictions`' default record at float64, so exported values
+and the float64 batch reference do not depend on the training precision's
+rounding.
 """
 
 import itertools
@@ -59,7 +62,8 @@ VARIANTS = ("full", "no_irt", "no_ks", "no_ps", "no_ks_ps")
 
 CHECKPOINT_MAGIC = b"QCKT0001"
 
-# the dtype of the training forward and backward; the parameters stay float64
+# the dtype of the training forward and backward and of fold scoring; the
+# parameters stay float64
 TRAIN_DTYPE = np.float32
 
 
@@ -454,10 +458,12 @@ def sequence_outputs(params, seq):
     return build_graph(tape, params.leaves(tape), Batch([seq]), params.config, export=True)
 
 
-def batch_predictions(params, batch):
+def batch_predictions(params, batch, dtype=np.float64):
     """Flat (predictions, targets) for one batch, no backward pass, in the
     caller's order: step-major over the sequences' positions in the batch.
-    Recorded at float64 on a forward-only tape."""
-    tape = Tape(grad=False)
+    Recorded at ``dtype`` on a forward-only tape: fold scoring passes
+    :data:`TRAIN_DTYPE`, and the float64 default is the reference that
+    export is checked against."""
+    tape = Tape(dtype, grad=False)
     graph = build_graph(tape, params.leaves(tape), batch, params.config)
     return graph.r_hat.value[batch.order], batch.responses[batch.n_preds :][batch.order]

@@ -17,8 +17,8 @@ from .data import kfold_split
 from .errors import ConfigError, DataError, TrainingError
 from .errors import require_finite_nonnegative, require_ints
 from .evaluation import PredictionSet, accuracy, auc
-from .model import Batch, ModelConfig, Parameters, VARIANTS, batch_loss_and_grads, batch_predictions
-from .model import param_count
+from .model import Batch, ModelConfig, Parameters, TRAIN_DTYPE, VARIANTS, batch_loss_and_grads
+from .model import batch_predictions, param_count
 
 # hyper-parameter grids used when nothing narrower is requested
 DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -137,10 +137,11 @@ def _epoch_batches(seqs, order, size):
 
 def predictions_over(params, seqs, batch_size):
     """Flat predictions/labels over sequences in their given order, each
-    batch step-major over its sequences (see :func:`batch_predictions`)."""
+    batch step-major over its sequences (see :func:`batch_predictions`),
+    the predictions recorded at :data:`TRAIN_DTYPE`, as the model trains."""
     preds, labels = [], []
     for i in range(0, len(seqs), batch_size):
-        p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]))
+        p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]), TRAIN_DTYPE)
         preds.append(p)
         labels.append(t)
     return np.concatenate(preds), np.concatenate(labels)
@@ -166,7 +167,6 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
     try:
         params = Parameters.init(model_cfg, seed=(train_cfg.seed, train_cfg.fold, 0))
         state = AdamState(params)
-        best_params = params.copy()
     except MemoryError as exc:
         raise MemoryError(
             f"not enough memory for a model of {param_count(model_cfg):,} parameters "
@@ -204,6 +204,8 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         epoch_auc = auc(PredictionSet(preds, labels))
         valid_aucs.append(epoch_auc)
         keep_going = stopper.update(epoch, epoch_auc)
+        # epoch 1 always improves on -inf (an AUC is finite or raised above),
+        # so best_params is set before the loop can end
         if stopper.best_epoch == epoch:
             best_params = params.copy()
         if stop_reason == "max_updates":

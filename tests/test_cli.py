@@ -835,6 +835,22 @@ class TestDivergence:
         assert ("not finite" if command == "eval" else "diverged") in err[0]
         assert not (tmp_path / "o").exists()
 
+    def test_checkpoint_past_the_training_dtypes_range_fails_eval(self, workspace, tmp_path, capsys):
+        # scaled by 1e39 the checkpoint is finite, and so is its float64
+        # export, but eval scores at the training dtype, where it overflows
+        run = tmp_path / "run"
+        shutil.copytree(workspace["run0"], run)
+        params = Parameters.load(run / "checkpoint.bin")
+        Parameters(params.config, {k: v * 1e39 for k, v in params.items()}).save(run / "checkpoint.bin")
+        assert float(np.finfo(qckt.model.TRAIN_DTYPE).max) < 1e39
+        student = read_csv(workspace["data"])[0]["student_id"]
+        rc, err = exit_code_and_errors(capsys, "export", workspace["data"], run, tmp_path / "x", student)
+        assert (rc, err) == (0, [])
+        rc, err = exit_code_and_errors(capsys, "eval", workspace["data"], run, tmp_path / "o", student)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0], err
+        assert not (tmp_path / "o").exists()
+
     def test_memory_error_names_the_parameter_count(self, workspace, tmp_path, capsys, monkeypatch):
         def no_memory(cls, config, seed):
             raise MemoryError("Unable to allocate 298. GiB for an array")

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from qckt.data import SynthConfig, gen_synthetic, preprocess
 from qckt.errors import ConfigError, TrainingError
-from qckt.model import Batch, ModelConfig, Parameters, VARIANTS, batch_loss_and_grads
+from qckt.evaluation import PredictionSet, auc
+from qckt.model import Batch, ModelConfig, Parameters, TRAIN_DTYPE, VARIANTS, batch_loss_and_grads
+from qckt.model import batch_predictions
 from qckt.training import (
     DEFAULT_DIM_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -20,7 +22,9 @@ from qckt.training import (
     TrainConfig,
     adam_step,
     clip_gradients,
+    fold_metrics,
     grid_search,
+    predictions_over,
     run_ablation,
     run_cv,
     train,
@@ -261,8 +265,9 @@ class TestTrain:
             assert later <= earlier + 1e-12
 
     def test_non_finite_validation_prediction_is_divergence(self):
-        # one update at lr 1e308 leaves finite float64 parameters near 1e308
-        # whose validation forward yields nan; no later update sees the loss
+        # one update at lr 1e308 leaves finite float64 parameters near 1e308,
+        # past float32's range, so the validation forward at the training
+        # dtype yields nan; no later update sees the loss
         tcfg = TrainConfig(lr=1e308, batch_size=64, max_epochs=1, seed=3)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="diverged.*validation"):
             train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs)
@@ -272,6 +277,36 @@ class TestTrain:
         report = train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs)
         assert report.stop_reason == "max_updates"
         assert report.total_updates == 5
+
+
+class TestScoringPrecision:
+    """Fold scoring records at TRAIN_DTYPE; batch_predictions defaults to
+    float64, the reference export is checked against."""
+
+    def setup_method(self):
+        ds = tiny_dataset()
+        self.train_seqs = ds.sequences[:16]
+        self.valid_seqs = ds.sequences[16:22]
+        self.test_seqs = ds.sequences[22:]
+        self.mcfg = ModelConfig(n_questions=12, n_kcs=5, dim=4)
+
+    def test_dtypes(self):
+        params = Parameters.init(self.mcfg, seed=(1, 0, 0))
+        preds, labels = predictions_over(params, self.test_seqs, 4)
+        assert preds.dtype == TRAIN_DTYPE and labels.dtype == np.float64
+        ref, _ = batch_predictions(params, Batch(self.test_seqs[:4]))
+        assert ref.dtype == np.float64
+        np.testing.assert_array_equal(preds[: ref.size], batch_predictions(
+            params, Batch(self.test_seqs[:4]), TRAIN_DTYPE)[0])
+
+    def test_fold_auc_is_within_1e6_of_float64(self):
+        tcfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=4, seed=3)
+        params = train(self.mcfg, tcfg, self.train_seqs, self.valid_seqs).best_params
+        test_auc, _ = fold_metrics(params, self.test_seqs, 4)
+        preds, labels = zip(*(batch_predictions(params, Batch(self.test_seqs[i : i + 4]))
+                              for i in range(0, len(self.test_seqs), 4)))
+        reference = auc(PredictionSet(np.concatenate(preds), np.concatenate(labels)))
+        assert abs(test_auc - reference) <= 1e-6, (test_auc, reference)
 
 
 def replace_fold(cfg, fold):
