@@ -22,8 +22,8 @@ The elementwise ops take any shape.  :meth:`Tape.matmul` multiplies by a
 such columns: that is how sequence batches are pushed through the model
 graph.  Time is folded into the column axis too, step-major and packed
 (each step holds only the sequences still running): :meth:`Tape.lstm_gates`
-runs a whole LSTM recurrence as one node, so no graph built here loops over
-time.
+runs the whole LSTM recurrences of all of a graph's tracks, stacked by rows,
+as one node with one time loop, so no graph built here loops over time.
 
 Gradient protocol: an op's backward is a pure function of the output
 gradient that returns one gradient per entry of the node's ``inputs``, in
@@ -149,13 +149,16 @@ class Tape:
 
     # -- core ops ----------------------------------------------------------
 
-    def matmul(self, w, x, b):
+    def matmul(self, w, x, b, out=None):
         """Affine layer W x + b: W (r x c) times the (c x N) matrix x, then
-        the (r,) bias added to every column."""
+        the (r,) bias added to every column.  ``out``, an (r x N) array of
+        the tape's dtype such as a row block of a larger one, receives the
+        result and becomes the node's value; it rounds as a fresh array
+        does."""
         wv, xv, bv = w.value, x.value, b.value
         if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or bv.shape != (len(wv),):
             raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape} and add {bv.shape}")
-        out = wv @ xv
+        out = np.matmul(wv, xv, out=out)
         out += bv[:, None]
 
         def backward(g):
@@ -177,15 +180,48 @@ class Tape:
         # by the backward, from the input's value, which the tape keeps
         return self._record("relu", np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0),))
 
-    def vstack(self, parts):
-        """Axis-0 concatenation of matrices/vectors with equal trailing shape."""
+    def vstack(self, parts, out=None):
+        """Axis-0 concatenation of matrices/vectors with equal trailing shape.
+
+        With ``out``, the parts' values must already be its consecutive row
+        blocks, in order, as :meth:`matmul` leaves them when given those
+        blocks as ``out``: ``out`` becomes the value, and nothing is copied.
+        """
         parts = tuple(parts)
-        ends = np.cumsum([p.value.shape[0] for p in parts])
+        bounds = np.cumsum([0] + [len(p.value) for p in parts]).tolist()
+        if out is None:
+            value = np.concatenate([p.value for p in parts])
+        else:
+            # part i must be out[bounds[i]:bounds[i + 1]]: same address, shape and strides
+            addr = out.__array_interface__["data"][0]
+            if bounds[-1] != len(out) or any(
+                p.value.strides != out.strides
+                or p.value.shape[1:] != out.shape[1:]
+                or p.value.__array_interface__["data"][0] != addr + lo * out.strides[0]
+                for p, lo in zip(parts, bounds)
+            ):
+                raise ShapeError("vstack: the parts are not the row blocks of out")
+            value = out
+        blocks = list(zip(bounds, bounds[1:]))
 
         def backward(g):
-            return tuple(g[end - len(p.value) : end] for p, end in zip(parts, ends))
+            return tuple(g[lo:hi] for lo, hi in blocks)
 
-        return self._record("vstack", np.concatenate([p.value for p in parts]), parts, backward)
+        return self._record("vstack", value, parts, backward)
+
+    def rows(self, x, lo, hi):
+        """Rows lo..hi-1 of a matrix, as a view; the backward places the
+        gradient in those rows of a zero matrix."""
+        xv = x.value
+        if xv.ndim != 2 or not 0 <= lo < hi <= len(xv):
+            raise ShapeError(f"rows {lo}..{hi} of a {xv.shape} matrix")
+
+        def backward(g):
+            full = np.zeros_like(xv)
+            full[lo:hi] = g
+            return (full,)
+
+        return self._record("rows", xv[lo:hi], (x,), backward)
 
     # -- batched extensions --------------------------------------------------
 
@@ -310,68 +346,98 @@ class Tape:
         return self._record("embed_mean", table.value.T @ A, (table,), lambda g: (A @ g.T,))
 
     def lstm_gates(self, proj, u, widths):
-        """A whole LSTM recurrence over packed columns as one node -> (d x N).
+        """The LSTM recurrences of k tracks over packed columns as one node
+        -> (kd x N), track t's hidden states in rows td..(t+1)d-1.
 
-        ``proj`` (4d x N) holds the input projections W x + b of the steps
-        back to back: step t owns the next ``widths[t]`` columns, one per
-        sequence still running, and the widths never grow.  ``u`` (4d x d) is
-        the stacked U.  From zero h and c, step t runs
-        :func:`kernels.gates_forward` on its columns of proj plus u @ h, where
-        h and c keep their first ``widths[t]`` columns: a sequence that ends
-        drops out of the state.  The backward is one reverse-time sweep of
-        :func:`kernels.gates_backward` that adds each step's dh and dc into
-        the leading columns of the step before.  What that sweep reads, each
-        step's gates, tanh c, c and h, is kept on a tape with ``grad`` only.
+        ``u`` (k4d x d) stacks each track's U, and ``proj`` (k4d x N) each
+        track's input projections W x + b, in the same order; k is
+        len(u) // 4d.  In proj the steps run back to back: step t owns the
+        next ``widths[t]`` columns, one per sequence still running, and the
+        widths never grow.  Every track starts from zero h and c, and step t
+        runs :func:`kernels.gates_forward` once for all tracks, on (k x 4d x
+        w) views: each track's columns of proj plus its U @ h, where h and c
+        keep their first ``widths[t]`` columns, so a sequence that ends drops
+        out of the state.  The tracks share nothing, so each gets the values
+        a one-track node gives it, bit for bit.  The backward is one
+        reverse-time sweep of :func:`kernels.gates_backward` that adds each
+        step's dh and dc into the leading columns of the step before.  What
+        that sweep reads, each step's gates, tanh c and c, is kept on a tape
+        with ``grad`` only; it reads h_prev from the output, and never reads
+        proj's value, which the caller may :meth:`release` once this returns.
         """
         pv, uv = proj.value, u.value
-        d = uv.shape[-1] if uv.ndim else 0
+        d = uv.shape[-1] if uv.ndim == 2 else 0
         N = pv.shape[-1] if pv.ndim else 0
         widths = list(widths)
         if (
             pv.ndim != 2
-            or len(pv) != 4 * d
-            or uv.shape != (4 * d, d)
+            or not d
+            or len(uv) % (4 * d)
+            or len(pv) != len(uv)
+            or not len(uv)
             or not widths
             or widths[-1] < 1
             or sum(widths) != N
             or widths != sorted(widths, reverse=True)
         ):
             raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at widths {widths}")
-        h = c = np.zeros((d, widths[0]), self.dtype)
-        # (start, gates, tanh c, c_prev, h_prev) per step, as the kernel made them
-        steps, hs = [], []
+        k = len(uv) // (4 * d)
+        # (k x 4d x .) views of the tracks' row blocks
+        p3, u3 = pv.reshape(k, 4 * d, N), uv.reshape(k, 4 * d, d)
+        # each step's h goes into its columns of the output, which the
+        # backward reads as h_prev, so no second copy of h is kept
+        out = np.empty((k, d, N), self.dtype)
+        h = c = h_prev = np.zeros((k, d, widths[0]), self.dtype)
+        # (start, gates, tanh c, c_prev, h_prev) per step
+        steps = []
         s = 0
         for w in widths:
-            if w < h.shape[1]:  # sliced only where the width drops
-                h, c = h[:, :w], c[:, :w]
-            z = uv @ h
-            z += pv[:, s : s + w]
-            gates, tc, c_next, h_next = kernels.gates_forward(z, c)
+            if w < h.shape[-1]:  # sliced only where the width drops
+                h, c, h_prev = h[..., :w], c[..., :w], h_prev[..., :w]
+            z = u3 @ h
+            z += p3[..., s : s + w]
+            gates, tc, c_next, h = kernels.gates_forward(z, c)
             if self.with_grad:
-                steps.append((s, gates, tc, c, h))
-            h, c = h_next, c_next
-            hs.append(h)
+                steps.append((s, gates, tc, c, h_prev))
+            c = c_next
+            h_prev = out[..., s : s + w]
+            h_prev[...] = h
             s += w
 
         def backward(g):
-            dproj, du = np.empty_like(pv), np.zeros_like(uv)
-            dh = dc = np.zeros((d, widths[-1]), pv.dtype)
+            dproj, du = np.empty((len(uv), N), uv.dtype), np.zeros_like(uv)
+            dp3, du3, ut3 = dproj.reshape(k, 4 * d, N), du.reshape(k, 4 * d, d), u3.transpose(0, 2, 1)
+            g = g.reshape(k, d, N)
+            dh = dc = np.zeros((k, d, widths[-1]), uv.dtype)
             for s, gates, tc, c_prev, h_prev in reversed(steps):
-                w, k = tc.shape[1], dh.shape[1]
-                if k == w:
-                    dh = g[:, s : s + w] + dh
+                w, live = tc.shape[-1], dh.shape[-1]
+                if live == w:
+                    dh = g[..., s : s + w] + dh
                 else:  # sequences that end at this step get no later gradient
-                    dh, dh_later = g[:, s : s + w].copy(), dh
-                    dh[:, :k] += dh_later
-                    dc = np.hstack([dc, np.zeros((d, w - k), pv.dtype)])
+                    dh, dh_later = g[..., s : s + w].copy(), dh
+                    dh[..., :live] += dh_later
+                    dc = np.concatenate([dc, np.zeros((k, d, w - live), uv.dtype)], axis=-1)
                 dz, dc = kernels.gates_backward(dh, dc, gates, tc, c_prev)
-                dproj[:, s : s + w] = dz
-                du += dz @ h_prev.T
-                dh = uv.T @ dz
+                dp3[..., s : s + w] = dz
+                du3 += dz @ h_prev.transpose(0, 2, 1)
+                dh = ut3 @ dz
             return dproj, du
 
-        h = np.concatenate(hs, axis=1)
-        return self._record("lstm_gates", h, (proj, u), backward)
+        return self._record("lstm_gates", out.reshape(k * d, N), (proj, u), backward)
+
+    def release(self, *nodes):
+        """Free the values of nodes that nothing reads any more.
+
+        For an op's output that no backward and no later op reads, such as
+        the input projections once :meth:`lstm_gates` has run: each value
+        becomes an empty array of the tape's dtype with the same trailing
+        shape, so its memory goes now instead of with the tape.  The nodes
+        keep their place on the tape, and gradients still flow through them.
+        """
+        for node in nodes:
+            if node.op == "leaf":
+                raise ValueError("a leaf's value is read by Tape.grad; it cannot be released")
+            node.value = np.empty((0,) + node.value.shape[1:], self.dtype)
 
     def logistic_loss(self, scores, targets, weights):
         """Weighted logistic loss of (N,) logit vectors against constant

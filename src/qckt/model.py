@@ -23,9 +23,11 @@ each sequence that still predicts at that step, as PyTorch's
 ``pack_padded_sequence`` lays them out; columns run step-major.  The graph
 has no loop over time: the embeddings, the input projections W x + b and the
 three heads each run once over all columns, the time-loop hoisting of
-Appleyard et al. (arXiv:1604.01946) applied to the heads too, and each
-recurrence is one :meth:`Tape.lstm_gates` node that steps through time
-inside its own forward and backward.  Each layer is one tape node: an affine
+Appleyard et al. (arXiv:1604.01946) applied to the heads too, and both
+recurrences are one :meth:`Tape.lstm_gates` node that steps through time
+inside its own forward and backward, the two tracks stacked on a leading
+axis so that each step is one batched call for both (the stream combining
+of the same paper).  Each layer is one tape node: an affine
 layer W x + b is one :meth:`Tape.matmul`, and the response split
 [e * r; e * (1 - r)] of an interaction embedding one
 :meth:`Tape.split_by_response`, and the whole training objective one
@@ -360,19 +362,40 @@ class GraphOutputs:
     mastery: np.ndarray = None
 
 
-def _lstm_track(tape, nodes, first, inputs, widths):
-    """One recurrent track over the packed step columns of its inputs.
+def _recurrence(tape, nodes, tracks, widths):
+    """The recurrent tracks over the packed step columns of their inputs,
+    as one :meth:`Tape.lstm_gates` node; returns each track's (d x P)
+    hidden states in column order.
 
-    ``first`` names the track's gate tensors W_first..W_{first+3} (and U, b).
-    One :meth:`Tape.matmul` projects all input columns (W x + b), one
-    :meth:`Tape.lstm_gates` runs the recurrence on them; hidden states come
-    back in column order.
+    ``tracks`` pairs the number that names a track's first gate tensors,
+    W_first..W_{first+3} (and U, b), with its input node.  One
+    :meth:`Tape.matmul` per track projects all its input columns (W x + b).
+    With two tracks, each writes into its row block of one array, which a
+    :meth:`Tape.vstack` takes without a copy, and :meth:`Tape.rows` views
+    hand back each track's rows of the node's output.  No backward reads the
+    projections, so they are released as soon as the recurrence has run:
+    otherwise both tracks' projections would stay live through the heads,
+    whose alpha layer makes the update's memory peak.
     """
-    ids = range(first, first + 4)
-    w = tape.vstack([nodes[f"W_{i}"] for i in ids])
-    u = tape.vstack([nodes[f"U_{i}"] for i in ids])
-    b = tape.vstack([nodes[f"b_{i}"] for i in ids])
-    return tape.lstm_gates(tape.matmul(w, inputs, b), u, widths)
+
+    def stacked(name, first):
+        return tape.vstack([nodes[f"{name}_{i}"] for i in range(first, first + 4)])
+
+    if len(tracks) == 1:
+        ((first, x),) = tracks
+        proj = tape.matmul(stacked("W", first), x, stacked("b", first))
+        h = tape.lstm_gates(proj, stacked("U", first), widths)
+        tape.release(proj)
+        return [h]
+    d = len(nodes["U_1"].value)
+    buf = np.empty((4 * d * len(tracks), tracks[0][1].value.shape[1]), tape.dtype)
+    projs = [tape.matmul(stacked("W", first), x, stacked("b", first), out=buf[4 * d * t : 4 * d * (t + 1)])
+             for t, (first, x) in enumerate(tracks)]
+    u = tape.vstack([nodes[f"U_{i}"] for first, _ in tracks for i in range(first, first + 4)])
+    proj = tape.vstack(projs, out=buf)
+    h = tape.lstm_gates(proj, u, widths)
+    tape.release(proj, *projs)
+    return [tape.rows(h, d * t, d * (t + 1)) for t in range(len(tracks))]
 
 
 def build_graph(tape, nodes, batch, config, export=False):
@@ -383,7 +406,7 @@ def build_graph(tape, nodes, batch, config, export=False):
     op runs once over the batch's P = ``batch.n_preds`` packed columns (see
     :class:`Batch`): the embeddings of the P input and, for zeta, the P next
     interactions, the response-split input encodings and their projections,
-    one :meth:`Tape.lstm_gates` recurrence per track, and the alpha/beta/zeta
+    one :meth:`Tape.lstm_gates` node for both tracks, and the alpha/beta/zeta
     heads over its P hidden states, their last layer fused into
     :meth:`Tape.relu_pool`.  Score vectors therefore align with
     ``batch.responses[P:]``.  The fusion and the loss follow the active
@@ -400,12 +423,14 @@ def build_graph(tape, nodes, batch, config, export=False):
     r = batch.responses[:P]
 
     qk = tape.vstack([tape.embed(n["Q"], batch.qids[:P]), k_in])
-    h_ka = _lstm_track(tape, n, 1, tape.split_by_response(qk, r), batch.widths)
+    tracks = [(1, tape.split_by_response(qk, r))]
+    if config.needs_mastery_lstm or export:
+        tracks.append((5, tape.split_by_response(k_in, r)))
+    hidden = _recurrence(tape, n, tracks, batch.widths)
+    h_ka, h_ks = hidden[0], hidden[1] if len(hidden) > 1 else None
     hidden_a = tape.relu(tape.matmul(n["W_a1"], h_ka, n["b_a1"]))
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
 
-    if config.needs_mastery_lstm or export:
-        h_ks = _lstm_track(tape, n, 5, tape.split_by_response(k_in, r), batch.widths)
     beta = zeta = mastery = None
     if config.uses_beta or export:
         hidden_g = tape.relu(tape.matmul(n["W_g1"], h_ks, n["b_g1"]))

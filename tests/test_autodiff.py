@@ -592,6 +592,24 @@ class TestFiniteDifferenceBattery:
             with pytest.raises(ShapeError):
                 tape.lstm_gates(*bad)
 
+    def test_lstm_gates_two_tracks(self):
+        # two tracks stacked by rows, over steps of 3, 2 and 1 columns; both
+        # tracks' hidden states are read out
+        rng = np.random.default_rng(41)
+        d, widths = 2, (3, 2, 1)
+        params = {
+            "proj": rng.normal(size=(8 * d, sum(widths))),
+            "u": rng.normal(size=(8 * d, d)),
+            "w": rng.normal(size=2 * d),
+        }
+
+        def build(tape, n):
+            h = tape.lstm_gates(n["proj"], n["u"], widths)
+            return tape.sum_pool(tape.tanh(tape.dot_columns(n["w"], h)))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+
     def test_lstm_gates_with_shrinking_widths(self):
         # steps of 3, 3, 2 and 1 columns: sequences that end drop out of h
         # and c, and every step's hidden state is read out
@@ -609,6 +627,96 @@ class TestFiniteDifferenceBattery:
 
         report = grad_check(build, params)
         assert report.passed, report
+
+
+class TestStackedTracks:
+    """lstm_gates over k tracks stacked by rows gives each track what a
+    one-track node gives it, bit for bit; the ops that build and read such a
+    stack."""
+
+    def _run(self, dtype, projs, us, widths, G):
+        # loss = sum(h * G), so the node's output gradient is exactly G
+        tape = Tape(dtype)
+        p, u = tape.leaf(np.vstack(projs)), tape.leaf(np.vstack(us))
+        h = tape.lstm_gates(p, u, widths)
+        tape.backward(_matrix_sum(tape, tape.mul(h, tape.leaf(G))))
+        return h.value, p.grad, u.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_tracks_equal_two_one_track_nodes(self, dtype):
+        rng = np.random.default_rng(17)
+        d, widths = 3, (5, 5, 3, 2, 2, 1)
+        N = sum(widths)
+        projs = [rng.normal(size=(4 * d, N)) for _ in range(2)]
+        us = [rng.normal(size=(4 * d, d)) for _ in range(2)]
+        G = rng.normal(size=(2 * d, N))
+        h, dp, du = self._run(dtype, projs, us, widths, G)
+        assert h.shape == (2 * d, N) and h.dtype == dp.dtype == du.dtype == dtype
+        for t in range(2):
+            ht, dpt, dut = self._run(dtype, projs[t : t + 1], us[t : t + 1], widths, G[d * t : d * (t + 1)])
+            assert np.array_equal(h[d * t : d * (t + 1)], ht)
+            assert np.array_equal(dp[4 * d * t : 4 * d * (t + 1)], dpt)
+            assert np.array_equal(du[4 * d * t : 4 * d * (t + 1)], dut)
+
+    def test_row_counts_must_fit_whole_tracks(self):
+        tape = Tape()
+        d = 2
+        u_two, u_odd = tape.leaf(np.zeros((8 * d, d))), tape.leaf(np.zeros((6 * d, d)))
+        for proj, u in (
+            (tape.leaf(np.zeros((6 * d, 3))), u_odd),  # 6d rows: not a multiple of 4d
+            (tape.leaf(np.zeros((4 * d, 3))), u_two),  # proj and u rows differ
+            (tape.leaf(np.zeros((12 * d, 3))), u_two),
+        ):
+            with pytest.raises(ShapeError):
+                tape.lstm_gates(proj, u, (1, 1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_into_row_blocks_then_vstack_without_a_copy(self, dtype):
+        rng = np.random.default_rng(19)
+        w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=3)
+        w2, b2 = rng.normal(size=(2, 4)), rng.normal(size=2)
+        tape = Tape(dtype)
+        xn = tape.leaf(x)
+        fresh = [tape.matmul(tape.leaf(w), xn, tape.leaf(b)), tape.matmul(tape.leaf(w2), xn, tape.leaf(b2))]
+        buf = np.empty((5, 5), dtype)
+        parts = [tape.matmul(tape.leaf(w), xn, tape.leaf(b), out=buf[:3]),
+                 tape.matmul(tape.leaf(w2), xn, tape.leaf(b2), out=buf[3:])]
+        for got, want in zip(parts, fresh):
+            assert np.array_equal(got.value, want.value)
+        stacked = tape.vstack(parts, out=buf)
+        assert stacked.value is buf
+        for bad in (parts[::-1], parts[:1], [parts[0], fresh[1]]):
+            with pytest.raises(ShapeError, match="row blocks"):
+                tape.vstack(bad, out=buf)
+
+    def test_rows_and_a_released_stack_pass_gradients_on(self):
+        # a stack built in place, released once read, and row views of it
+        rng = np.random.default_rng(23)
+        params = {"w": rng.normal(size=(3, 2)), "w2": rng.normal(size=(2, 2)), "x": rng.normal(size=(2, 4)),
+                  "b": rng.normal(size=3), "b2": rng.normal(size=2)}
+
+        def build(tape, n):
+            buf = np.empty((5, 4), tape.dtype)
+            parts = [tape.matmul(n["w"], n["x"], n["b"], out=buf[:3]),
+                     tape.matmul(n["w2"], n["x"], n["b2"], out=buf[3:])]
+            stacked = tape.vstack(parts, out=buf)
+            y = tape.tanh(stacked)
+            tape.release(stacked, *parts)
+            assert all(p.value.shape == (0, 4) for p in (stacked, *parts))
+            top, bottom = tape.rows(y, 0, 3), tape.rows(y, 3, 5)
+            return tape.add(_matrix_sum(tape, tape.tanh(top)), _matrix_sum(tape, bottom))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+
+    def test_rows_bounds_and_leaves_are_checked(self):
+        tape = Tape()
+        x = tape.leaf(np.zeros((4, 2)))
+        for lo, hi in ((0, 0), (3, 2), (-1, 2), (2, 5)):
+            with pytest.raises(ShapeError):
+                tape.rows(x, lo, hi)
+        with pytest.raises(ValueError, match="leaf"):
+            tape.release(x)
 
 
 class TestDeterminism:

@@ -135,3 +135,22 @@ class TestKernelContract:
         want = _straight_line_backward(dh, dc, gates, tc, c_prev)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_stack_of_tracks_equals_one_call_per_track(dtype):
+    # a (k x 4d x w) stack, c_prev a column slice of a wider state as in
+    # Tape.lstm_gates, gives each track the 2-D call's results bit for bit
+    rng = np.random.default_rng(13)
+    k, d, w = 3, 4, 6
+    cases = [[a.astype(dtype) for a in _random_case(rng, d=d, batch=w + 2)] for _ in range(k)]
+    z, c_wide, dh, dc = (np.stack([case[i] for case in cases]) for i in range(4))
+    z, c_prev, dh, dc = z[..., :w].copy(), c_wide[..., :w], dh[..., :w].copy(), dc[..., :w].copy()
+    fwd = kernels.gates_forward(z, c_prev)
+    bwd = kernels.gates_backward(dh, dc, fwd[0], fwd[1], c_prev)
+    for t in range(k):
+        fwd_t = kernels.gates_forward(z[t], c_prev[t])
+        bwd_t = kernels.gates_backward(dh[t], dc[t], fwd_t[0], fwd_t[1], c_prev[t])
+        for got, want in zip(fwd + bwd, fwd_t + bwd_t):
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.array_equal(got[t], want)
