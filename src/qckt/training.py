@@ -59,8 +59,16 @@ class AdamState:
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients together so the global norm is at most max_norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Scale all gradients together so the global norm is at most max_norm.
+
+    The squares are summed in float64: summed at float32, any entry past
+    about 1.8e19 would make the norm inf and the scale zero, silently
+    dropping the update instead of clipping it."""
+    total = 0.0
+    for g in grads.values():
+        flat = g.astype(np.float64, copy=False).ravel()
+        total += float(flat @ flat)
+    total = math.sqrt(total)
     if max_norm and total > max_norm:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}, total

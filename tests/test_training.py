@@ -4,6 +4,8 @@ The Adam checks compare against a straight-line re-implementation of the
 textbook recursion; the trainer checks run tiny models end to end.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -136,6 +138,18 @@ class TestClipGradients:
         assert_allclose(new_norm, 5.0, rtol=1e-12)
         # direction preserved
         assert_allclose(clipped["a"] / grads["a"], 5.0 / norm, rtol=1e-12)
+
+    def test_a_large_finite_float32_gradient_is_clipped_not_zeroed(self):
+        # its square overflows float32; the norm is summed in float64
+        grads = {"a": np.array([3e19, 1.0], np.float32), "b": np.array([-4e19], np.float32)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, norm = clip_gradients(grads, 5.0)
+        assert_allclose(norm, 5e19, rtol=1e-6)
+        assert all(g.dtype == np.float32 for g in clipped.values())
+        flat = np.concatenate([clipped["a"], clipped["b"]]).astype(np.float64)
+        assert_allclose(np.sqrt(flat @ flat), 5.0, rtol=1e-6)
+        assert_allclose(flat, np.array([3e19, 1.0, -4e19]) * 5.0 / 5e19, rtol=1e-6)
 
     def test_disabled_by_zero_or_none(self):
         grads = {"a": np.array([100.0])}
