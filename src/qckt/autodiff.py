@@ -372,9 +372,9 @@ class Tape:
         if (
             pv.ndim != 2
             or not d
+            or not len(uv)
             or len(uv) % (4 * d)
             or len(pv) != len(uv)
-            or not len(uv)
             or not widths
             or widths[-1] < 1
             or sum(widths) != N
