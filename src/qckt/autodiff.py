@@ -280,8 +280,11 @@ class Tape:
             xg = (xv * g).T
             dW, dx = np.empty_like(Wv), np.zeros_like(xv)
             db, dw = np.empty_like(bv), np.empty_like(wv)
+            # each block's mask as float, in one buffer for all blocks
+            m_buf = np.empty((min(step, r), N), dtype)
             for k in blocks:
-                m = mask[k].astype(dtype)
+                m = m_buf[: k.stop - k.start]
+                np.copyto(m, mask[k])
                 M = m @ xg
                 mg = m @ g
                 dW[k] = wv[k, None] * M

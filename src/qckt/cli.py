@@ -397,6 +397,14 @@ def cmd_synth(args):
     print(f"wrote {len(ds.sequences)} sequences, {ds.n_interactions} interactions to {out}")
 
 
+def _drop_manifest(out):
+    """Remove a manifest an earlier run left in ``out``, before the first
+    artifact of this one is written: a run that fails part-way then leaves
+    no manifest, so eval and export refuse the directory instead of pairing
+    the old record with the new checkpoints."""
+    (out / MANIFEST).unlink(missing_ok=True)
+
+
 def cmd_train(args):
     started = time.perf_counter()
     fold_i = None
@@ -423,11 +431,13 @@ def cmd_train(args):
         if args.grid:
             result = grid_search(ds, mcfg, tcfg, lambdas=args.grid_lambdas, lrs=args.grid_lrs,
                                  dims=args.grid_dims, jobs=args.jobs)
+            _drop_manifest(out)
             _write_csv(out / REPORT_CSV, ["lambda", "lr", "d", "valid_auc"], result.table)
             extra["best"] = result.best
             print("best cell: lambda={lambda} lr={lr} d={d} valid_auc={valid_auc:.4f}".format(**result.best))
         elif args.fold == "all":
             cv = run_cv(ds, mcfg, tcfg, k=args.k, jobs=args.jobs)
+            _drop_manifest(out)
             epoch_rows = []
             for fold in cv.folds:
                 fold.report.best_params.save(out / fold_checkpoint(fold.fold))
@@ -440,6 +450,7 @@ def cmd_train(args):
             print(f"cv mean auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f} over {args.k} folds")
         else:
             fold = run_fold(ds, mcfg, tcfg, fold_i, folds[fold_i])
+            _drop_manifest(out)
             fold.report.best_params.save(out / CHECKPOINT)
             _write_csv(out / EPOCHS_CSV, ["epoch", "train_loss", "valid_auc"], fold.report.epoch_rows())
             _write_csv(out / REPORT_CSV, ["fold", "auc", "acc", "best_epoch"], [fold.row()])

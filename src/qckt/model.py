@@ -36,8 +36,10 @@ loss or a backward pass.
 
 Precision: training records the graph on a :data:`TRAIN_DTYPE` (float32)
 tape, the mixed-precision recipe of Micikevicius et al. (arXiv:1710.03740):
-parameters, the optimizer and checkpoints stay float64, the tape casts each
-parameter once per update and hands back float32 gradients.  Fold scoring
+parameters, the optimizer and checkpoints stay float64.  The parameters are
+one float64 vector (:class:`FlatTensors`), which :meth:`Parameters.leaves`
+casts in one pass per update, and the float32 gradients come back gathered
+into one vector of the same layout.  Fold scoring
 (validation during training, test folds and ``qckt eval``) follows the
 training dtype on a forward-only tape.  Only export (:func:`sequence_outputs`)
 and :func:`batch_predictions`' default record at float64, so exported values
@@ -50,6 +52,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,22 +159,101 @@ def param_count(config):
     return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
+def _spans(shapes):
+    """name -> (start, stop, shape): each tensor's slice of a vector that
+    holds the tensors of ``shapes`` back to back, in its order."""
+    spans, lo = {}, 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        spans[name] = (lo, hi, tuple(shape))
+        lo = hi
+    return spans
+
+
+class FlatTensors(Mapping):
+    """Named tensors stored back to back in one contiguous vector, ``flat``.
+
+    ``spans`` maps each name, in order, to (start, stop, shape), and
+    ``tensors[name]`` is the view of ``flat[start:stop]`` in that shape.
+    Assigning to a name writes into its view, and a value of another shape
+    raises ShapeError; names cannot be added or removed.  So the mapping and
+    the vector never drift apart, and a pass over the whole model (a cast, a
+    copy, an optimizer step) is one pass over ``flat``.
+    """
+
+    __slots__ = ("spans", "flat", "_views")
+
+    def __init__(self, spans, flat):
+        self.spans, self.flat, self._views = spans, flat, {}
+
+    @classmethod
+    def stack(cls, arrays):
+        """Copies of the arrays of a name -> array mapping, back to back in
+        its order in one fresh vector of their common dtype."""
+        arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+        flat = np.concatenate([arr.ravel() for arr in arrays.values()])
+        return cls(_spans({name: arr.shape for name, arr in arrays.items()}), flat)
+
+    def __getitem__(self, name):
+        view = self._views.get(name)
+        if view is None:
+            lo, hi, shape = self.spans[name]
+            view = self._views[name] = self.flat[lo:hi].reshape(shape)
+        return view
+
+    def __setitem__(self, name, value):
+        view, value = self[name], np.asarray(value)
+        if value.shape != view.shape:
+            raise ShapeError(f"tensor {name} has shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+    def __iter__(self):
+        return iter(self.spans)
+
+    def __len__(self):
+        return len(self.spans)
+
+    def __reduce__(self):
+        return FlatTensors, (self.spans, self.flat)
+
+    def like(self, flat):
+        """The same names over another vector of the same size."""
+        return FlatTensors(self.spans, flat)
+
+    def name_at(self, i):
+        """The name whose slice holds entry i of ``flat``."""
+        return next(name for name, (lo, hi, _) in self.spans.items() if lo <= i < hi)
+
+
 class Parameters:
-    """Named tensor store for one model; iteration order is fixed."""
+    """The named tensors of one model, in :func:`param_shapes` order, as one
+    float64 vector: ``tensors`` is a :class:`FlatTensors`.
+
+    ``tensors`` may be a name -> array mapping, whose arrays are copied in,
+    or the float64 vector itself, which is kept as it is; a Parameters
+    pickles as its config and that vector."""
 
     def __init__(self, config, tensors):
         self.config = config
         expected = param_shapes(config)
+        if isinstance(tensors, np.ndarray):
+            flat = as_tensor(tensors)
+            if flat.shape != (param_count(config),):
+                raise ShapeError(f"parameter vector has shape {flat.shape}, "
+                                 f"expected ({param_count(config)},)")
+            self.tensors = FlatTensors(_spans(expected), flat)
+            return
         if set(tensors) != set(expected):
             missing = sorted(set(expected) - set(tensors))
             extra = sorted(set(tensors) - set(expected))
             raise ShapeError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        self.tensors = {}
+        arrays = {}
         for name, shape in expected.items():
             arr = as_tensor(tensors[name])
             if arr.shape != shape:
                 raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-            self.tensors[name] = arr
+            arrays[name] = arr
+        self.tensors = FlatTensors.stack(arrays)
 
     @classmethod
     def init(cls, config, seed):
@@ -210,29 +292,36 @@ class Parameters:
     def items(self):
         return self.tensors.items()
 
+    def __reduce__(self):
+        return Parameters, (self.config, self.tensors.flat)
+
     def copy(self):
-        return Parameters(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return Parameters(self.config, self.tensors.flat.copy())
 
     def leaves(self, tape):
-        """Record every tensor as a tape leaf; returns name -> Node."""
-        return {name: tape.leaf(arr) for name, arr in self.tensors.items()}
+        """Record every tensor as a tape leaf; returns name -> Node.  The
+        vector is cast to the tape's dtype in one pass (not at all on a
+        float64 tape), and each leaf is a view of its slice of the cast."""
+        cast = self.tensors.flat.astype(tape.dtype, copy=False)
+        return {name: tape.leaf(cast[lo:hi].reshape(shape))
+                for name, (lo, hi, shape) in self.tensors.spans.items()}
 
     # -- checkpoint IO -----------------------------------------------------
 
     def save(self, path):
-        """Write magic + JSON header + raw little-endian float64 payload,
-        atomically: a failed save leaves any earlier file at path intact."""
+        """Write magic + JSON header + raw little-endian float64 payload (each
+        tensor's entries in turn, which is the vector), atomically: a failed
+        save leaves any earlier file at path intact."""
         header = {
             "config": self.config.to_dict(),
-            "tensors": [[name, list(arr.shape)] for name, arr in self.tensors.items()],
+            "tensors": [[name, list(shape)] for name, (_, _, shape) in self.tensors.spans.items()],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with atomic_write(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            for arr in self.tensors.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.tensors.flat, dtype="<f8"))
 
     @classmethod
     def load(cls, path):
@@ -256,14 +345,13 @@ class Parameters:
                 shapes = param_shapes(config)
                 if header["tensors"] != [[name, list(shape)] for name, shape in shapes.items()]:
                     raise DataError(f"checkpoint tensors do not fit its config: {path}")
-                counts = {name: math.prod(shape) for name, shape in shapes.items()}
-                if 8 * sum(counts.values()) != left - len(raw):
+                count = param_count(config)
+                if 8 * count != left - len(raw):
                     raise DataError(f"checkpoint payload does not fit its header: {path}")
-                tensors = {
-                    name: np.frombuffer(fh.read(8 * counts[name]), "<f8").reshape(shape).copy()
-                    for name, shape in shapes.items()
-                }
-                return cls(config, tensors)
+                flat = np.empty(count, "<f8")
+                if fh.readinto(flat) != 8 * count:
+                    raise DataError(f"checkpoint truncated in its payload: {path}")
+                return cls(config, flat)
             except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 # bad UTF-8 or JSON, missing, unknown or invalid config keys
                 raise DataError(
@@ -422,10 +510,13 @@ def build_graph(tape, nodes, batch, config, export=False):
     k_in = tape.embed_mean_flat(n["K"], *batch.kc_in, P)
     r = batch.responses[:P]
 
-    qk = tape.vstack([tape.embed(n["Q"], batch.qids[:P]), k_in])
+    q_in = tape.embed(n["Q"], batch.qids[:P])
+    qk = tape.vstack([q_in, k_in])
     tracks = [(1, tape.split_by_response(qk, r))]
     if config.needs_mastery_lstm or export:
         tracks.append((5, tape.split_by_response(k_in, r)))
+    # no backward and no later op reads the embeddings
+    tape.release(q_in, k_in, qk)
     hidden = _recurrence(tape, n, tracks, batch.widths)
     h_ka, h_ks = hidden[0], hidden[1] if len(hidden) > 1 else None
     hidden_a = tape.relu(tape.matmul(n["W_a1"], h_ka, n["b_a1"]))
@@ -467,13 +558,14 @@ def build_graph(tape, nodes, batch, config, export=False):
 
 def batch_loss_and_grads(params, batch):
     """One forward/backward pass on a :data:`TRAIN_DTYPE` tape; returns
-    (loss value, name -> gradient), the gradients of that dtype."""
+    (loss value, name -> gradient), the gradients of that dtype gathered
+    into one vector laid out as ``params.tensors`` (a :class:`FlatTensors`)."""
     tape = Tape(TRAIN_DTYPE)
     nodes = params.leaves(tape)
     graph = build_graph(tape, nodes, batch, params.config)
     tape.backward(graph.loss)
-    grads = {name: Tape.grad(node) for name, node in nodes.items()}
-    return float(graph.loss.value), grads
+    grads = np.concatenate([Tape.grad(node).ravel() for node in nodes.values()])
+    return float(graph.loss.value), params.tensors.like(grads)
 
 
 def sequence_outputs(params, seq):

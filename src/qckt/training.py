@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import kfold_split
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .errors import require_finite_nonnegative, require_ints
 from .evaluation import PredictionSet, accuracy, auc
 from .model import Batch, ModelConfig, Parameters, TRAIN_DTYPE, VARIANTS, batch_loss_and_grads
@@ -49,55 +49,87 @@ class TrainConfig:
                      max_updates=self.max_updates)
 
 
+# adam_step works through the vectors in chunks of this many entries, so its
+# scratch (two float64 and one gradient-dtype buffer, 640 KB at float32
+# gradients) stays in cache however large the model; 2^15 timed best among
+# 2^13..2^17 at the 487k parameters of d = 64, n = 2000
+ADAM_CHUNK = 1 << 15
+
+
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    ``m`` and ``v`` are zero :class:`FlatTensors` laid out as the parameters
+    (a :class:`Parameters` or its ``tensors``), so each is one vector."""
 
     def __init__(self, params):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        tensors = params.tensors if isinstance(params, Parameters) else params
+        self.m = tensors.like(np.zeros_like(tensors.flat))
+        self.v = tensors.like(np.zeros_like(tensors.flat))
         self.t = 0
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients together so the global norm is at most max_norm.
+    """Scale all gradients together so the global norm is at most max_norm;
+    ``grads`` is a :class:`FlatTensors`, and so is the result.
 
-    The squares are summed in float64: summed at float32, any entry past
-    about 1.8e19 would make the norm inf and the scale zero, silently
-    dropping the update instead of clipping it."""
+    The squares are summed in float64, one dot per tensor in name order:
+    summed at float32, any entry past about 1.8e19 would make the norm inf
+    and the scale zero, silently dropping the update instead of clipping it."""
+    flat = grads.flat.astype(np.float64, copy=False)
     total = 0.0
-    for g in grads.values():
-        flat = g.astype(np.float64, copy=False).ravel()
-        total += float(flat @ flat)
+    for lo, hi, _ in grads.spans.values():
+        part = flat[lo:hi]
+        total += np.dot(part, part)
     total = math.sqrt(total)
     if max_norm and total > max_norm:
-        scale = max_norm / total
-        return {k: g * scale for k, g in grads.items()}, total
+        return grads.like(grads.flat * (max_norm / total)), total
     return grads, total
 
 
 def adam_step(params, grads, state, cfg):
     """One bias-corrected Adam update at cfg.lr, in place on the parameter
-    arrays, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+    vector, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+
+    ``params``, ``grads`` and the moments in ``state`` are
+    :class:`FlatTensors` of one layout, so the update is a few passes over
+    whole vectors, chunk by chunk (:data:`ADAM_CHUNK`) into scratch buffers.
+    Each entry goes through the operations of the per-tensor textbook form,
+    in its order and at its dtypes, so the result is that form's bit for bit.
 
     Every gradient is checked before anything changes: a non-finite one
     raises TrainingError naming its parameter and leaves the parameters and
     ``state`` as they were."""
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
+    if grads.spans is not params.spans and grads.spans != params.spans:
+        raise ShapeError("the gradients are not laid out as the parameters")
+    g = grads.flat
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise TrainingError(f"non-finite gradient for parameter {grads.name_at(finite.argmin())}")
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name, arr in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    size = min(len(g), ADAM_CHUNK)
+    g_buf, step_buf, den_buf = np.empty(size, g.dtype), np.empty(size), np.empty(size)
+    for lo in range(0, len(g), ADAM_CHUNK):
+        k = slice(lo, lo + ADAM_CHUNK)
+        gk, m, v, p = g[k], state.m.flat[k], state.v.flat[k], params.flat[k]
+        s, step, den = g_buf[: len(gk)], step_buf[: len(gk)], den_buf[: len(gk)]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(gk, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        arr -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(gk, gk, out=s)
+        s *= 1.0 - b2
+        v += s
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=step)
+        step *= cfg.lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        p -= step
     return params, state
 
 

@@ -4,9 +4,15 @@ The value-level reference model is the test oracle for the batch graph:
 straight-line float evaluation of one sequence, one step at a time, written
 independently of :func:`qckt.model.build_graph`.  :func:`load_dataset_rows`
 is the row-by-row reading of an interaction log, the oracle for the
-column-wise :func:`qckt.data.load_dataset`.
+column-wise :func:`qckt.data.load_dataset`.  The per-tensor optimizer
+(:class:`AdamState`, :func:`clip_gradients`, :func:`adam_step`) and checkpoint
+writer (:func:`save_per_tensor`) are the references for the package's
+single-vector forms, which must match them bit for bit.
 """
 
+import json
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,3 +292,60 @@ def joint_loss(outputs, targets, lambda_aux, variant="full"):
             step += lambda_aux * aux
         total += step
     return float(total / len(outputs))
+
+
+# -- per-tensor optimizer and checkpoint writer ------------------------------
+
+
+class AdamState:
+    """Per-tensor first/second moments plus the shared step counter."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+
+def clip_gradients(grads, max_norm):
+    """Global-norm clip of a name -> gradient dict: one float64 dot per
+    tensor, summed in name order, then every tensor scaled."""
+    total = 0.0
+    for g in grads.values():
+        flat = g.astype(np.float64, copy=False).ravel()
+        total += float(flat @ flat)
+    total = math.sqrt(total)
+    if max_norm and total > max_norm:
+        scale = max_norm / total
+        return {k: g * scale for k, g in grads.items()}, total
+    return grads, total
+
+
+def adam_step(params, grads, state, lr):
+    """Bias-corrected Adam on name -> array dicts, tensor by tensor, with
+    fresh arrays for every intermediate."""
+    state.t += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for name, arr in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        arr -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def save_per_tensor(params):
+    """The bytes of a checkpoint written tensor by tensor: magic, header
+    length, JSON header, then each tensor's little-endian float64 entries."""
+    header = {
+        "config": params.config.to_dict(),
+        "tensors": [[name, list(arr.shape)] for name, arr in params.items()],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [qm.CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
+    parts += [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in params.items()]
+    return b"".join(parts)

@@ -884,6 +884,43 @@ class TestAtomicWrites:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+    @pytest.mark.parametrize("fold, failing_save", [("all", 1), ("all", 2), ("all", 3), ("0", 1)])
+    def test_a_failed_retrain_leaves_no_run_to_score(self, workspace, tmp_path, monkeypatch, capsys,
+                                                     fold, failing_save):
+        # a second train into the same --out fails at one of its checkpoint
+        # saves; the first run's manifest must not survive beside the new
+        # checkpoints, so eval and export refuse the directory
+        data, run = workspace["data"], tmp_path / "run"
+        train = ["train", "--data", str(data), "--fold", fold, "--k", "3", "--max-epochs", "1",
+                 "--batch-size", "16", "--out", str(run)]
+        assert main(train + ["--seed", "1", "--d", "4"]) == 0
+        saves, save = [], Parameters.save
+
+        def save_or_fail(params, path):
+            saves.append(path)
+            if len(saves) == failing_save:
+                raise OSError("disk full")
+            return save(params, path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Parameters, "save", save_or_fail)
+            capsys.readouterr()
+            assert main(train + ["--seed", "2", "--d", "6"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(saves) == failing_save
+        assert len(err) == 1 and err[0].startswith("error:") and "disk full" in err[0], err
+        assert not (run / "manifest.json").exists()
+        student = read_csv(data)[0]["student_id"]
+        for command in ("eval", "export"):
+            out = tmp_path / command
+            rc = main([command, "--data", str(data), "--run", str(run), "--out", str(out)]
+                      + (["--student", student] if command == "export" else []))
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2
+            assert len(err) == 1 and err[0].startswith("error:") and "manifest.json" in err[0], err
+            assert not out.exists()
+
+
 class TestAblate:
     def test_two_variants_report_and_pmatrix(self, workspace, tmp_path):
         out = tmp_path / "abl"

@@ -4,18 +4,21 @@ The Adam checks compare against a straight-line re-implementation of the
 textbook recursion; the trainer checks run tiny models end to end.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 from qckt.data import SynthConfig, gen_synthetic, preprocess
-from qckt.errors import ConfigError, TrainingError
+from qckt.errors import ConfigError, ShapeError, TrainingError
 from qckt.evaluation import PredictionSet, auc
 from qckt.model import Batch, ModelConfig, Parameters, TRAIN_DTYPE, VARIANTS, batch_loss_and_grads
-from qckt.model import batch_predictions
+from qckt.model import FlatTensors, batch_predictions
 from qckt.training import (
+    ADAM_CHUNK,
     DEFAULT_DIM_GRID,
     DEFAULT_LAMBDA_GRID,
     DEFAULT_LR_GRID,
@@ -31,6 +34,10 @@ from qckt.training import (
     run_cv,
     train,
 )
+
+
+# the optimizer takes its tensors as one vector; hand-made ones are stacked
+stack = FlatTensors.stack
 
 
 def adam_oracle(theta0, grads_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -53,30 +60,30 @@ class TestAdamStep:
     def test_first_step_magnitude_is_lr(self):
         cfg = TrainConfig(lr=0.1)
         for g in (1.0, 2.0, 1000.0, -3.5):
-            params = {"theta": np.array([4.0])}
+            params = stack({"theta": np.array([4.0])})
             state = AdamState(params)
-            adam_step(params, {"theta": np.array([g])}, state, cfg)
+            adam_step(params, stack({"theta": np.array([g])}), state, cfg)
             step = 4.0 - params["theta"][0]
             assert_allclose(abs(step), 0.1, rtol=1e-6)
             assert np.sign(step) == np.sign(g)
 
     def test_zero_gradient_leaves_params_unchanged(self):
         cfg = TrainConfig(lr=0.1)
-        params = {"w": np.array([1.0, -2.0, 0.5])}
+        params = stack({"w": np.array([1.0, -2.0, 0.5])})
         state = AdamState(params)
         for _ in range(5):
-            adam_step(params, {"w": np.zeros(3)}, state, cfg)
+            adam_step(params, stack({"w": np.zeros(3)}), state, cfg)
         assert np.array_equal(params["w"], np.array([1.0, -2.0, 0.5]))
 
     def test_quadratic_converges_near_zero(self):
         # minimize theta^2 from theta = 1 with lr 0.1 for 100 steps
         cfg = TrainConfig(lr=0.1)
-        params = {"theta": np.array(1.0)}
+        params = stack({"theta": np.array(1.0)})
         state = AdamState(params)
         grads_seen = []
         for _ in range(100):
             grads_seen.append(2.0 * params["theta"].copy())
-            adam_step(params, {"theta": grads_seen[-1]}, state, cfg)
+            adam_step(params, stack({"theta": grads_seen[-1]}), state, cfg)
         assert abs(float(params["theta"])) < 0.05
         oracle = adam_oracle(1.0, grads_seen, lr=0.1)
         assert_allclose(float(params["theta"]), float(oracle[-1]), rtol=1e-13)
@@ -88,25 +95,25 @@ class TestAdamStep:
             shape = tuple(rng.integers(1, 5, size=rng.integers(1, 3)))
             theta0 = rng.normal(size=shape)
             grads_seq = [rng.normal(size=shape) for _ in range(6)]
-            params = {"w": theta0.copy()}
+            params = stack({"w": theta0.copy()})
             state = AdamState(params)
             for g in grads_seq:
-                adam_step(params, {"w": g}, state, cfg)
+                adam_step(params, stack({"w": g}), state, cfg)
             oracle = adam_oracle(theta0, grads_seq, lr=3e-3)
             assert_allclose(params["w"], oracle[-1], rtol=1e-12, atol=1e-15)
 
     def test_shared_step_counter(self):
         cfg = TrainConfig(lr=0.1)
-        params = {"a": np.array([1.0]), "b": np.array([1.0])}
+        params = stack({"a": np.array([1.0]), "b": np.array([1.0])})
         state = AdamState(params)
-        adam_step(params, {"a": np.array([1.0]), "b": np.array([1.0])}, state, cfg)
+        adam_step(params, stack({"a": np.array([1.0]), "b": np.array([1.0])}), state, cfg)
         assert state.t == 1
 
     def test_nonfinite_gradient_raises_with_name(self):
         cfg = TrainConfig(lr=0.1)
-        params = {"a": np.array([1.0]), "bad_one": np.array([1.0])}
+        params = stack({"a": np.array([1.0]), "bad_one": np.array([1.0])})
         state = AdamState(params)
-        grads = {"a": np.array([1.0]), "bad_one": np.array([np.nan])}
+        grads = stack({"a": np.array([1.0]), "bad_one": np.array([np.nan])})
         with pytest.raises(TrainingError, match="bad_one"):
             adam_step(params, grads, state, cfg)
         # every gradient is checked before any parameter or moment moves
@@ -124,14 +131,14 @@ class TestAdamStep:
 
 class TestClipGradients:
     def test_below_threshold_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = stack({"a": np.array([0.3, 0.4])})
         clipped, norm = clip_gradients(grads, 5.0)
         assert_allclose(norm, 0.5)
         assert np.array_equal(clipped["a"], grads["a"])
 
     def test_scales_to_max_norm(self):
         rng = np.random.default_rng(3)
-        grads = {"a": rng.normal(size=(4, 3)) * 10.0, "b": rng.normal(size=7) * 10.0}
+        grads = stack({"a": rng.normal(size=(4, 3)) * 10.0, "b": rng.normal(size=7) * 10.0})
         clipped, norm = clip_gradients(grads, 5.0)
         assert norm > 5.0
         new_norm = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
@@ -141,7 +148,7 @@ class TestClipGradients:
 
     def test_a_large_finite_float32_gradient_is_clipped_not_zeroed(self):
         # its square overflows float32; the norm is summed in float64
-        grads = {"a": np.array([3e19, 1.0], np.float32), "b": np.array([-4e19], np.float32)}
+        grads = stack({"a": np.array([3e19, 1.0], np.float32), "b": np.array([-4e19], np.float32)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clipped, norm = clip_gradients(grads, 5.0)
@@ -152,10 +159,99 @@ class TestClipGradients:
         assert_allclose(flat, np.array([3e19, 1.0, -4e19]) * 5.0 / 5e19, rtol=1e-6)
 
     def test_disabled_by_zero_or_none(self):
-        grads = {"a": np.array([100.0])}
+        grads = stack({"a": np.array([100.0])})
         for flag in (0.0, None):
             clipped, _ = clip_gradients(grads, flag)
             assert np.array_equal(clipped["a"], grads["a"])
+
+
+class TestFlatOptimizer:
+    """clip_gradients and adam_step over one vector against the per-tensor
+    reference in the test oracle, bit for bit."""
+
+    # three tensors of 196,622 entries in all, more than three ADAM_CHUNK
+    # chunks, with chunk edges inside tensors, and a 0-d tensor
+    SHAPES = {"W": (300, 400), "b": (76621,), "s": ()}
+
+    def test_matches_the_per_tensor_reference_bit_for_bit(self):
+        assert sum(math.prod(s) for s in self.SHAPES.values()) > 3 * ADAM_CHUNK
+        rng = np.random.default_rng(21)
+        init = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        ref = {name: arr.copy() for name, arr in init.items()}
+        params = stack(init)
+        ref_state, state = oracle.AdamState(ref), AdamState(params)
+        cfg = TrainConfig(lr=3e-3)
+        clipped = 0
+        for step in range(60):
+            # float32 gradients whose global norm straddles max_norm
+            scale = 10.0 ** rng.uniform(-4, -1)
+            grads = {name: (rng.normal(size=shape) * scale).astype(np.float32)
+                     for name, shape in self.SHAPES.items()}
+            ref_grads, ref_norm = oracle.clip_gradients(grads, 5.0)
+            flat_grads, norm = clip_gradients(stack(grads), 5.0)
+            assert norm == ref_norm, step
+            clipped += norm > 5.0
+            oracle.adam_step(ref, ref_grads, ref_state, cfg.lr)
+            adam_step(params, flat_grads, state, cfg)
+            for name in self.SHAPES:
+                assert np.array_equal(flat_grads[name], ref_grads[name]), (step, name)
+                assert np.array_equal(params[name], ref[name]), (step, name)
+                assert np.array_equal(state.m[name], ref_state.m[name]), (step, name)
+                assert np.array_equal(state.v[name], ref_state.v[name]), (step, name)
+        assert 0 < clipped < 60
+        assert state.t == ref_state.t == 60
+
+    def test_gradients_laid_out_otherwise_are_refused(self):
+        params = stack({"a": np.zeros(2), "b": np.zeros(3)})
+        state = AdamState(params)
+        with pytest.raises(ShapeError):
+            adam_step(params, stack({"b": np.ones(3), "a": np.ones(2)}), state, TrainConfig())
+        assert state.t == 0 and not params.flat.any()
+
+
+class TestUpdateCalls:
+    """What the benchmark's update clock assumes of ``train``: it opens an
+    update at the batch or loss call and closes it at the first adam_step."""
+
+    def test_one_loss_clip_and_adam_call_per_update(self, monkeypatch):
+        import qckt.training as tr
+
+        ds = tiny_dataset(students=12)
+        events, snapshots = [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def adam_wrapper(params, grads, state, cfg):
+            events.append("adam")
+            before = (params.flat.copy(), state.m.flat.copy(), state.v.flat.copy(), state.t)
+            result = tr_adam_step(params, grads, state, cfg)
+            after = (params.flat.copy(), state.m.flat.copy(), state.v.flat.copy(), state.t)
+            snapshots.append((before, after))
+            return result
+
+        tr_adam_step = tr.adam_step
+        monkeypatch.setattr(tr, "batch_loss_and_grads", counted("loss", tr.batch_loss_and_grads))
+        monkeypatch.setattr(tr, "clip_gradients", counted("clip", tr.clip_gradients))
+        monkeypatch.setattr(tr, "adam_step", adam_wrapper)
+        tcfg = TrainConfig(lr=1e-2, batch_size=4, max_epochs=2, patience=2, seed=1)
+        report = train(ModelConfig(12, 5, 4), tcfg, ds.sequences[:8], ds.sequences[8:])
+
+        assert report.total_updates == 4
+        assert events == ["loss", "clip", "adam"] * report.total_updates
+        # each call moves the parameters and both moments and advances t by
+        # one; nothing changes them between two calls
+        for before, after in snapshots:
+            assert after[3] == before[3] + 1
+            assert all(not np.array_equal(a, b) for a, b in zip(before[:3], after[:3]))
+        for (_, after), (before, _) in zip(snapshots, snapshots[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(after[:3], before[:3]))
+        # the kept copy is the parameters after the best epoch's last update
+        best = snapshots[2 * report.best_epoch - 1][1][0]
+        assert np.array_equal(report.best_params.tensors.flat, best)
 
 
 class TestEarlyStopping:
