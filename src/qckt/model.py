@@ -184,7 +184,8 @@ class FlatTensors(Mapping):
     __slots__ = ("spans", "flat", "_views")
 
     def __init__(self, spans, flat):
-        self.spans, self.flat, self._views = spans, flat, {}
+        self.spans, self.flat = spans, flat
+        self._views = {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in spans.items()}
 
     @classmethod
     def stack(cls, arrays):
@@ -195,11 +196,7 @@ class FlatTensors(Mapping):
         return cls(_spans({name: arr.shape for name, arr in arrays.items()}), flat)
 
     def __getitem__(self, name):
-        view = self._views.get(name)
-        if view is None:
-            lo, hi, shape = self.spans[name]
-            view = self._views[name] = self.flat[lo:hi].reshape(shape)
-        return view
+        return self._views[name]
 
     def __setitem__(self, name, value):
         view, value = self[name], np.asarray(value)
@@ -208,10 +205,16 @@ class FlatTensors(Mapping):
         view[...] = value
 
     def __iter__(self):
-        return iter(self.spans)
+        return iter(self._views)
 
     def __len__(self):
-        return len(self.spans)
+        return len(self._views)
+
+    def items(self):
+        return self._views.items()
+
+    def values(self):
+        return self._views.values()
 
     def __reduce__(self):
         return FlatTensors, (self.spans, self.flat)
@@ -302,16 +305,16 @@ class Parameters:
         """Record every tensor as a tape leaf; returns name -> Node.  The
         vector is cast to the tape's dtype in one pass (not at all on a
         float64 tape), and each leaf is a view of its slice of the cast."""
-        cast = self.tensors.flat.astype(tape.dtype, copy=False)
-        return {name: tape.leaf(cast[lo:hi].reshape(shape))
-                for name, (lo, hi, shape) in self.tensors.spans.items()}
+        tensors = self.tensors
+        if tensors.flat.dtype != tape.dtype:
+            tensors = tensors.like(tensors.flat.astype(tape.dtype))
+        return {name: tape.leaf(arr) for name, arr in tensors.items()}
 
     # -- checkpoint IO -----------------------------------------------------
 
     def save(self, path):
-        """Write magic + JSON header + raw little-endian float64 payload (each
-        tensor's entries in turn, which is the vector), atomically: a failed
-        save leaves any earlier file at path intact."""
+        """Write magic + JSON header + raw little-endian float64 payload (the
+        vector), atomically: a failed save leaves any earlier file intact."""
         header = {
             "config": self.config.to_dict(),
             "tensors": [[name, list(shape)] for name, (_, _, shape) in self.tensors.spans.items()],
