@@ -217,6 +217,7 @@ class FlatTensors(Mapping):
         return self._views.values()
 
     def __reduce__(self):
+        # pickled views would come back as copies; rebuild them over the vector
         return FlatTensors, (self.spans, self.flat)
 
     def like(self, flat):
