@@ -213,9 +213,6 @@ class FlatTensors(Mapping):
     def items(self):
         return self._views.items()
 
-    def values(self):
-        return self._views.values()
-
     def __reduce__(self):
         # pickled views would come back as copies; rebuild them over the vector
         return FlatTensors, (self.spans, self.flat)

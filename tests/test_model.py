@@ -316,6 +316,8 @@ class TestFlatParameters:
             assert not np.shares_memory(q.tensors.flat, p.tensors.flat)
         # a Parameters pickles as its config and its vector
         assert p.__reduce__() == (qm.Parameters, (p.config, p.tensors.flat))
+        tensors = pickle.loads(pickle.dumps(p.tensors))
+        assert all(np.shares_memory(view, tensors.flat) for view in tensors.values())
 
     def test_rebinding_a_tensor_writes_into_the_vector(self):
         p = random_params(qm.ModelConfig(5, 3, 2), seed=7)
