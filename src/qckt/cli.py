@@ -690,15 +690,21 @@ def build_parser(command=None):
     return parser
 
 
+# --config alone, found as a subcommand's parser finds it: also as
+# --config=FILE or an abbreviation such as --conf
+_CONFIG_FLAG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
 def _apply_config_file(argv):
     """Turn --config key=value lines into flags placed before the explicit
     ones, so the file provides defaults and the command line wins."""
-    if "--config" not in argv:
+    try:
+        path = _CONFIG_FLAG.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        raise ConfigError("--config needs a key=value file") from None
+    if path is None:
         return argv
-    at = argv.index("--config")
-    if at == len(argv) - 1:
-        raise ConfigError("--config needs a key=value file")
-    path = argv[at + 1]
     injected = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):

@@ -221,6 +221,16 @@ class TestTrain:
         assert rc == 0
         assert Parameters.load(out_b / "checkpoint.bin").config.dim == 4
 
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"],
+                                          ["--conf={}"]])
+    def test_config_file_applies_in_every_spelling(self, tmp_path, spelling):
+        # the parser takes --config=FILE and abbreviations; each applies the file
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("students=7\n")
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out)] + [s.format(cfg) for s in spelling]) == 0
+        assert len({row["student_id"] for row in read_csv(out / "dataset.csv")}) == 7
+
     def test_malformed_config_file_is_validation_error(self, workspace, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value line\n")
