@@ -27,8 +27,9 @@ Appleyard et al. (arXiv:1604.01946) applied to the heads too, and both
 recurrences are one :meth:`Tape.lstm_gates` node that steps through time
 inside its own forward and backward, the two tracks stacked on a leading
 axis so that each step is one batched call for both (the stream combining
-of the same paper).  Each layer is one tape node: an affine
-layer W x + b is one :meth:`Tape.matmul`, and the response split
+of the same paper).  The gate tensors are five stacked leaves, W_1..W_4 and
+so on (:data:`GATE_BLOCKS`), blocks of the parameter vector that no graph
+restacks.  Each layer is one tape node: an affine layer W x + b is one :meth:`Tape.matmul`, and the response split
 [e * r; e * (1 - r)] of an interaction embedding one
 :meth:`Tape.split_by_response`, and the whole training objective one
 :meth:`Tape.logistic_loss`.  Scoring and export run the graph without the
@@ -170,6 +171,28 @@ def _spans(shapes):
     return spans
 
 
+# block -> members: the gate tensors that one recurrence reads stacked by
+# rows, recorded as one leaf.  The members are adjacent in param_shapes
+# order, so each block is one slice of the parameter vector.
+GATE_BLOCKS = {f"{p}_{i}..{p}_{j}": tuple(f"{p}_{k}" for k in range(i, j + 1))
+               for p, i, j in (("W", 1, 4), ("W", 5, 8), ("U", 1, 8), ("b", 1, 4), ("b", 5, 8))}
+
+
+def _leaf_spans(spans):
+    """The spans of :meth:`Parameters.leaves`: each of :data:`GATE_BLOCKS`
+    in its members' place, over their slices and shaped as them stacked by
+    rows; every other name as in ``spans``."""
+    block_of = {name: block for block, members in GATE_BLOCKS.items() for name in members}
+    leaf_spans = {}
+    for name, (lo, hi, shape) in spans.items():
+        leaf = block_of.get(name, name)
+        if leaf in leaf_spans:  # a later member: its block grows by its rows
+            lo, _, (rows, *rest) = leaf_spans[leaf]
+            shape = (rows + shape[0], *rest)
+        leaf_spans[leaf] = (lo, hi, shape)
+    return leaf_spans
+
+
 class FlatTensors(Mapping):
     """Named tensors stored back to back in one contiguous vector, ``flat``.
 
@@ -186,14 +209,6 @@ class FlatTensors(Mapping):
     def __init__(self, spans, flat):
         self.spans, self.flat = spans, flat
         self._views = {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in spans.items()}
-
-    @classmethod
-    def stack(cls, arrays):
-        """Copies of the arrays of a name -> array mapping, back to back in
-        its order in one fresh vector of their common dtype."""
-        arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
-        flat = np.concatenate([arr.ravel() for arr in arrays.values()])
-        return cls(_spans({name: arr.shape for name, arr in arrays.items()}), flat)
 
     def __getitem__(self, name):
         return self._views[name]
@@ -228,7 +243,8 @@ class FlatTensors(Mapping):
 
 class Parameters:
     """The named tensors of one model, in :func:`param_shapes` order, as one
-    float64 vector: ``tensors`` is a :class:`FlatTensors`.
+    float64 vector: ``tensors`` is a :class:`FlatTensors`, and ``blocks``
+    the same vector under the names of :meth:`leaves`.
 
     ``tensors`` may be a name -> array mapping, whose arrays are copied in,
     or the float64 vector itself, which is kept as it is; a Parameters
@@ -237,24 +253,22 @@ class Parameters:
     def __init__(self, config, tensors):
         self.config = config
         expected = param_shapes(config)
-        if isinstance(tensors, np.ndarray):
-            flat = as_tensor(tensors)
-            if flat.shape != (param_count(config),):
-                raise ShapeError(f"parameter vector has shape {flat.shape}, "
-                                 f"expected ({param_count(config)},)")
-            self.tensors = FlatTensors(_spans(expected), flat)
-            return
-        if set(tensors) != set(expected):
-            missing = sorted(set(expected) - set(tensors))
-            extra = sorted(set(tensors) - set(expected))
-            raise ShapeError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        arrays = {}
-        for name, shape in expected.items():
-            arr = as_tensor(tensors[name])
-            if arr.shape != shape:
-                raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-            arrays[name] = arr
-        self.tensors = FlatTensors.stack(arrays)
+        if not isinstance(tensors, np.ndarray):
+            if set(tensors) != set(expected):
+                missing = sorted(set(expected) - set(tensors))
+                extra = sorted(set(tensors) - set(expected))
+                raise ShapeError(f"parameter names mismatch: missing {missing}, extra {extra}")
+            arrays = [as_tensor(tensors[name]) for name in expected]
+            for (name, shape), arr in zip(expected.items(), arrays):
+                if arr.shape != shape:
+                    raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+            tensors = np.concatenate([arr.ravel() for arr in arrays])
+        flat = as_tensor(tensors)
+        if flat.shape != (param_count(config),):
+            raise ShapeError(f"parameter vector has shape {flat.shape}, "
+                             f"expected ({param_count(config)},)")
+        self.tensors = FlatTensors(_spans(expected), flat)
+        self.blocks = FlatTensors(_leaf_spans(self.tensors.spans), flat)
 
     @classmethod
     def init(cls, config, seed):
@@ -274,10 +288,7 @@ class Parameters:
             elif name == "irt_w":
                 tensors[name] = np.ones(shape)
             elif name.startswith("b") or name == "irt_b":
-                val = np.zeros(shape)
-                if name in ("b_2", "b_6"):
-                    val.fill(1.0)
-                tensors[name] = val
+                tensors[name] = np.full(shape, 1.0 if name in ("b_2", "b_6") else 0.0)
             else:
                 fan_in = shape[-1] if len(shape) == 2 else shape[0]
                 lim = 1.0 / np.sqrt(fan_in)
@@ -300,13 +311,14 @@ class Parameters:
         return Parameters(self.config, self.tensors.flat.copy())
 
     def leaves(self, tape):
-        """Record every tensor as a tape leaf; returns name -> Node.  The
-        vector is cast to the tape's dtype in one pass (not at all on a
-        float64 tape), and each leaf is a view of its slice of the cast."""
-        tensors = self.tensors
-        if tensors.flat.dtype != tape.dtype:
-            tensors = tensors.like(tensors.flat.astype(tape.dtype))
-        return {name: tape.leaf(arr) for name, arr in tensors.items()}
+        """Record each entry of ``blocks`` as a tape leaf; returns name ->
+        Node.  The vector is cast to the tape's dtype in one pass (not at all
+        on a float64 tape), and each leaf is a view of its slice of the cast,
+        so the leaves' gradients, in order, tile the vector."""
+        blocks = self.blocks
+        if blocks.flat.dtype != tape.dtype:
+            blocks = blocks.like(blocks.flat.astype(tape.dtype))
+        return {name: tape.leaf(arr) for name, arr in blocks.items()}
 
     # -- checkpoint IO -----------------------------------------------------
 
@@ -451,46 +463,40 @@ class GraphOutputs:
     mastery: np.ndarray = None
 
 
-def _recurrence(tape, nodes, tracks, widths):
+def _recurrence(tape, nodes, inputs, widths):
     """The recurrent tracks over the packed step columns of their inputs,
     as one :meth:`Tape.lstm_gates` node; returns each track's (d x P)
     hidden states in column order.
 
-    ``tracks`` pairs the number that names a track's first gate tensors,
-    W_first..W_{first+3} (and U, b), with its input node.  One
-    :meth:`Tape.matmul` per track projects all its input columns (W x + b).
-    With two tracks, each writes into its row block of one array, which a
-    :meth:`Tape.vstack` takes without a copy, and :meth:`Tape.rows` views
-    hand back each track's rows of the node's output.  No backward reads the
-    projections, so they are released as soon as the recurrence has run:
-    otherwise both tracks' projections would stay live through the heads,
-    whose alpha layer makes the update's memory peak.
+    ``inputs`` holds the acquisition track's input node, then the mastery
+    track's if it runs.  Track t projects all its input columns (W x + b)
+    with the t-th W and b blocks in one :meth:`Tape.matmul`, into its row
+    block of one array that a :meth:`Tape.vstack` takes without a copy; the
+    recurrence reads the U block whole, or a :meth:`Tape.rows` view of it for
+    one track, and :meth:`Tape.rows` views hand back each track's hidden
+    states.  No backward reads the projections, so they are released as soon
+    as the recurrence has run: otherwise both tracks' projections would stay
+    live through the heads, whose alpha layer makes the update's memory peak.
     """
-
-    def stacked(name, first):
-        return tape.vstack([nodes[f"{name}_{i}"] for i in range(first, first + 4)])
-
-    if len(tracks) == 1:
-        ((first, x),) = tracks
-        proj = tape.matmul(stacked("W", first), x, stacked("b", first))
-        h = tape.lstm_gates(proj, stacked("U", first), widths)
-        tape.release(proj)
-        return [h]
-    d = len(nodes["U_1"].value)
-    buf = np.empty((4 * d * len(tracks), tracks[0][1].value.shape[1]), tape.dtype)
-    projs = [tape.matmul(stacked("W", first), x, stacked("b", first), out=buf[4 * d * t : 4 * d * (t + 1)])
-             for t, (first, x) in enumerate(tracks)]
-    u = tape.vstack([nodes[f"U_{i}"] for first, _ in tracks for i in range(first, first + 4)])
+    u = nodes["U_1..U_8"]
+    d = len(u.value) // 8
+    buf = np.empty((4 * d * len(inputs), inputs[0].value.shape[1]), tape.dtype)
+    gates = (("W_1..W_4", "b_1..b_4"), ("W_5..W_8", "b_5..b_8"))
+    projs = [tape.matmul(nodes[w], x, nodes[b], out=buf[4 * d * t : 4 * d * (t + 1)])
+             for t, (x, (w, b)) in enumerate(zip(inputs, gates))]
     proj = tape.vstack(projs, out=buf)
+    if len(inputs) == 1:
+        u = tape.rows(u, 0, 4 * d)
     h = tape.lstm_gates(proj, u, widths)
     tape.release(proj, *projs)
-    return [tape.rows(h, d * t, d * (t + 1)) for t in range(len(tracks))]
+    return [tape.rows(h, d * t, d * (t + 1)) for t in range(len(inputs))]
 
 
 def build_graph(tape, nodes, batch, config, export=False):
     """Record the full batch forward pass on a tape.
 
-    ``nodes`` is the name -> leaf dict from :meth:`Parameters.leaves`.  No op
+    ``nodes`` maps the names of :meth:`Parameters.leaves` (the gate blocks
+    of :data:`GATE_BLOCKS`, every other tensor by name) to leaves.  No op
     is recorded per step, so the tape length does not depend on L.  Every
     op runs once over the batch's P = ``batch.n_preds`` packed columns (see
     :class:`Batch`): the embeddings of the P input and, for zeta, the P next
@@ -513,12 +519,12 @@ def build_graph(tape, nodes, batch, config, export=False):
 
     q_in = tape.embed(n["Q"], batch.qids[:P])
     qk = tape.vstack([q_in, k_in])
-    tracks = [(1, tape.split_by_response(qk, r))]
+    inputs = [tape.split_by_response(qk, r)]
     if config.needs_mastery_lstm or export:
-        tracks.append((5, tape.split_by_response(k_in, r)))
+        inputs.append(tape.split_by_response(k_in, r))
     # no backward and no later op reads the embeddings
     tape.release(q_in, k_in, qk)
-    hidden = _recurrence(tape, n, tracks, batch.widths)
+    hidden = _recurrence(tape, n, inputs, batch.widths)
     h_ka, h_ks = hidden[0], hidden[1] if len(hidden) > 1 else None
     hidden_a = tape.relu(tape.matmul(n["W_a1"], h_ka, n["b_a1"]))
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])

@@ -59,13 +59,12 @@ ADAM_CHUNK = 1 << 15
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    ``m`` and ``v`` are zero :class:`FlatTensors` laid out as the parameters
-    (a :class:`Parameters` or its ``tensors``), so each is one vector."""
+    ``m`` and ``v`` are zero :class:`FlatTensors` laid out as the parameter
+    tensors ``params`` (a :class:`FlatTensors`), so each is one vector."""
 
     def __init__(self, params):
-        tensors = params.tensors if isinstance(params, Parameters) else params
-        self.m = tensors.like(np.zeros_like(tensors.flat))
-        self.v = tensors.like(np.zeros_like(tensors.flat))
+        self.m = params.like(np.zeros_like(params.flat))
+        self.v = params.like(np.zeros_like(params.flat))
         self.t = 0
 
 
@@ -77,11 +76,7 @@ def clip_gradients(grads, max_norm):
     summed at float32, any entry past about 1.8e19 would make the norm inf
     and the scale zero, silently dropping the update instead of clipping it."""
     flat = grads.flat.astype(np.float64, copy=False)
-    total = 0.0
-    for lo, hi, _ in grads.spans.values():
-        part = flat[lo:hi]
-        total += np.dot(part, part)
-    total = math.sqrt(total)
+    total = math.sqrt(sum(np.dot(flat[lo:hi], flat[lo:hi]) for lo, hi, _ in grads.spans.values()))
     if max_norm and total > max_norm:
         return grads.like(grads.flat * (max_norm / total)), total
     return grads, total
@@ -179,12 +174,9 @@ def predictions_over(params, seqs, batch_size):
     """Flat predictions/labels over sequences in their given order, each
     batch step-major over its sequences (see :func:`batch_predictions`),
     the predictions recorded at :data:`TRAIN_DTYPE`, as the model trains."""
-    preds, labels = [], []
-    for i in range(0, len(seqs), batch_size):
-        p, t = batch_predictions(params, Batch(seqs[i : i + batch_size]), TRAIN_DTYPE)
-        preds.append(p)
-        labels.append(t)
-    return np.concatenate(preds), np.concatenate(labels)
+    parts = [batch_predictions(params, Batch(seqs[i : i + batch_size]), TRAIN_DTYPE)
+             for i in range(0, len(seqs), batch_size)]
+    return np.concatenate([p for p, _ in parts]), np.concatenate([t for _, t in parts])
 
 
 def fold_metrics(params, test_seqs, batch_size):
@@ -206,7 +198,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         raise DataError("train and valid sets must be non-empty")
     try:
         params = Parameters.init(model_cfg, seed=(train_cfg.seed, train_cfg.fold, 0))
-        state = AdamState(params)
+        state = AdamState(params.tensors)
     except MemoryError as exc:
         raise MemoryError(
             f"not enough memory for a model of {param_count(model_cfg):,} parameters "

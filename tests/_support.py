@@ -66,6 +66,15 @@ def random_params(cfg, seed, scale=0.05):
     )
 
 
+def stack(arrays):
+    """A :class:`qckt.model.FlatTensors` of copies of the arrays of a name ->
+    array mapping, back to back in its order in one fresh vector of their
+    common dtype."""
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+    flat = np.concatenate([arr.ravel() for arr in arrays.values()])
+    return qm.FlatTensors(qm._spans({name: arr.shape for name, arr in arrays.items()}), flat)
+
+
 def with_header(blob, edit):
     """A checkpoint whose JSON header has gone through ``edit``."""
     start = len(qm.CHECKPOINT_MAGIC) + 4

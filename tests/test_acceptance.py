@@ -84,7 +84,7 @@ def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
     report = grad_check(
         lambda tape, nodes: build_graph(tape, nodes, batch, cfg).loss,
-        params.tensors,
+        params.blocks,
         h=1e-5,
         tol=1e-4,
     )
@@ -146,7 +146,7 @@ def test_criterion_3_overfit_sanity():
     cfg = ModelConfig(n_questions=50, n_kcs=10, dim=16, lambda_aux=0.0)
     params = qm.Parameters.init(cfg, seed=(0, 0, 0))
     tcfg = TrainConfig(lr=1e-3)
-    state = AdamState(params)
+    state = AdamState(params.tensors)
     batch = Batch(ds.sequences)
 
     started = time.perf_counter()

@@ -688,6 +688,23 @@ class TestStackedTracks:
         for bad in (parts[::-1], parts[:1], [parts[0], fresh[1]]):
             with pytest.raises(ShapeError, match="row blocks"):
                 tape.vstack(bad, out=buf)
+        # one part that fills its buffer, as a one-track graph stacks it
+        one = np.empty((3, 5), dtype)
+        part = tape.matmul(tape.leaf(w), xn, tape.leaf(b), out=one)
+        assert np.array_equal(part.value, fresh[0].value)
+        assert tape.vstack([part], out=one).value is one
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_over_the_full_range_is_a_view_and_passes_g_on(self, dtype):
+        # as a one-track graph reads its hidden states
+        rng = np.random.default_rng(29)
+        x, G = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        tape = Tape(dtype)
+        xn = tape.leaf(x)
+        y = tape.rows(xn, 0, 4)
+        assert np.shares_memory(y.value, xn.value) and np.array_equal(y.value, xn.value)
+        tape.backward(_matrix_sum(tape, tape.mul(y, tape.leaf(G))))
+        assert np.array_equal(xn.grad, G.astype(dtype))
 
     def test_rows_and_a_released_stack_pass_gradients_on(self):
         # a stack built in place, released once read, and row views of it

@@ -343,17 +343,46 @@ class TestFlatParameters:
             qm.Parameters(cfg, np.zeros(qm.param_count(cfg) + 1))
 
     def test_leaves_are_views_of_one_cast(self):
+        # one leaf per gate block, in its first member's place, and one per
+        # other tensor; each a view of one cast, a block equal to its
+        # members' casts stacked by rows
         p = random_params(qm.ModelConfig(5, 3, 2), seed=8)
+        blocks = ["W_1..W_4", "W_5..W_8", "U_1..U_8", "b_1..b_4", "b_5..b_8"]
+        assert list(qm.GATE_BLOCKS) == blocks
+        heads = ["W_a1", "b_a1", "W_a2", "b_a2", "w_a", "W_g1", "b_g1", "W_g2", "b_g2", "w_g",
+                 "W_p1", "b_p1", "W_p2", "b_p2", "w_p", "b_p"]
+        expected = ["Q", "K"] + blocks + heads
         for dtype in (np.float32, np.float64):
             tape = Tape(dtype)
             nodes = p.leaves(tape)
-            assert list(nodes) == list(p)
+            assert list(nodes) == expected == list(p.blocks)
             base = nodes["Q"].value.base
             assert base is not None and base.dtype == dtype and base.size == qm.param_count(p.config)
             for name, node in nodes.items():
-                assert node.value.base is base and np.array_equal(node.value, p[name].astype(dtype))
+                if name in qm.GATE_BLOCKS:
+                    want = np.concatenate([p[m].astype(dtype) for m in qm.GATE_BLOCKS[name]])
+                else:
+                    want = p[name].astype(dtype)
+                assert node.value.base is base and np.array_equal(node.value, want), name
         # at float64 the cast is the parameter vector itself
         assert base is p.tensors.flat
+
+    @pytest.mark.parametrize("variant", qm.VARIANTS)
+    def test_gate_blocks_tile_the_vector_in_param_shapes_order(self, variant):
+        # each block spans exactly its members' adjacent slices, so a
+        # reordered param_shapes fails here rather than as wrong gradients
+        p = random_params(qm.ModelConfig(5, 3, 2, variant=variant), seed=9)
+        spans, leaf_spans = p.tensors.spans, p.blocks.spans
+        bounds = [(lo, hi) for lo, hi, _ in leaf_spans.values()]
+        assert bounds[0][0] == 0 and bounds[-1][1] == qm.param_count(p.config)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        unfolded = [m for name in leaf_spans for m in qm.GATE_BLOCKS.get(name, (name,))]
+        assert unfolded == list(qm.param_shapes(p.config))
+        for block, members in qm.GATE_BLOCKS.items():
+            lo, hi, shape = leaf_spans[block]
+            assert (lo, hi) == (spans[members[0]][0], spans[members[-1]][1]), block
+            assert all(spans[a][1] == spans[b][0] for a, b in zip(members, members[1:])), block
+            assert shape == (sum(spans[m][2][0] for m in members),) + spans[members[0]][2][1:]
 
 
 class TestScoreHeads:
@@ -581,7 +610,7 @@ class TestBatchGraph:
 
         report = grad_check(
             lambda tape, nodes: qm.build_graph(tape, nodes, batch, cfg).loss,
-            dict(p.items()),
+            p.blocks,
         )
         assert report.passed, (variant, report)
 
@@ -589,13 +618,15 @@ class TestBatchGraph:
         # nothing loops over time on the tape: at B = 64 each variant's graph
         # has the same node count at L = 5 as at L = 50, one lstm_gates node
         # for every track, and the gate kernel runs once per step whatever the
-        # track count.  A two-track graph has one node more than with a node
-        # per track: the recurrence, a projection stack and two row views
-        # replace two recurrences, and one vstack of all eight U replaces two
+        # track count.  The gate tensors are five stacked leaves, so no graph
+        # restacks them: the full graph is 23 leaves (16 head tensors, Q, K
+        # and five gate blocks) and 28 ops, among them one projection per
+        # track, their in-place vstack, the recurrence and one row view of
+        # its output per track; a one-track graph adds a row view of U
         calls = []
         forward = kernels.gates_forward
         monkeypatch.setattr(kernels, "gates_forward", lambda *a: calls.append(1) or forward(*a))
-        budget = {"full": 75, "no_irt": 81, "no_ks": 71, "no_ps": 67, "no_ks_ps": 56}
+        budget = {"full": 51, "no_irt": 57, "no_ks": 47, "no_ps": 43, "no_ks_ps": 37}
         counts = {}
         for variant in qm.VARIANTS:
             cfg = qm.ModelConfig(20, 5, 4, variant=variant)
@@ -615,7 +646,7 @@ class TestBatchGraph:
     def test_forward_only_node_budget(self):
         # a forward-only tape records no loss: one node fewer than the
         # training graph of test_node_budget, and GraphOutputs.loss is None
-        budget = {"full": 74, "no_irt": 80, "no_ks": 70, "no_ps": 66, "no_ks_ps": 55}
+        budget = {"full": 50, "no_irt": 56, "no_ks": 46, "no_ps": 42, "no_ks_ps": 36}
         rng = np.random.default_rng(3)
         batch = qm.Batch([make_seq(rng, n, 20, 5) for n in rng.integers(2, 6, size=8)])
         counts = {}
@@ -667,8 +698,8 @@ class TestBatchGraph:
         ref = qm.build_graph(tape, nodes, batch, cfg).loss
         tape.backward(ref)
         assert abs(loss - float(ref.value)) <= 1e-5 * abs(float(ref.value))
-        for name, node in nodes.items():
-            g64 = Tape.grad(node)
+        ref_grads = p.tensors.like(np.concatenate([Tape.grad(node).ravel() for node in nodes.values()]))
+        for name, g64 in ref_grads.items():
             assert grads[name].dtype == np.float32, name
             assert np.abs(grads[name] - g64).max() <= 1e-5 * np.abs(g64).max(), name
         assert all(arr.dtype == np.float64 for _, arr in p.items())

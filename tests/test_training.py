@@ -12,11 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
+from _support import stack
 from qckt.data import SynthConfig, gen_synthetic, preprocess
 from qckt.errors import ConfigError, ShapeError, TrainingError
 from qckt.evaluation import PredictionSet, auc
 from qckt.model import Batch, ModelConfig, Parameters, TRAIN_DTYPE, VARIANTS, batch_loss_and_grads
-from qckt.model import FlatTensors, batch_predictions
+from qckt.model import batch_predictions
 from qckt.training import (
     ADAM_CHUNK,
     DEFAULT_DIM_GRID,
@@ -34,10 +35,6 @@ from qckt.training import (
     run_cv,
     train,
 )
-
-
-# the optimizer takes its tensors as one vector; hand-made ones are stacked
-stack = FlatTensors.stack
 
 
 def adam_oracle(theta0, grads_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -365,7 +362,7 @@ class TestTrain:
         params = Parameters.init(self.mcfg, seed=(2, 0, 0))
         batch = Batch(self.train_seqs[:10])
         cfg = TrainConfig(lr=1e-4)
-        state = AdamState(params)
+        state = AdamState(params.tensors)
         losses = []
         for _ in range(10):
             loss, grads = batch_loss_and_grads(params, batch)
