@@ -478,16 +478,14 @@ def _recurrence(tape, nodes, inputs, widths):
     as the recurrence has run: otherwise both tracks' projections would stay
     live through the heads, whose alpha layer makes the update's memory peak.
     """
-    u = nodes["U_1..U_8"]
-    d = len(u.value) // 8
+    U = nodes["U_1..U_8"]
+    d = len(U.value) // 8
     buf = np.empty((4 * d * len(inputs), inputs[0].value.shape[1]), tape.dtype)
     gates = (("W_1..W_4", "b_1..b_4"), ("W_5..W_8", "b_5..b_8"))
     projs = [tape.matmul(nodes[w], x, nodes[b], out=buf[4 * d * t : 4 * d * (t + 1)])
              for t, (x, (w, b)) in enumerate(zip(inputs, gates))]
     proj = tape.vstack(projs, out=buf)
-    if len(inputs) == 1:
-        u = tape.rows(u, 0, 4 * d)
-    h = tape.lstm_gates(proj, u, widths)
+    h = tape.lstm_gates(proj, U if len(inputs) == 2 else tape.rows(U, 0, 4 * d), widths)
     tape.release(proj, *projs)
     return [tape.rows(h, d * t, d * (t + 1)) for t in range(len(inputs))]
 

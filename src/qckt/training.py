@@ -76,7 +76,11 @@ def clip_gradients(grads, max_norm):
     summed at float32, any entry past about 1.8e19 would make the norm inf
     and the scale zero, silently dropping the update instead of clipping it."""
     flat = grads.flat.astype(np.float64, copy=False)
-    total = math.sqrt(sum(np.dot(flat[lo:hi], flat[lo:hi]) for lo, hi, _ in grads.spans.values()))
+    total = 0.0
+    for lo, hi, _ in grads.spans.values():
+        part = flat[lo:hi]
+        total += np.dot(part, part)
+    total = math.sqrt(total)
     if max_norm and total > max_norm:
         return grads.like(grads.flat * (max_norm / total)), total
     return grads, total
