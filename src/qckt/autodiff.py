@@ -4,8 +4,12 @@ Tensors are C-contiguous numpy arrays of the tape's one float dtype
 (scalars are 0-d arrays).  A :class:`Tape` records every operation as an
 append-only list of nodes, so the node list is already topologically ordered
 and :meth:`Tape.backward` is a single reverse sweep.  Tapes are cheap and
-rebuilt for every sequence batch; one tape is single-threaded, distinct tapes
-share nothing.
+rebuilt for every sequence batch, and distinct tapes share nothing.  Ops are
+recorded and swept on the calling thread.  Only :meth:`Tape.relu_pool` hands
+work to other threads: its row blocks run on the process's lanes, one per
+CPU it may run on (:func:`lane_count`), and the caller takes their results
+back in block order, so no value depends on the lane count.  What runs on a
+lane calls numpy only.
 
 Precision: a tape is float64 unless made with another dtype.  Only
 :meth:`Tape.leaf` casts a value, so a float32 tape takes float64 parameters
@@ -42,6 +46,8 @@ module changes nothing.
 
 import ctypes
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,6 +62,61 @@ RELU_POOL_BLOCK_BYTES = 2 << 20
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+
+# this process's lanes: (pid, lane count, pool of the lanes after the first),
+# made on first use in each process, since a pool made before a fork has no
+# threads in the child
+_lanes = (None, 1, None)
+# how many processes started together share this one's CPUs (share_lanes)
+_lane_share = 1
+
+
+def lane_count():
+    """The lanes :meth:`Tape.relu_pool` spreads its row blocks over in this
+    process: the CPUs it may run on, split evenly between the processes
+    started together with it (:func:`share_lanes`), and at least one."""
+    return _lane_pool()[0]
+
+
+def share_lanes(processes):
+    """Split this process's CPUs between it and the other worker processes
+    started together with it, ``processes`` in all, so that together they
+    run no more lanes than there are CPUs.  Call it in each worker before
+    anything there reads its lanes."""
+    global _lane_share
+    _lane_share = processes
+
+
+def _lane_pool():
+    """(lane count, pool of the lanes after the first) of this process."""
+    global _lanes
+    if _lanes[0] != os.getpid():
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        count = max(1, (cpus or 1) // _lane_share)
+        pool = ThreadPoolExecutor(count - 1, thread_name_prefix="qckt-lane") if count > 1 else None
+        _lanes = (os.getpid(), count, pool)
+    return _lanes[1:]
+
+
+def _in_lanes(blocks, work, done):
+    """work(k, lane) for each block k, then done(k, lane) on the calling
+    thread, in block order.
+
+    The blocks go out in rounds of one per lane: lane 0 is the calling
+    thread and each other lane a thread of the process's pool, so at most one
+    block is in flight per lane, and a lane's scratch is free again once its
+    ``done`` has run.  With one lane the blocks run inline, one after the
+    other.  ``work`` calls numpy only.
+    """
+    count, pool = _lane_pool()
+    for lo in range(0, len(blocks), count):
+        first, rest = blocks[lo], blocks[lo + 1 : lo + count]
+        jobs = [pool.submit(work, k, lane) for lane, k in enumerate(rest, 1)]
+        work(first, 0)
+        done(first, 0)
+        for lane, (k, job) in enumerate(zip(rest, jobs), 1):
+            job.result()
+            done(k, lane)
 
 
 @functools.cache
@@ -149,19 +210,25 @@ class Tape:
 
     # -- core ops ----------------------------------------------------------
 
-    def matmul(self, w, x, b, out=None):
+    def matmul(self, w, x, b, out=None, relu=False):
         """Affine layer W x + b: W (r x c) times the (c x N) matrix x, then
         the (r,) bias added to every column.  ``out``, an (r x N) array of
         the tape's dtype such as a row block of a larger one, receives the
         result and becomes the node's value; it rounds as a fresh array
-        does."""
+        does.  ``relu`` applies max(., 0) in place, so the node keeps only
+        the activation; the backward passes g where it is positive (a
+        preactivation of exactly 0 gets no gradient)."""
         wv, xv, bv = w.value, x.value, b.value
         if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or bv.shape != (len(wv),):
             raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape} and add {bv.shape}")
         out = np.matmul(wv, xv, out=out)
         out += bv[:, None]
+        # only a relu's backward reads the value, which Tape.release may free
+        active = np.maximum(out, 0.0, out=out) if relu else None
 
         def backward(g):
+            if active is not None:
+                g = g * (active > 0)
             return g @ xv.T, wv.T @ g, g.sum(axis=1)
 
         return self._record("matmul", out, (w, x, b), backward)
@@ -174,11 +241,6 @@ class Tape:
     def sigmoid(self, x):
         y = sigmoid(x.value)
         return self._record("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
-
-    def relu(self, x):
-        # gradient at exactly 0 is 0 (subgradient choice); the mask is made
-        # by the backward, from the input's value, which the tape keeps
-        return self._record("relu", np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0),))
 
     def vstack(self, parts, out=None):
         """Axis-0 concatenation of matrices/vectors with equal trailing shape.
@@ -252,6 +314,13 @@ class Tape:
         the backward, and on a forward-only tape not even that; the backward
         needs no activation, since sum_j g_j relu(W x_j + b) = rowsum(W * M) + b * (m @ g)
         with m the mask as float and M = m @ (x * g).T.
+
+        Forward and backward hand the blocks to the process's lanes
+        (:func:`_in_lanes`), each lane with scratch for one block made here,
+        on the calling thread.  A block writes its own rows of the mask, dW,
+        db and dw; its share of the output and of dx goes to its lane's
+        scratch and is summed here in block order, so every value is the
+        one-lane loop's bit for bit.
         """
         Wv, xv, bv, wv = W.value, x.value, b.value, w.value
         if (
@@ -262,35 +331,49 @@ class Tape:
             or wv.shape != bv.shape
         ):
             raise ShapeError(f"relu_pool shapes: {Wv.shape}, {xv.shape}, {bv.shape}, {wv.shape}")
-        r, N, dtype = len(Wv), xv.shape[1], self.dtype
+        (r, c), N, dtype = Wv.shape, xv.shape[1], self.dtype
         # [W b] @ [x; 1] adds the bias inside the GEMM, saving a pass
         Wb, x1 = np.hstack([Wv, bv[:, None]]), np.vstack([xv, np.ones(N, dtype)])
         step = max(1, RELU_POOL_BLOCK_BYTES // (8 * max(N, 1)))
         blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
+        lanes, rows = min(_lane_pool()[0], len(blocks)), min(step, r)
         mask = np.empty((r, N), dtype=bool) if self.with_grad else None
         out = np.zeros(N, dtype)
-        for k in blocks:
-            act = Wb[k] @ x1
+        acts, parts = np.empty((lanes, rows, N), dtype), np.empty((lanes, N), dtype)
+
+        def forward(k, lane):
+            act = np.matmul(Wb[k], x1, out=acts[lane, : k.stop - k.start])
             if mask is not None:
                 np.greater(act, 0.0, out=mask[k])
             np.maximum(act, 0.0, out=act)
-            out += wv[k] @ act
+            np.matmul(wv[k], act, out=parts[lane])
+
+        _in_lanes(blocks, forward, lambda k, lane: np.add(out, parts[lane], out=out))
 
         def backward(g):
             xg = (xv * g).T
             dW, dx = np.empty_like(Wv), np.zeros_like(xv)
             db, dw = np.empty_like(bv), np.empty_like(wv)
-            # each block's mask as float, in one buffer for all blocks
-            m_buf = np.empty((min(step, r), N), dtype)
-            for k in blocks:
-                m = m_buf[: k.stop - k.start]
+            # per lane: the block's mask as float, M, m @ g, W scaled by w
+            # and the block's share of dx
+            ms, Ms = np.empty((lanes, rows, N), dtype), np.empty((lanes, rows, c), dtype)
+            mgs, Ws = np.empty((lanes, rows), dtype), np.empty((lanes, rows, c), dtype)
+            dxs = np.empty((lanes, c, N), dtype)
+
+            def block(k, lane):
+                n = k.stop - k.start
+                m, M, mg, Wk = ms[lane, :n], Ms[lane, :n], mgs[lane, :n], Ws[lane, :n]
                 np.copyto(m, mask[k])
-                M = m @ xg
-                mg = m @ g
-                dW[k] = wv[k, None] * M
-                db[k] = wv[k] * mg
-                dx += (Wv[k] * wv[k, None]).T @ m
-                dw[k] = np.einsum("ij,ij->i", Wv[k], M) + bv[k] * mg
+                np.matmul(m, xg, out=M)
+                np.matmul(m, g, out=mg)
+                np.multiply(wv[k, None], M, out=dW[k])
+                np.multiply(wv[k], mg, out=db[k])
+                np.multiply(Wv[k], wv[k, None], out=Wk)
+                np.matmul(Wk.T, m, out=dxs[lane])
+                np.einsum("ij,ij->i", Wv[k], M, out=dw[k])
+                dw[k] += np.multiply(bv[k], mg, out=mg)
+
+            _in_lanes(blocks, block, lambda k, lane: np.add(dx, dxs[lane], out=dx))
             dx *= g
             return dW, dx, db, dw
 

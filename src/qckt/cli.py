@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import lane_count
 from .data import (
     SynthConfig,
     atomic_write,
@@ -118,8 +119,9 @@ THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _environment():
     """The numeric environment a run's figures depend on: Python, numpy and
-    its BLAS, the thread-count variables (None where unset), the CPUs and the
-    dtype training runs at."""
+    its BLAS, the thread-count variables (None where unset), the CPUs, the
+    lanes a tape runs relu_pool's row blocks on and the dtype training runs
+    at."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
@@ -131,6 +133,7 @@ def _environment():
         "blas": blas,
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
+        "tape_lanes": lane_count(),
         "train_dtype": np.dtype(TRAIN_DTYPE).name,
     }
 
@@ -696,16 +699,27 @@ _CONFIG_FLAG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
 _CONFIG_FLAG.add_argument("--config")
 
 
+def _bare_flags(command):
+    """The flags of ``command`` that take no value, such as --no-clip."""
+    if command not in COMMANDS:
+        return set()
+    p = argparse.ArgumentParser(add_help=False)
+    COMMANDS[command][1](p)
+    return {flag for action in p._actions if action.nargs == 0 for flag in action.option_strings}
+
+
 def _apply_config_file(argv):
     """Turn --config key=value lines into flags placed before the explicit
-    ones, so the file provides defaults and the command line wins."""
+    ones, so the file provides defaults and the command line wins.  A flag
+    that takes no value is set by ``key = true`` and left out by ``key =
+    false``."""
     try:
         path = _CONFIG_FLAG.parse_known_args(argv[1:])[0].config
     except argparse.ArgumentError:
         raise ConfigError("--config needs a key=value file") from None
     if path is None:
         return argv
-    injected = []
+    bare, injected = _bare_flags(argv[0]), []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -714,8 +728,14 @@ def _apply_config_file(argv):
             if "=" not in line:
                 raise ConfigError(f"{path} line {ln}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            injected += [flag, value.strip()]
+            flag, value = "--" + key.strip().replace("_", "-"), value.strip()
+            if flag not in bare:
+                injected += [flag, value]
+            elif value.lower() == "true":
+                injected.append(flag)
+            elif value.lower() != "false":
+                raise ConfigError(f"{path} line {ln}: {flag} takes no value; "
+                                  f"expected true or false, got {value!r}")
     return [argv[0]] + injected + argv[1:]
 
 

@@ -29,8 +29,9 @@ inside its own forward and backward, the two tracks stacked on a leading
 axis so that each step is one batched call for both (the stream combining
 of the same paper).  The gate tensors are five stacked leaves, W_1..W_4 and
 so on (:data:`GATE_BLOCKS`), blocks of the parameter vector that no graph
-restacks.  Each layer is one tape node: an affine layer W x + b is one :meth:`Tape.matmul`, and the response split
-[e * r; e * (1 - r)] of an interaction embedding one
+restacks.  Each layer is one tape node: an affine layer W x + b is one
+:meth:`Tape.matmul`, with its relu in the heads' first layers, and the
+response split [e * r; e * (1 - r)] of an interaction embedding one
 :meth:`Tape.split_by_response`, and the whole training objective one
 :meth:`Tape.logistic_loss`.  Scoring and export run the graph without the
 loss or a backward pass.
@@ -500,9 +501,9 @@ def build_graph(tape, nodes, batch, config, export=False):
     :class:`Batch`): the embeddings of the P input and, for zeta, the P next
     interactions, the response-split input encodings and their projections,
     one :meth:`Tape.lstm_gates` node for both tracks, and the alpha/beta/zeta
-    heads over its P hidden states, their last layer fused into
-    :meth:`Tape.relu_pool`.  Score vectors therefore align with
-    ``batch.responses[P:]``.  The fusion and the loss follow the active
+    heads over its P hidden states, each a :meth:`Tape.matmul` with its relu
+    in place and a last layer fused into :meth:`Tape.relu_pool`.  Score
+    vectors therefore align with ``batch.responses[P:]``.  The fusion and the loss follow the active
     variant; ``export`` also records the scores the variant leaves out and
     the per-KC masteries, which exports report for every variant.
     The loss, one :meth:`Tape.logistic_loss` recorded only on a tape with
@@ -524,12 +525,12 @@ def build_graph(tape, nodes, batch, config, export=False):
     tape.release(q_in, k_in, qk)
     hidden = _recurrence(tape, n, inputs, batch.widths)
     h_ka, h_ks = hidden[0], hidden[1] if len(hidden) > 1 else None
-    hidden_a = tape.relu(tape.matmul(n["W_a1"], h_ka, n["b_a1"]))
+    hidden_a = tape.matmul(n["W_a1"], h_ka, n["b_a1"], relu=True)
     alpha = tape.relu_pool(n["W_a2"], hidden_a, n["b_a2"], n["w_a"])
 
     beta = zeta = mastery = None
     if config.uses_beta or export:
-        hidden_g = tape.relu(tape.matmul(n["W_g1"], h_ks, n["b_g1"]))
+        hidden_g = tape.matmul(n["W_g1"], h_ks, n["b_g1"], relu=True)
         beta = tape.relu_pool(n["W_g2"], hidden_g, n["b_g2"], n["w_g"])
         if export:
             # the per-KC terms that relu_pool sums, evaluated off the tape
@@ -539,7 +540,7 @@ def build_graph(tape, nodes, batch, config, export=False):
         q_next = tape.embed(n["Q"], batch.qids[P:])
         k_next = tape.embed_mean_flat(n["K"], *batch.kc_next, P)
         u = tape.vstack([h_ks, q_next, k_next])
-        hidden_p = tape.relu(tape.matmul(n["W_p1"], u, n["b_p1"]))
+        hidden_p = tape.matmul(n["W_p1"], u, n["b_p1"], relu=True)
         zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
 
     if config.variant == "no_irt":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import share_lanes
 from .data import kfold_split
 from .errors import ConfigError, DataError, ShapeError, TrainingError
 from .errors import require_finite_nonnegative, require_ints
@@ -323,11 +324,12 @@ def _run_fold(args):
 
 def _map_jobs(fn, argss, jobs):
     """fn over argss in order, on up to ``jobs`` worker processes but never
-    more than there are tasks."""
+    more than there are tasks; the workers split the CPUs' tape lanes
+    between them (:func:`autodiff.share_lanes`)."""
     require_ints("jobs", 1, jobs=jobs)
     workers = min(jobs, len(argss))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=share_lanes, initargs=(workers,)) as pool:
             return list(pool.map(fn, argss))
     return [fn(a) for a in argss]
 

@@ -1,7 +1,12 @@
 """Shared helpers for the test modules."""
 
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -11,10 +16,32 @@ import qckt.model as qm
 from qckt.data import StudentSequence
 from qckt.errors import ShapeError
 
+TESTS = Path(__file__).resolve().parent
+
 # every exception class the package defines: the only ones its loaders raise
 PACKAGE_ERRORS = tuple(
     v for v in vars(qckt.errors).values() if isinstance(v, type) and issubclass(v, Exception)
 )
+
+
+def run_python(code, timeout=300):
+    """Run ``code`` in a fresh interpreter that imports the package and the
+    test helpers; returns what it printed, parsed as JSON.  Past ``timeout``
+    seconds the interpreter and every process it started are killed, and
+    ``subprocess.TimeoutExpired`` is raised."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    with subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0, err[-2000:]
+    return json.loads(out)
 
 
 def seq_of(rows):
@@ -93,6 +120,11 @@ class Tape(ad.Tape):
             raise ShapeError(f"mul shapes differ: {a.value.shape} vs {b.value.shape}")
         av, bv = a.value, b.value
         return self._record("mul", av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def relu(self, x):
+        # gradient at exactly 0 is 0 (subgradient choice); the mask is made
+        # by the backward, from the input's value, which the tape keeps
+        return self._record("relu", np.maximum(x.value, 0.0), (x,), lambda g: (g * (x.value > 0),))
 
     def tanh(self, x):
         y = np.tanh(x.value)

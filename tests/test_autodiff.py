@@ -1,4 +1,7 @@
+import os
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +48,27 @@ class TestForwardValues:
         w, x = tape.leaf([[1.0, 2.0], [3.0, 4.0]]), tape.leaf([[5.0], [6.0]])
         out = tape.matmul(w, x, tape.leaf([0.5, -1.0]))
         np.testing.assert_array_equal(out.value, [[17.5], [38.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_with_relu_is_matmul_then_relu_bit_for_bit(self, dtype):
+        # the relu applied in place: the value and the three gradients are
+        # those of a matmul node followed by a relu node; an entry at
+        # exactly 0 (column 0, row 1) is inactive, as in relu
+        rng = np.random.default_rng(6)
+        w, x, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 7)), rng.normal(size=4)
+        x[:, 0], b[1] = 0.0, 0.0
+        g = rng.normal(size=(4, 7))
+        grads = []
+        for fused in (True, False):
+            tape = Tape(dtype)
+            nodes = [tape.leaf(v) for v in (w, x, b)]
+            out = tape.matmul(*nodes, relu=True) if fused else tape.relu(tape.matmul(*nodes))
+            assert out.value[1, 0] == 0.0 and (out.value >= 0).all()
+            tape.backward(_matrix_sum(tape, tape.mul(out, tape.leaf(g))))
+            grads.append([out.value] + [n.grad for n in nodes])
+        for fused, unfused in zip(*grads):
+            assert fused.dtype == unfused.dtype == dtype
+            np.testing.assert_array_equal(fused, unfused)
 
     def test_matmul_shape_error_names_both_shapes(self):
         tape = Tape()
@@ -163,7 +187,8 @@ class TestPrecision:
         w, x = tape.leaf(rng.normal(size=(8, 3))), tape.leaf(rng.normal(size=(3, 5)))
         h = tape.lstm_gates(tape.matmul(w, x, tape.leaf(rng.normal(size=8))),
                             tape.leaf(rng.normal(size=(8, 2))), (2, 2, 1))
-        h = tape.split_by_response(tape.relu(h), [1.0, 0.0, 1.0, 1.0, 0.0])
+        h = tape.matmul(tape.leaf(rng.normal(size=(2, 2))), h, tape.leaf(rng.normal(size=2)), relu=True)
+        h = tape.split_by_response(h, [1.0, 0.0, 1.0, 1.0, 0.0])
         k = tape.embed_mean_flat(tape.leaf(rng.normal(size=(3, 4))), np.array([0, 2, 1]),
                                  np.array([0, 0, 1]), np.array([0.5, 0.5, 1.0]), 5)
         u = tape.vstack([h, k, tape.embed(tape.leaf(rng.normal(size=(4, 2))), [0, 3, 1, 1, 2])])
@@ -493,6 +518,36 @@ class TestFiniteDifferenceBattery:
         np.testing.assert_array_equal(nodes["W"].grad[4], 0.0)
         assert nodes["b"].grad[4] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_relu_pool_on_lanes_is_the_one_lane_loop_bit_for_bit(self, monkeypatch, dtype, grad):
+        # 40 columns of float64 per row, 3 rows per block: 19 rows are 7
+        # blocks, run inline on one lane and in rounds of 3, 3 and 1 on
+        # three lanes; the output and all four gradients are the same arrays
+        monkeypatch.setattr(ad, "RELU_POOL_BLOCK_BYTES", 3 * 40 * 8)
+        rng = np.random.default_rng(31)
+        values = [rng.normal(size=s).astype(dtype) for s in ((19, 6), (6, 40), (19,), (19,))]
+        g = rng.normal(size=40).astype(dtype)
+        submitted, results = [], []
+        with ThreadPoolExecutor(2) as pool:
+            submit = pool.submit
+            pool.submit = lambda *a: submitted.append(a[1]) or submit(*a)
+            for lanes in ((os.getpid(), 1, None), (os.getpid(), 3, pool)):
+                monkeypatch.setattr(ad, "_lanes", lanes)
+                tape = ad.Tape(dtype, grad=grad)
+                out = tape.relu_pool(*map(tape.leaf, values))
+                results.append([out.value] + (list(out._backward(g)) if grad else []))
+        # blocks 1, 2, 4 and 5 ran on the pool's threads, in the forward and
+        # in the backward
+        assert submitted == [slice(3, 6), slice(6, 9), slice(12, 15), slice(15, 18)] * (1 + grad)
+        one, three = results
+        assert len(one) == len(three) == (5 if grad else 1)
+        pre = values[0] @ values[1] + values[2][:, None]
+        assert 0 < (pre > 0).mean() < 1
+        for a, b in zip(one, three):
+            assert a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_scalar_param_ops(self):
         rng = np.random.default_rng(19)
         params = {
@@ -725,6 +780,24 @@ class TestStackedTracks:
 
         report = grad_check(build, params)
         assert report.passed, report
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_released_values_are_freed_at_once(self, relu):
+        # no backward holds a value that release frees: once the caller
+        # drops its own reference, the buffer of released in-place matmuls
+        # goes at once, and the tape can still be swept
+        rng = np.random.default_rng(29)
+        tape = Tape()
+        w, x, b = (tape.leaf(rng.normal(size=s)) for s in ((3, 2), (2, 4), (3,)))
+        buf = np.empty((6, 4))
+        parts = [tape.matmul(w, x, b, out=buf[:3]), tape.matmul(w, x, b, out=buf[3:], relu=relu)]
+        y = tape.tanh(tape.vstack(parts, out=buf))
+        freed = weakref.ref(buf)
+        del buf
+        tape.release(*parts, tape.nodes[-2])
+        assert (freed() is None) is not relu  # a relu's backward reads its activation
+        tape.backward(_matrix_sum(tape, y))
+        assert x.grad.shape == (2, 4)
 
     def test_rows_bounds_and_leaves_are_checked(self):
         tape = Tape()

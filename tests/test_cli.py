@@ -116,6 +116,7 @@ class TestSynth:
             for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         }
         assert env["cpu_count"] == os.cpu_count()
+        assert env["tape_lanes"] == len(os.sched_getaffinity(0)) >= 1
         assert env["train_dtype"] == "float32" == np.dtype(qckt.model.TRAIN_DTYPE).name
 
 
@@ -230,6 +231,31 @@ class TestTrain:
         out = tmp_path / "data"
         assert main(["synth", "--out", str(out)] + [s.format(cfg) for s in spelling]) == 0
         assert len({row["student_id"] for row in read_csv(out / "dataset.csv")}) == 7
+
+    @pytest.mark.parametrize("value, clipped", [("true", False), ("false", True)])
+    def test_config_file_sets_a_flag_without_value_by_true_or_false(self, workspace, tmp_path,
+                                                                      value, clipped):
+        # no_clip = true gives the bare --no-clip, no_clip = false nothing
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"no_clip = {value}\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                     "--fold", "0", "--out", str(out)] + TRAIN_FAST) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["no_clip"] is not clipped
+
+    @pytest.mark.parametrize("line", ["no-clip = yes", "no-clip =", "grid = 1"])
+    def test_config_file_refuses_a_value_for_a_flag_without_one(self, workspace, tmp_path,
+                                                                capsys, line):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"d = 4\n{line}\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{cfg} line 2: " in err
+        assert not out.exists()
 
     def test_malformed_config_file_is_validation_error(self, workspace, tmp_path):
         cfg = tmp_path / "bad.cfg"

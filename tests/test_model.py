@@ -1,10 +1,6 @@
-import json
-import os
 import pickle
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +15,7 @@ from _support import (
     grad_check,
     make_seq,
     random_params,
+    run_python,
     seq_of,
     with_header,
 )
@@ -28,22 +25,6 @@ from qckt.autodiff import Tape, sigmoid
 from qckt.data import SynthConfig
 from qckt.errors import ConfigError, DataError, DomainError, ShapeError
 from qckt.training import TrainConfig
-
-TESTS = Path(__file__).resolve().parent
-
-
-def _run_python(code):
-    """Run ``code`` in a fresh interpreter that imports the package and the
-    test helpers; returns what it printed, parsed as JSON."""
-    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
-
 
 class TestModelConfig:
     def test_rejects_bad_sizes(self):
@@ -620,13 +601,14 @@ class TestBatchGraph:
         # for every track, and the gate kernel runs once per step whatever the
         # track count.  The gate tensors are five stacked leaves, so no graph
         # restacks them: the full graph is 23 leaves (16 head tensors, Q, K
-        # and five gate blocks) and 28 ops, among them one projection per
+        # and five gate blocks) and 25 ops, among them one projection per
         # track, their in-place vstack, the recurrence and one row view of
-        # its output per track; a one-track graph adds a row view of U
+        # its output per track; a one-track graph adds a row view of U.  Each
+        # head's first layer is one matmul with its relu applied in place
         calls = []
         forward = kernels.gates_forward
         monkeypatch.setattr(kernels, "gates_forward", lambda *a: calls.append(1) or forward(*a))
-        budget = {"full": 51, "no_irt": 57, "no_ks": 47, "no_ps": 43, "no_ks_ps": 37}
+        budget = {"full": 48, "no_irt": 54, "no_ks": 45, "no_ps": 41, "no_ks_ps": 36}
         counts = {}
         for variant in qm.VARIANTS:
             cfg = qm.ModelConfig(20, 5, 4, variant=variant)
@@ -646,7 +628,7 @@ class TestBatchGraph:
     def test_forward_only_node_budget(self):
         # a forward-only tape records no loss: one node fewer than the
         # training graph of test_node_budget, and GraphOutputs.loss is None
-        budget = {"full": 50, "no_irt": 56, "no_ks": 46, "no_ps": 42, "no_ks_ps": 36}
+        budget = {"full": 47, "no_irt": 53, "no_ks": 44, "no_ps": 40, "no_ks_ps": 35}
         rng = np.random.default_rng(3)
         batch = qm.Batch([make_seq(rng, n, 20, 5) for n in rng.integers(2, 6, size=8)])
         counts = {}
@@ -749,7 +731,7 @@ class TestBatchGraph:
     def test_repeated_updates_take_no_page_faults(self):
         # freed update buffers stay in the heap, so once warm an update maps
         # no fresh pages; a fresh process, so no earlier test shapes the heap
-        faults = _run_python("""
+        faults = run_python("""
 import json, resource
 import qckt.model as qm
 from _support import budget_batch
@@ -767,7 +749,7 @@ print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) /
     def test_import_leaves_the_allocator_to_the_first_tape(self):
         # importing the package calls no mallopt; the first Tape sets the
         # mmap (-3) and trim (-1) thresholds once, for the whole process
-        calls = _run_python("""
+        calls = run_python("""
 import ctypes, json
 calls, real_cdll = [], ctypes.CDLL
 

@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from _support import stack
+from _support import run_python, stack
+from qckt.autodiff import share_lanes
 from qckt.data import SynthConfig, gen_synthetic, preprocess
 from qckt.errors import ConfigError, ShapeError, TrainingError
 from qckt.evaluation import PredictionSet, auc
@@ -457,7 +458,8 @@ class TestRunCv:
 
         class RecordingPool:
             # records the pool size it is asked for and starts no process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
+                assert initializer is share_lanes and initargs == (max_workers,)
                 started.append(max_workers)
 
             def __enter__(self):
@@ -479,6 +481,36 @@ class TestRunCv:
         for jobs in (0, -3):
             with pytest.raises(ConfigError):
                 run_cv(self.ds, self.mcfg, self.tcfg, k=2, jobs=jobs)
+
+    def test_workers_make_their_own_lanes_after_the_parent_used_its_own(self):
+        # a lane pool made before a fork has no threads in the child: each
+        # worker makes its own, with its share of the CPUs, and returns the
+        # parent's values bit for bit.  A fresh process under a timeout, so a
+        # deadlock fails the test instead of hanging the suite
+        parent, workers, cpus = run_python("""
+import json, os
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+import qckt.autodiff as ad
+import qckt.training as tr
+
+ad.RELU_POOL_BLOCK_BYTES = 3 * 40 * 8  # 7 blocks of 3 rows
+rng = np.random.default_rng(3)
+values = [rng.normal(size=s) for s in ((19, 6), (6, 40), (19,), (19,))]
+g = rng.normal(size=40)
+
+def job(_):
+    tape = ad.Tape()
+    out = tape.relu_pool(*map(tape.leaf, values))
+    return os.getpid(), ad._lane_pool()[0], [a.tolist() for a in (out.value, *out._backward(g))]
+
+ad._lanes = (os.getpid(), 2, ThreadPoolExecutor(1))  # two lanes, whatever the host
+print(json.dumps([job(0), tr._map_jobs(job, [1, 2], 2), len(os.sched_getaffinity(0))]))
+""", timeout=120)
+        assert parent[1] == 2
+        assert len({parent[0]} | {pid for pid, _, _ in workers}) == 3
+        assert [lanes for _, lanes, _ in workers] == [max(1, cpus // 2)] * 2
+        assert all(values == parent[2] for _, _, values in workers)
 
 
 class TestGridSearch:
