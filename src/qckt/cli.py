@@ -12,6 +12,7 @@ fold's test students in the manifest, so eval parses only their rows.
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -92,7 +93,8 @@ def _write_rows(path, header, rows):
 
 def _write_fold_tables(out, key, per_fold):
     """report.csv (each entry's fold rows, then their mean and std) and, for
-    two or more entries, pmatrix.csv (paired t-test p-values of fold AUCs).
+    two or more entries, pmatrix.csv (paired t-test p-values of fold AUCs);
+    for one entry, a pmatrix.csv already in ``out`` is removed.
 
     ``per_fold`` maps each entry, named in column ``key``, to its
     {"fold", "auc", "acc"} rows; returns the names of the files written.
@@ -106,6 +108,9 @@ def _write_fold_tables(out, key, per_fold):
         rows.append({key: name, "fold": "std", "auc": std_auc, "acc": std_acc})
     _write_csv(out / REPORT_CSV, [key, "fold", "auc", "acc"], rows)
     if len(per_fold) < 2:
+        # a matrix an earlier command left in ``out`` belongs to neither
+        # this report nor its manifest
+        (out / PMATRIX_CSV).unlink(missing_ok=True)
         return [REPORT_CSV]
     names = list(per_fold)
     _, matrix = pairwise_t_matrix({n: [r["auc"] for r in per_fold[n]] for n in names})
@@ -117,16 +122,28 @@ def _write_fold_tables(out, key, per_fold):
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@cache
+def _blas_thread_getter():
+    """The thread-count getter of numpy's bundled OpenBLAS, found once per
+    process; None where that library or the getter is not found."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        with suppress(OSError, AttributeError):
+            return ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    return None
+
+
 def _environment():
     """The numeric environment a run's figures depend on: Python, numpy and
-    its BLAS, the thread-count variables (None where unset), the CPUs, the
-    lanes a tape runs relu_pool's row blocks on and the dtype training runs
-    at."""
+    its BLAS, the thread-count variables (None where unset), the thread count
+    BLAS runs at, the CPUs, the lanes a tape runs relu_pool's row blocks on
+    and the dtype training runs at."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (KeyError, TypeError):  # the layout of numpy's build report varies
         blas = {"name": None, "version": None}
+    blas_threads = _blas_thread_getter()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -134,6 +151,7 @@ def _environment():
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
         "tape_lanes": lane_count(),
+        "blas_threads": None if blas_threads is None else blas_threads(),
         "train_dtype": np.dtype(TRAIN_DTYPE).name,
     }
 

@@ -38,12 +38,12 @@ loss or a backward pass.
 
 Precision: training records the graph on a :data:`TRAIN_DTYPE` (float32)
 tape, the mixed-precision recipe of Micikevicius et al. (arXiv:1710.03740):
-parameters, the optimizer and checkpoints stay float64.  The parameters are
-one float64 vector (:class:`FlatTensors`), which :meth:`Parameters.leaves`
-casts in one pass per update, and the float32 gradients come back gathered
-into one vector of the same layout.  Fold scoring
-(validation during training, test folds and ``qckt eval``) follows the
-training dtype on a forward-only tape.  Only export (:func:`sequence_outputs`)
+parameters, the optimizer and checkpoints stay float64.  A
+:class:`Parameters` is a :class:`FlatTensors`, the named views of one float64
+vector, which :meth:`Parameters.leaves` casts in one pass per update, and the
+float32 gradients come back gathered into one vector of the same layout.
+Fold scoring (validation during training, test folds and ``qckt eval``)
+follows the training dtype on a forward-only tape.  Only export (:func:`sequence_outputs`)
 and :func:`batch_predictions`' default record at float64, so exported values
 and the float64 batch reference do not depend on the training precision's
 rounding.
@@ -55,7 +55,7 @@ import math
 import os
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,15 +102,6 @@ class ModelConfig:
     @property
     def needs_mastery_lstm(self):
         return self.uses_beta or self.uses_zeta
-
-    def to_dict(self):
-        return {
-            "n_questions": self.n_questions,
-            "n_kcs": self.n_kcs,
-            "dim": self.dim,
-            "lambda_aux": self.lambda_aux,
-            "variant": self.variant,
-        }
 
 
 def param_shapes(config):
@@ -198,7 +189,7 @@ class FlatTensors(Mapping):
     """Named tensors stored back to back in one contiguous vector, ``flat``.
 
     ``spans`` maps each name, in order, to (start, stop, shape), and
-    ``tensors[name]`` is the view of ``flat[start:stop]`` in that shape.
+    ``self[name]`` is the view of ``flat[start:stop]`` in that shape.
     Assigning to a name writes into its view, and a value of another shape
     raises ShapeError; names cannot be added or removed.  So the mapping and
     the vector never drift apart, and a pass over the whole model (a cast, a
@@ -242,34 +233,22 @@ class FlatTensors(Mapping):
         return next(name for name, (lo, hi, _) in self.spans.items() if lo <= i < hi)
 
 
-class Parameters:
-    """The named tensors of one model, in :func:`param_shapes` order, as one
-    float64 vector: ``tensors`` is a :class:`FlatTensors`, and ``blocks``
-    the same vector under the names of :meth:`leaves`.
+class Parameters(FlatTensors):
+    """The named tensors of one model, in :func:`param_shapes` order, over
+    one float64 vector ``flat``, which is kept as it is; ``blocks`` is the
+    same vector under the names of :meth:`leaves`.  A Parameters pickles as
+    its config and that vector."""
 
-    ``tensors`` may be a name -> array mapping, whose arrays are copied in,
-    or the float64 vector itself, which is kept as it is; a Parameters
-    pickles as its config and that vector."""
+    __slots__ = ("config", "blocks")
 
-    def __init__(self, config, tensors):
-        self.config = config
-        expected = param_shapes(config)
-        if not isinstance(tensors, np.ndarray):
-            if set(tensors) != set(expected):
-                missing = sorted(set(expected) - set(tensors))
-                extra = sorted(set(tensors) - set(expected))
-                raise ShapeError(f"parameter names mismatch: missing {missing}, extra {extra}")
-            arrays = [as_tensor(tensors[name]) for name in expected]
-            for (name, shape), arr in zip(expected.items(), arrays):
-                if arr.shape != shape:
-                    raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-            tensors = np.concatenate([arr.ravel() for arr in arrays])
-        flat = as_tensor(tensors)
+    def __init__(self, config, flat):
+        flat = as_tensor(flat)
         if flat.shape != (param_count(config),):
             raise ShapeError(f"parameter vector has shape {flat.shape}, "
                              f"expected ({param_count(config)},)")
-        self.tensors = FlatTensors(_spans(expected), flat)
-        self.blocks = FlatTensors(_leaf_spans(self.tensors.spans), flat)
+        super().__init__(_spans(param_shapes(config)), flat)
+        self.config = config
+        self.blocks = FlatTensors(_leaf_spans(self.spans), flat)
 
     @classmethod
     def init(cls, config, seed):
@@ -279,37 +258,28 @@ class Parameters:
         +/- 1/sqrt(fan_in); embeddings are N(0, 0.02^2); biases start at zero
         except the forget-gate biases b_2 and b_6 (1.0) so the cells begin by
         remembering.  The learned-fusion variant starts as the plain sum
-        (irt_w = 1, irt_b = 0).
+        (irt_w = 1, irt_b = 0).  The draws are one per name, in
+        :func:`param_shapes` order, each written into its view of a zero
+        vector.
         """
         rng = np.random.default_rng(seed)
-        tensors = {}
-        for name, shape in param_shapes(config).items():
+        params = cls(config, np.zeros(param_count(config)))
+        for name, (_, _, shape) in params.spans.items():
             if name in ("Q", "K"):
-                tensors[name] = rng.normal(0.0, 0.02, size=shape)
-            elif name == "irt_w":
-                tensors[name] = np.ones(shape)
-            elif name.startswith("b") or name == "irt_b":
-                tensors[name] = np.full(shape, 1.0 if name in ("b_2", "b_6") else 0.0)
-            else:
+                params[name] = rng.normal(0.0, 0.02, size=shape)
+            elif name in ("irt_w", "b_2", "b_6"):
+                params[name] = np.ones(shape)
+            elif not (name.startswith("b") or name == "irt_b"):
                 fan_in = shape[-1] if len(shape) == 2 else shape[0]
                 lim = 1.0 / np.sqrt(fan_in)
-                tensors[name] = rng.uniform(-lim, lim, size=shape)
-        return cls(config, tensors)
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def __iter__(self):
-        return iter(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
+                params[name] = rng.uniform(-lim, lim, size=shape)
+        return params
 
     def __reduce__(self):
-        return Parameters, (self.config, self.tensors.flat)
+        return Parameters, (self.config, self.flat)
 
     def copy(self):
-        return Parameters(self.config, self.tensors.flat.copy())
+        return Parameters(self.config, self.flat.copy())
 
     def leaves(self, tape):
         """Record each entry of ``blocks`` as a tape leaf; returns name ->
@@ -327,15 +297,15 @@ class Parameters:
         """Write magic + JSON header + raw little-endian float64 payload (the
         vector), atomically: a failed save leaves any earlier file intact."""
         header = {
-            "config": self.config.to_dict(),
-            "tensors": [[name, list(shape)] for name, (_, _, shape) in self.tensors.spans.items()],
+            "config": asdict(self.config),
+            "tensors": [[name, list(shape)] for name, (_, _, shape) in self.spans.items()],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         with atomic_write(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            fh.write(np.ascontiguousarray(self.tensors.flat, dtype="<f8"))
+            fh.write(np.ascontiguousarray(self.flat, dtype="<f8"))
 
     @classmethod
     def load(cls, path):
@@ -565,13 +535,13 @@ def build_graph(tape, nodes, batch, config, export=False):
 def batch_loss_and_grads(params, batch):
     """One forward/backward pass on a :data:`TRAIN_DTYPE` tape; returns
     (loss value, name -> gradient), the gradients of that dtype gathered
-    into one vector laid out as ``params.tensors`` (a :class:`FlatTensors`)."""
+    into one :class:`FlatTensors` laid out as ``params``."""
     tape = Tape(TRAIN_DTYPE)
     nodes = params.leaves(tape)
     graph = build_graph(tape, nodes, batch, params.config)
     tape.backward(graph.loss)
     grads = np.concatenate([Tape.grad(node).ravel() for node in nodes.values()])
-    return float(graph.loss.value), params.tensors.like(grads)
+    return float(graph.loss.value), params.like(grads)
 
 
 def sequence_outputs(params, seq):

@@ -60,8 +60,8 @@ ADAM_CHUNK = 1 << 15
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    ``m`` and ``v`` are zero :class:`FlatTensors` laid out as the parameter
-    tensors ``params`` (a :class:`FlatTensors`), so each is one vector."""
+    ``m`` and ``v`` are zero :class:`FlatTensors` laid out as ``params`` (a
+    :class:`Parameters`), so each is one vector."""
 
     def __init__(self, params):
         self.m = params.like(np.zeros_like(params.flat))
@@ -91,9 +91,10 @@ def adam_step(params, grads, state, cfg):
     """One bias-corrected Adam update at cfg.lr, in place on the parameter
     vector, with the usual constants beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
 
-    ``params``, ``grads`` and the moments in ``state`` are
-    :class:`FlatTensors` of one layout, so the update is a few passes over
-    whole vectors, chunk by chunk (:data:`ADAM_CHUNK`) into scratch buffers.
+    ``params`` (a :class:`Parameters`), ``grads`` and the moments in
+    ``state`` are :class:`FlatTensors` of one layout, so the update is a few
+    passes over whole vectors, chunk by chunk (:data:`ADAM_CHUNK`) into
+    scratch buffers.
     Each entry goes through the operations of the per-tensor textbook form,
     in its order and at its dtypes, so the result is that form's bit for bit.
 
@@ -203,7 +204,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
         raise DataError("train and valid sets must be non-empty")
     try:
         params = Parameters.init(model_cfg, seed=(train_cfg.seed, train_cfg.fold, 0))
-        state = AdamState(params.tensors)
+        state = AdamState(params)
     except MemoryError as exc:
         raise MemoryError(
             f"not enough memory for a model of {param_count(model_cfg):,} parameters "
@@ -226,7 +227,7 @@ def train(model_cfg, train_cfg, train_seqs, valid_seqs):
                     f"diverged: non-finite loss at epoch {epoch}, update {updates + 1}"
                 )
             grads, _ = clip_gradients(grads, train_cfg.grad_clip)
-            adam_step(params.tensors, grads, state, train_cfg)
+            adam_step(params, grads, state, train_cfg)
             updates += 1
             loss_sum += loss * batch.n_preds
             weight_sum += batch.n_preds

@@ -88,9 +88,7 @@ def random_params(cfg, seed, scale=0.05):
     """
     p = qm.Parameters.init(cfg, seed)
     rng = np.random.default_rng(seed + 1)
-    return qm.Parameters(
-        cfg, {k: v + rng.normal(0.0, scale, size=v.shape) for k, v in p.items()}
-    )
+    return qm.Parameters(cfg, p.flat + rng.normal(0.0, scale, size=p.flat.shape))
 
 
 def stack(arrays):

@@ -13,7 +13,7 @@ single-vector forms, which must match them bit for bit.
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ def load_dataset_rows(path):
 
 def zero_params(config):
     """All-zero tensors; handy for the analytic edge-case tests."""
-    return qm.Parameters(config, {k: np.zeros(s) for k, s in qm.param_shapes(config).items()})
+    return qm.Parameters(config, np.zeros(qm.param_count(config)))
 
 
 def sigmoid_masked(x):
@@ -342,7 +342,7 @@ def save_per_tensor(params):
     """The bytes of a checkpoint written tensor by tensor: magic, header
     length, JSON header, then each tensor's little-endian float64 entries."""
     header = {
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "tensors": [[name, list(arr.shape)] for name, arr in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")

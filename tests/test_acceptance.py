@@ -146,7 +146,7 @@ def test_criterion_3_overfit_sanity():
     cfg = ModelConfig(n_questions=50, n_kcs=10, dim=16, lambda_aux=0.0)
     params = qm.Parameters.init(cfg, seed=(0, 0, 0))
     tcfg = TrainConfig(lr=1e-3)
-    state = AdamState(params.tensors)
+    state = AdamState(params)
     batch = Batch(ds.sequences)
 
     started = time.perf_counter()
@@ -155,7 +155,7 @@ def test_criterion_3_overfit_sanity():
     while updates < 2000 and loss >= 0.1:
         loss, grads = batch_loss_and_grads(params, batch)
         grads, _ = clip_gradients(grads, tcfg.grad_clip)
-        adam_step(params.tensors, grads, state, tcfg)
+        adam_step(params, grads, state, tcfg)
         updates += 1
     elapsed = time.perf_counter() - started
     assert loss < 0.1, f"loss {loss:.4f} after {updates} updates"

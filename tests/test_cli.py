@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import qckt.cli
 import qckt.model
 import qckt.training
-from _support import with_header
+from _support import run_python, with_header
 from qckt.cli import COMMANDS, build_parser, main
 from qckt.data import HEADER, kfold_split, load_dataset, preprocess
 from qckt.evaluation import export_knowledge_states, export_module_outputs
@@ -117,7 +117,14 @@ class TestSynth:
         }
         assert env["cpu_count"] == os.cpu_count()
         assert env["tape_lanes"] == len(os.sched_getaffinity(0)) >= 1
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
         assert env["train_dtype"] == "float32" == np.dtype(qckt.model.TRAIN_DTYPE).name
+
+
+def test_manifest_reads_the_blas_thread_count_in_effect(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code = "import json, qckt.cli; print(json.dumps(qckt.cli._environment()['blas_threads']))"
+    assert run_python(code) == 1
 
 
 class TestTrain:
@@ -634,6 +641,17 @@ class TestEvalAgainstTraining:
         assert asked == [None]
         assert (out / "pmatrix.csv").exists()
 
+    def test_one_run_eval_removes_an_earlier_pmatrix(self, reused, tmp_path):
+        # a p-value matrix of two earlier runs belongs to neither the
+        # one-run report nor its manifest
+        out = tmp_path / "cmp"
+        data = ["eval", "--data", str(reused["data"]), "--out", str(out)]
+        assert main(data + ["--run", str(reused["clean"]), "--run", str(reused["reused"])]) == 0
+        assert (out / "pmatrix.csv").exists()
+        assert main(data + ["--run", str(reused["clean"])]) == 0
+        assert not (out / "pmatrix.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["report.csv"]
+
 
 def with_dataset(blob, edit):
     """A manifest whose dataset block is ``edit`` of it."""
@@ -863,7 +881,7 @@ class TestDivergence:
         run = tmp_path / "run"
         shutil.copytree(workspace["run0"], run)
         params = Parameters.load(run / "checkpoint.bin")
-        Parameters(params.config, {k: v * 1e300 for k, v in params.items()}).save(run / "checkpoint.bin")
+        Parameters(params.config, params.flat * 1e300).save(run / "checkpoint.bin")
         student = read_csv(workspace["data"])[0]["student_id"]
         rc, err = exit_code_and_errors(capsys, command, workspace["data"], run, tmp_path / "o", student)
         assert rc == 2
@@ -877,7 +895,7 @@ class TestDivergence:
         run = tmp_path / "run"
         shutil.copytree(workspace["run0"], run)
         params = Parameters.load(run / "checkpoint.bin")
-        Parameters(params.config, {k: v * 1e39 for k, v in params.items()}).save(run / "checkpoint.bin")
+        Parameters(params.config, params.flat * 1e39).save(run / "checkpoint.bin")
         assert float(np.finfo(qckt.model.TRAIN_DTYPE).max) < 1e39
         student = read_csv(workspace["data"])[0]["student_id"]
         rc, err = exit_code_and_errors(capsys, "export", workspace["data"], run, tmp_path / "x", student)

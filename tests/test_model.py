@@ -168,16 +168,26 @@ class TestParameters:
         np.testing.assert_array_equal(p["irt_w"], [1.0, 1.0, 1.0])
         assert p["irt_b"] == 0.0
 
-    def test_rejects_wrong_shapes_and_names(self):
-        cfg = qm.ModelConfig(3, 2, 2)
-        good = {k: np.zeros(s) for k, s in qm.param_shapes(cfg).items()}
-        bad = dict(good)
-        bad["Q"] = np.zeros((4, 2))
-        with pytest.raises(ShapeError):
-            qm.Parameters(cfg, bad)
-        del good["w_p"]
-        with pytest.raises(ShapeError):
-            qm.Parameters(cfg, good)
+    @pytest.mark.parametrize("variant", qm.VARIANTS)
+    def test_init_draws_one_tensor_per_name_in_param_shapes_order(self, variant):
+        # the reference draws each tensor in turn from one generator, by the
+        # rules of the docstring, and lays the tensors back to back
+        cfg = qm.ModelConfig(7, 4, 3, variant=variant)
+        rng = np.random.default_rng((3, 1, 0))
+        parts = []
+        for name, shape in qm.param_shapes(cfg).items():
+            if name in ("Q", "K"):
+                arr = rng.normal(0.0, 0.02, size=shape)
+            elif name in ("b_2", "b_6", "irt_w"):
+                arr = np.ones(shape)
+            elif name.startswith("b") or name == "irt_b":
+                arr = np.zeros(shape)
+            else:
+                lim = 1.0 / np.sqrt(shape[-1] if len(shape) == 2 else shape[0])
+                arr = rng.uniform(-lim, lim, size=shape)
+            parts.append(np.ravel(arr))
+        p = qm.Parameters.init(cfg, seed=(3, 1, 0))
+        assert np.array_equal(p.flat, np.concatenate(parts))
 
 
 class TestEncoders:
@@ -271,12 +281,12 @@ class TestFlatParameters:
 
     @staticmethod
     def assert_flat_backed(p):
-        flat = p.tensors.flat
-        assert isinstance(p.tensors, qm.FlatTensors)
+        flat = p.flat
+        assert isinstance(p, qm.FlatTensors)
         assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
         assert flat.size == qm.param_count(p.config)
         assert list(p) == list(qm.param_shapes(p.config))
-        for name, (lo, hi, shape) in p.tensors.spans.items():
+        for name, (lo, hi, shape) in p.spans.items():
             assert p[name].shape == shape and np.shares_memory(p[name], flat), name
             assert np.array_equal(p[name].ravel(), flat[lo:hi]), name
 
@@ -293,29 +303,30 @@ class TestFlatParameters:
         copies = [qm.Parameters.load(tmp_path / "checkpoint.bin"), p.copy(), pickle.loads(pickle.dumps(p))]
         for q in copies:
             self.assert_flat_backed(q)
-            assert q.config == p.config and np.array_equal(q.tensors.flat, p.tensors.flat)
-            assert not np.shares_memory(q.tensors.flat, p.tensors.flat)
+            assert q.config == p.config and np.array_equal(q.flat, p.flat)
+            assert not np.shares_memory(q.flat, p.flat)
         # a Parameters pickles as its config and its vector
-        assert p.__reduce__() == (qm.Parameters, (p.config, p.tensors.flat))
-        tensors = pickle.loads(pickle.dumps(p.tensors))
-        assert all(np.shares_memory(view, tensors.flat) for view in tensors.values())
+        assert p.__reduce__() == (qm.Parameters, (p.config, p.flat))
+        # and a FlatTensors as its spans and its vector
+        blocks = pickle.loads(pickle.dumps(p.blocks))
+        assert all(np.shares_memory(view, blocks.flat) for view in blocks.values())
 
     def test_rebinding_a_tensor_writes_into_the_vector(self):
         p = random_params(qm.ModelConfig(5, 3, 2), seed=7)
-        view, (lo, hi, _) = p["W_a2"], p.tensors.spans["W_a2"]
-        p.tensors["W_a2"] = np.full((5, 2), 3.0)
-        assert p["W_a2"] is view and (view == 3.0).all() and (p.tensors.flat[lo:hi] == 3.0).all()
+        view, (lo, hi, _) = p["W_a2"], p.spans["W_a2"]
+        p["W_a2"] = np.full((5, 2), 3.0)
+        assert p["W_a2"] is view and (view == 3.0).all() and (p.flat[lo:hi] == 3.0).all()
         self.assert_flat_backed(p)
-        before = p.tensors.flat.copy()
+        before = p.flat.copy()
         with pytest.raises(ShapeError):
-            p.tensors["W_a2"] = np.zeros((2, 5))
+            p["W_a2"] = np.zeros((2, 5))
         with pytest.raises(ShapeError):
-            p.tensors["b_p"] = np.zeros(1)
+            p["b_p"] = np.zeros(1)
         with pytest.raises(KeyError):
-            p.tensors["W_new"] = np.zeros(1)
+            p["W_new"] = np.zeros(1)
         with pytest.raises((TypeError, AttributeError)):
-            del p.tensors["W_a2"]
-        assert np.array_equal(p.tensors.flat, before)
+            del p["W_a2"]
+        assert np.array_equal(p.flat, before)
         assert list(p) == list(qm.param_shapes(p.config))
 
     def test_a_vector_of_another_size_is_refused(self):
@@ -346,14 +357,14 @@ class TestFlatParameters:
                     want = p[name].astype(dtype)
                 assert node.value.base is base and np.array_equal(node.value, want), name
         # at float64 the cast is the parameter vector itself
-        assert base is p.tensors.flat
+        assert base is p.flat
 
     @pytest.mark.parametrize("variant", qm.VARIANTS)
     def test_gate_blocks_tile_the_vector_in_param_shapes_order(self, variant):
         # each block spans exactly its members' adjacent slices, so a
         # reordered param_shapes fails here rather than as wrong gradients
         p = random_params(qm.ModelConfig(5, 3, 2, variant=variant), seed=9)
-        spans, leaf_spans = p.tensors.spans, p.blocks.spans
+        spans, leaf_spans = p.spans, p.blocks.spans
         bounds = [(lo, hi) for lo, hi, _ in leaf_spans.values()]
         assert bounds[0][0] == 0 and bounds[-1][1] == qm.param_count(p.config)
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
@@ -375,7 +386,7 @@ class TestScoreHeads:
         cfg = qm.ModelConfig(n_questions=2, n_kcs=1, dim=1)
         p = zero_params(cfg)
         for name in ("W_a1", "b_a1", "W_a2", "b_a2", "w_a"):
-            p.tensors[name] = np.ones_like(p.tensors[name])
+            p[name] = np.ones_like(p[name])
         # inner relu = 2, outer = [3, 3], weighted sum = 6
         assert oracle.ka_score(np.array([1.0]), p) == 6.0
 
@@ -388,8 +399,8 @@ class TestScoreHeads:
     def test_ks_score_forced_logits(self):
         cfg = qm.ModelConfig(n_questions=2, n_kcs=2, dim=1)
         p = zero_params(cfg)
-        p.tensors["b_g2"] = np.array([0.0, 1.0])
-        p.tensors["w_g"] = np.array([1.0, 1.0])
+        p["b_g2"] = np.array([0.0, 1.0])
+        p["w_g"] = np.array([1.0, 1.0])
         beta, mastery = oracle.ks_score(np.zeros(1), p)
         assert beta == 1.0
         np.testing.assert_allclose(mastery, [0.5, 0.731059], atol=5e-7)
@@ -399,14 +410,14 @@ class TestScoreHeads:
     def test_ps_score_bias_passthrough(self):
         cfg = qm.ModelConfig(4, 2, 3)
         p = zero_params(cfg)
-        p.tensors["b_p"] = np.array(0.7)
+        p["b_p"] = np.array(0.7)
         assert oracle.ps_score(np.zeros(3), np.zeros(3), np.zeros(3), p) == pytest.approx(0.7)
 
     def test_ps_score_hand_evaluated(self):
         cfg = qm.ModelConfig(n_questions=2, n_kcs=2, dim=1)
         p = zero_params(cfg)
         for name in ("W_p1", "b_p1", "W_p2", "b_p2", "w_p", "b_p"):
-            p.tensors[name] = np.ones_like(p.tensors[name])
+            p[name] = np.ones_like(p[name])
         one = np.array([1.0])
         # inner = [4,4,4], second = [13,13,13], 39 + 1 = 40
         assert oracle.ps_score(one, one, one, p) == 40.0
@@ -680,7 +691,7 @@ class TestBatchGraph:
         ref = qm.build_graph(tape, nodes, batch, cfg).loss
         tape.backward(ref)
         assert abs(loss - float(ref.value)) <= 1e-5 * abs(float(ref.value))
-        ref_grads = p.tensors.like(np.concatenate([Tape.grad(node).ravel() for node in nodes.values()]))
+        ref_grads = p.like(np.concatenate([Tape.grad(node).ravel() for node in nodes.values()]))
         for name, g64 in ref_grads.items():
             assert grads[name].dtype == np.float32, name
             assert np.abs(grads[name] - g64).max() <= 1e-5 * np.abs(g64).max(), name

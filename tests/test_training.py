@@ -249,7 +249,7 @@ class TestUpdateCalls:
             assert all(np.array_equal(a, b) for a, b in zip(after[:3], before[:3]))
         # the kept copy is the parameters after the best epoch's last update
         best = snapshots[2 * report.best_epoch - 1][1][0]
-        assert np.array_equal(report.best_params.tensors.flat, best)
+        assert np.array_equal(report.best_params.flat, best)
 
 
 class TestEarlyStopping:
@@ -363,12 +363,12 @@ class TestTrain:
         params = Parameters.init(self.mcfg, seed=(2, 0, 0))
         batch = Batch(self.train_seqs[:10])
         cfg = TrainConfig(lr=1e-4)
-        state = AdamState(params.tensors)
+        state = AdamState(params)
         losses = []
         for _ in range(10):
             loss, grads = batch_loss_and_grads(params, batch)
             losses.append(loss)
-            adam_step(params.tensors, grads, state, cfg)
+            adam_step(params, grads, state, cfg)
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-12
 
