@@ -408,21 +408,28 @@ def cmd_synth(args):
     ds, oracle = gen_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, out / DATASET_CSV)
     rows = [
         {"student_id": sid, "timestamp": ts, "prob": repr(p)}
         for (sid, ts), p in sorted(oracle.items())
     ]
-    _write_csv(out / ORACLE_CSV, ["student_id", "timestamp", "prob"], rows)
+    # the old manifest goes only with a failed data write, so that a rerun
+    # with the same flags whose manifest write alone fails leaves the
+    # directory as it was
+    try:
+        save_dataset(ds, out / DATASET_CSV)
+        _write_csv(out / ORACLE_CSV, ["student_id", "timestamp", "prob"], rows)
+    except BaseException:
+        _drop_manifest(out)
+        raise
     _write_manifest(out, "synth", args, {}, [DATASET_CSV, ORACLE_CSV], started)
     print(f"wrote {len(ds.sequences)} sequences, {ds.n_interactions} interactions to {out}")
 
 
 def _drop_manifest(out):
-    """Remove a manifest an earlier run left in ``out``, before the first
-    artifact of this one is written: a run that fails part-way then leaves
-    no manifest, so eval and export refuse the directory instead of pairing
-    the old record with the new checkpoints."""
+    """Remove a manifest an earlier command left in ``out``, before the
+    first artifact of this one is written: a command that fails part-way
+    then leaves no old record beside its new outputs, and eval and export
+    refuse a training run's directory that has no manifest."""
     (out / MANIFEST).unlink(missing_ok=True)
 
 
@@ -512,14 +519,18 @@ def _run_fold_metrics(run_dir, raw, digest, data, whole_log):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    raw, digest = _read_data(args.data)
-    per_run = {}
-    whole_log = cache(lambda: parse_log(raw, args.data))  # parsed once for the runs that need it
+    # each run is named by its directory's name, or by its path where an
+    # earlier run took that name
+    names = []
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
-        if name in per_run:
-            name = str(run_dir)
-        per_run[name] = _run_fold_metrics(run_dir, raw, digest, args.data, whole_log)
+        names.append(str(run_dir) if name in names else name)
+    if len(set(names)) != len(names):
+        raise ConfigError(f"--run names a run twice: {names}")
+    raw, digest = _read_data(args.data)
+    whole_log = cache(lambda: parse_log(raw, args.data))  # parsed once for the runs that need it
+    per_run = {name: _run_fold_metrics(run_dir, raw, digest, args.data, whole_log)
+               for name, run_dir in zip(names, args.run)}
     counts = {len(rows) for rows in per_run.values()}
     if len(per_run) >= 2 and (len(counts) != 1 or counts == {1}):
         raise DataError("p-value matrix needs the same number of folds (>= 2) in every run")
@@ -530,6 +541,7 @@ def cmd_eval(args):
         print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _drop_manifest(out)
     outputs = _write_fold_tables(out, "run", per_run)
     _write_manifest(out, "eval", args, {args.data: digest}, outputs, started)
 
@@ -577,6 +589,7 @@ def cmd_export(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _drop_manifest(out)
     _write_csv(
         out / STEPS_CSV,
         ["step", "question", "response", "r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta"],
@@ -593,19 +606,22 @@ def cmd_export(args):
 
 def cmd_ablate(args):
     started = time.perf_counter()
-    ds, digest = _load_dataset(args)
-    mcfg = _model_config(args, ds)
-    tcfg = _train_config(args)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}, choose from {VARIANTS}")
+    if len(set(variants)) != len(variants):
+        raise ConfigError(f"--variants names a variant twice: {variants}")
+    ds, digest = _load_dataset(args)
+    mcfg = _model_config(args, ds)
+    tcfg = _train_config(args)
 
     cvs = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
     for variant, cv in cvs.items():
         print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _drop_manifest(out)
     per_variant = {
         v: [{"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc} for f in cv.folds]
         for v, cv in cvs.items()

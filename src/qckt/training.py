@@ -51,7 +51,7 @@ class TrainConfig:
 
 
 # adam_step works through the vectors in chunks of this many entries, so its
-# scratch (two float64 and one gradient-dtype buffer, 640 KB at float32
+# scratch (one float64 and one gradient-dtype buffer, 384 KB at float32
 # gradients) stays in cache however large the model; 2^15 timed best among
 # 2^13..2^17 at the 487k parameters of d = 64, n = 2000
 ADAM_CHUNK = 1 << 15
@@ -73,17 +73,15 @@ def clip_gradients(grads, max_norm):
     """Scale all gradients together so the global norm is at most max_norm;
     ``grads`` is a :class:`FlatTensors`, and so is the result.
 
-    The squares are summed in float64, one dot per tensor in name order:
-    summed at float32, any entry past about 1.8e19 would make the norm inf
-    and the scale zero, silently dropping the update instead of clipping it."""
-    flat = grads.flat.astype(np.float64, copy=False)
-    total = 0.0
-    for lo, hi, _ in grads.spans.values():
-        part = flat[lo:hi]
-        total += np.dot(part, part)
-    total = math.sqrt(total)
+    The squares are summed in float64: summed at float32, any entry past
+    about 1.8e19 would make the norm inf and the scale zero, silently
+    dropping the update instead of clipping it.  einsum sums them in numpy's
+    own loop, where ``np.dot`` would call BLAS, whose sum changes its bits
+    with the BLAS thread count."""
+    g = grads.flat
+    total = math.sqrt(np.einsum("i,i->", g, g, dtype=np.float64))
     if max_norm and total > max_norm:
-        return grads.like(grads.flat * (max_norm / total)), total
+        return grads.like(g * (max_norm / total)), total
     return grads, total
 
 
@@ -94,9 +92,10 @@ def adam_step(params, grads, state, cfg):
     ``params`` (a :class:`Parameters`), ``grads`` and the moments in
     ``state`` are :class:`FlatTensors` of one layout, so the update is a few
     passes over whole vectors, chunk by chunk (:data:`ADAM_CHUNK`) into
-    scratch buffers.
-    Each entry goes through the operations of the per-tensor textbook form,
-    in its order and at its dtypes, so the result is that form's bit for bit.
+    scratch buffers.  The bias corrections are folded into the step size and
+    epsilon, as in section 2 of Kingma & Ba: ``p -= lr_t * (m / (sqrt(v) +
+    eps_t))`` with ``lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t)`` and
+    ``eps_t = eps * sqrt(1 - beta2^t)``.
 
     Every gradient is checked before anything changes: a non-finite one
     raises TrainingError naming its parameter and leaves the parameters and
@@ -109,27 +108,25 @@ def adam_step(params, grads, state, cfg):
         raise TrainingError(f"non-finite gradient for parameter {grads.name_at(finite.argmin())}")
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    root_c2 = math.sqrt(1.0 - b2**state.t)
+    lr_t = cfg.lr * root_c2 / (1.0 - b1**state.t)
+    eps_t = eps * root_c2
     size = min(len(g), ADAM_CHUNK)
-    g_buf, step_buf, den_buf = np.empty(size, g.dtype), np.empty(size), np.empty(size)
+    g_buf, step_buf = np.empty(size, g.dtype), np.empty(size)
     for lo in range(0, len(g), ADAM_CHUNK):
         k = slice(lo, lo + ADAM_CHUNK)
         gk, m, v, p = g[k], state.m.flat[k], state.v.flat[k], params.flat[k]
-        s, step, den = g_buf[: len(gk)], step_buf[: len(gk)], den_buf[: len(gk)]
+        s, step = g_buf[: len(gk)], step_buf[: len(gk)]
         m *= b1
         m += np.multiply(gk, 1.0 - b1, out=s)
         v *= b2
         np.multiply(gk, gk, out=s)
         s *= 1.0 - b2
         v += s
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=step)
-        step *= cfg.lr
-        np.divide(v, c2, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        step /= den
+        np.sqrt(v, out=step)
+        step += eps_t
+        np.divide(m, step, out=step)
+        step *= lr_t
         p -= step
     return params, state
 

@@ -307,13 +307,10 @@ class AdamState:
 
 
 def clip_gradients(grads, max_norm):
-    """Global-norm clip of a name -> gradient dict: one float64 dot per
-    tensor, summed in name order, then every tensor scaled."""
-    total = 0.0
-    for g in grads.values():
-        flat = g.astype(np.float64, copy=False).ravel()
-        total += float(flat @ flat)
-    total = math.sqrt(total)
+    """Global-norm clip of a name -> gradient dict: one float64 einsum over
+    the gradients back to back in name order, then every tensor scaled."""
+    flat = np.concatenate([g.ravel() for g in grads.values()])
+    total = math.sqrt(np.einsum("i,i->", flat, flat, dtype=np.float64))
     if max_norm and total > max_norm:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}, total
@@ -322,11 +319,13 @@ def clip_gradients(grads, max_norm):
 
 def adam_step(params, grads, state, lr):
     """Bias-corrected Adam on name -> array dicts, tensor by tensor, with
-    fresh arrays for every intermediate."""
+    fresh arrays for every intermediate and the corrections folded into the
+    step size and epsilon (Kingma & Ba, section 2)."""
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    root_c2 = math.sqrt(1.0 - b2**state.t)
+    lr_t = lr * root_c2 / (1.0 - b1**state.t)
+    eps_t = eps * root_c2
     for name, arr in params.items():
         g = grads[name]
         m = state.m[name]
@@ -335,7 +334,7 @@ def adam_step(params, grads, state, lr):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        arr -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        arr -= lr_t * (m / (np.sqrt(v) + eps_t))
 
 
 def save_per_tensor(params):

@@ -319,6 +319,24 @@ class TestEval:
         assert rc == 2
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("first", ["run0", "abs"])
+    def test_a_repeated_run_name_exits_1_before_the_data_is_read(self, workspace, tmp_path,
+                                                                 monkeypatch, capsys, first):
+        # run0 twice, or run0 after the same run by its absolute path, whose
+        # name run0 the second entry's fallback name repeats; an absent
+        # --data would exit 2 if it were read first
+        monkeypatch.chdir(workspace["root"])
+        monkeypatch.setattr(qckt.cli, "_run_fold_metrics", None)
+        first = str(workspace["run0"]) if first == "abs" else "run0"
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(tmp_path / "absent.csv"), "--run", first,
+                   "--run", "run0", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: --run names a run twice"), err
+        assert not out.exists()
+
     def test_run_dir_without_manifest_is_runtime_error(self, workspace, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -974,6 +992,34 @@ class TestAtomicWrites:
             assert len(err) == 1 and err[0].startswith("error:") and "manifest.json" in err[0], err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "eval", "export", "ablate"])
+    def test_a_failed_rerun_leaves_no_manifest(self, workspace, tmp_path, capsys, command):
+        # a second run into the same --out fails at its last artifact, which
+        # is now a directory; the first run's manifest must not stay beside
+        # what the second wrote before it failed
+        data, run, out = str(workspace["data"]), str(workspace["run0"]), tmp_path / "o"
+        students = sorted({r["student_id"] for r in read_csv(data)})
+        argv, last = {
+            "synth": (SYNTH, "oracle.csv"),
+            "eval": (["eval", "--data", data, "--run", run], "report.csv"),
+            "export": (["export", "--data", data, "--run", run, "--student", students[0]],
+                       "states.csv"),
+            "ablate": (["ablate", "--data", data, "--variants", "full", "--d", "4",
+                        "--max-epochs", "1", "--batch-size", "16", "--k", "2", "--seed", "1"],
+                       "report.csv"),
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        (out / last).unlink()
+        (out / last).mkdir()
+        if command == "export":
+            argv = argv[:-1] + [students[1]]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not (out / "manifest.json").exists()
+
 
 class TestAblate:
     def test_two_variants_report_and_pmatrix(self, workspace, tmp_path):
@@ -990,6 +1036,17 @@ class TestAblate:
         assert sum(1 for r in rows if r["fold"] == "mean") == 2
         pm = read_csv(out / "pmatrix.csv")
         assert set(pm[0]) == {"variant", "full", "no_ks_ps"}
+
+    def test_a_repeated_variant_exits_1_before_the_data_is_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(qckt.cli, "run_ablation", None)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["ablate", "--data", str(tmp_path / "absent.csv"), "--variants", "full,full",
+                   "--out", str(out)] + TRAIN_FAST)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: --variants names a variant twice"), err
+        assert not out.exists()
 
     def test_unknown_variant_is_validation_error(self, workspace, tmp_path):
         rc = main(

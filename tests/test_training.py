@@ -162,6 +162,27 @@ class TestClipGradients:
             clipped, _ = clip_gradients(grads, flag)
             assert np.array_equal(clipped["a"], grads["a"])
 
+    def test_norm_bits_do_not_depend_on_blas_threads(self, monkeypatch):
+        # float32 gradients laid out as the 487,209 parameters of n = 2000,
+        # m = 100, d = 64, where a float64 dot per tensor or over the whole
+        # vector changes its last bits between one BLAS thread and two
+        code = """
+import json
+import numpy as np
+from qckt.model import ModelConfig, Parameters
+from qckt.training import clip_gradients
+
+params = Parameters.init(ModelConfig(2000, 100, 64), seed=0)
+g = (np.random.default_rng(27).normal(size=params.flat.size) * 1e-2).astype(np.float32)
+print(json.dumps([params.flat.size, clip_gradients(params.like(g), 5.0)[1]]))
+"""
+        norms = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            norms.append(run_python(code))
+        assert norms[0][0] == 487209
+        assert norms[0] == norms[1]
+
 
 class TestFlatOptimizer:
     """clip_gradients and adam_step over one vector against the per-tensor
@@ -482,13 +503,13 @@ class TestRunCv:
             with pytest.raises(ConfigError):
                 run_cv(self.ds, self.mcfg, self.tcfg, k=2, jobs=jobs)
 
-    def test_workers_make_their_own_lanes_after_the_parent_used_its_own(self):
+    def test_workers_make_their_own_lanes_after_the_parent_used_its_own(self, tmp_path):
         # a lane pool made before a fork has no threads in the child: each
         # worker makes its own, with its share of the CPUs, and returns the
         # parent's values bit for bit.  A fresh process under a timeout, so a
         # deadlock fails the test instead of hanging the suite
-        parent, workers, cpus = run_python("""
-import json, os
+        parent, workers, cpus = run_python(f"""
+import json, os, time
 from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import qckt.autodiff as ad
@@ -499,7 +520,11 @@ rng = np.random.default_rng(3)
 values = [rng.normal(size=s) for s in ((19, 6), (6, 40), (19,), (19,))]
 g = rng.normal(size=40)
 
-def job(_):
+def job(i):
+    if i:  # a worker's task waits until the other worker holds one too
+        open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+        while len(os.listdir({str(tmp_path)!r})) < 2:
+            time.sleep(0.01)
     tape = ad.Tape()
     out = tape.relu_pool(*map(tape.leaf, values))
     return os.getpid(), ad._lane_pool()[0], [a.tolist() for a in (out.value, *out._backward(g))]
