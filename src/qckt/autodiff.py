@@ -21,13 +21,15 @@ float64 fails at once instead of running the rest of the graph at float64.  A ta
 with ``grad=False`` is forward-only: it keeps no backward closure and no
 state that only a backward reads, and its :meth:`Tape.backward` raises.
 
-The elementwise ops take any shape.  :meth:`Tape.matmul` multiplies by a
-(feature x column) matrix, never a vector, and the batched ops work over
-such columns: that is how sequence batches are pushed through the model
-graph.  Time is folded into the column axis too, step-major and packed
-(each step holds only the sequences still running): :meth:`Tape.lstm_gates`
-runs the whole LSTM recurrences of all of a graph's tracks, stacked by rows,
-as one node with one time loop, so no graph built here loops over time.
+Twelve ops and :meth:`Tape.leaf` record every model graph.  The elementwise
+ops take any shape, and :meth:`Tape.add` adds a 0-d part to every entry.
+:meth:`Tape.matmul` multiplies by a (feature x column) matrix, never a
+vector, and the batched ops work over such columns: that is how sequence
+batches are pushed through the model graph.  Time is folded into the column
+axis too, step-major and packed (each step holds only the sequences still
+running): :meth:`Tape.lstm_gates` runs the whole LSTM recurrences of all of
+a graph's tracks, stacked by rows, as one node with one time loop, so no
+graph built here loops over time.
 
 Gradient protocol: an op's backward is a pure function of the output
 gradient that returns one gradient per entry of the node's ``inputs``, in
@@ -233,26 +235,35 @@ class Tape:
 
         return self._record("matmul", out, (w, x, b), backward)
 
-    def add(self, a, b):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
-        return self._record("add", a.value + b.value, (a, b), lambda g: (g, g))
+    def add(self, *parts):
+        """Sum of parts of one shape, left to right, where a 0-d part is
+        added to every entry and gets g.sum(); one part is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        if len({p.value.shape for p in parts} - {()}) > 1:
+            raise ShapeError(f"add shapes differ: {[p.value.shape for p in parts]}")
+        scalar = [p.value.ndim == 0 for p in parts]
+        value = sum((p.value for p in parts[1:]), parts[0].value)
+        return self._record("add", value, parts, lambda g: tuple(g.sum() if s else g for s in scalar))
 
     def sigmoid(self, x):
         y = sigmoid(x.value)
         return self._record("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
     def vstack(self, parts, out=None):
-        """Axis-0 concatenation of matrices/vectors with equal trailing shape.
+        """Stack by rows as ``np.vstack`` does, an (N,) part as one row; the
+        backward gives each part its rows of g in the part's shape here,
+        which a :meth:`release` may change later.
 
         With ``out``, the parts' values must already be its consecutive row
         blocks, in order, as :meth:`matmul` leaves them when given those
         blocks as ``out``: ``out`` becomes the value, and nothing is copied.
         """
         parts = tuple(parts)
-        bounds = np.cumsum([0] + [len(p.value) for p in parts]).tolist()
+        shapes = [p.value.shape for p in parts]
+        bounds = np.cumsum([0] + [s[0] if len(s) > 1 else 1 for s in shapes]).tolist()
         if out is None:
-            value = np.concatenate([p.value for p in parts])
+            value = np.vstack([p.value for p in parts])
         else:
             # part i must be out[bounds[i]:bounds[i + 1]]: same address, shape and strides
             addr = out.__array_interface__["data"][0]
@@ -264,10 +275,10 @@ class Tape:
             ):
                 raise ShapeError("vstack: the parts are not the row blocks of out")
             value = out
-        blocks = list(zip(bounds, bounds[1:]))
+        blocks = list(zip(bounds, bounds[1:], shapes))
 
         def backward(g):
-            return tuple(g[lo:hi] for lo, hi in blocks)
+            return tuple(g[lo:hi].reshape(shape) for lo, hi, shape in blocks)
 
         return self._record("vstack", value, parts, backward)
 
@@ -298,12 +309,6 @@ class Tape:
         np.multiply(x.value, r, out=out[:h])
         np.multiply(x.value, r_not, out=out[h:])
         return self._record("split_by_response", out, (x,), lambda g: (g[:h] * r + g[h:] * r_not,))
-
-    def as_row(self, x):
-        """View a (B,) vector as a (1 x B) single-row matrix."""
-        if x.value.ndim != 1:
-            raise ShapeError(f"as_row requires a vector, got {x.value.shape}")
-        return self._record("as_row", x.value[None, :], (x,), lambda g: (g[0],))
 
     def relu_pool(self, W, x, b, w):
         """Pooled relu layer: w . relu(W x[:, j] + b) for each column -> (N,).
@@ -386,12 +391,6 @@ class Tape:
             raise ShapeError(f"dot_columns shapes: {wv.shape} and {xv.shape}")
         return self._record("dot_columns", wv @ xv, (w, x), lambda g: (xv @ g, np.outer(wv, g)))
 
-    def add_scalar(self, x, s):
-        """Add a scalar parameter node to every entry of x."""
-        if s.value.ndim != 0:
-            raise ShapeError("add_scalar expects a scalar node")
-        return self._record("add_scalar", x.value + s.value, (x, s), lambda g: (g, g.sum()))
-
     def embed(self, table, indices):
         """Select rows of an (n x d) table -> columns of a (d x B) matrix.
 
@@ -435,21 +434,23 @@ class Tape:
         """The LSTM recurrences of k tracks over packed columns as one node
         -> (kd x N), track t's hidden states in rows td..(t+1)d-1.
 
-        ``u`` (k4d x d) stacks each track's U, and ``proj`` (k4d x N) each
-        track's input projections W x + b, in the same order; k is
-        len(u) // 4d.  In proj the steps run back to back: step t owns the
-        next ``widths[t]`` columns, one per sequence still running, and the
-        widths never grow.  Every track starts from zero h and c, and step t
-        runs :func:`kernels.gates_forward` once for all tracks, on (k x 4d x
-        w) views: each track's columns of proj plus its U @ h, where h and c
-        keep their first ``widths[t]`` columns, so a sequence that ends drops
-        out of the state.  The tracks share nothing, so each gets the values
-        a one-track node gives it, bit for bit.  The backward is one
-        reverse-time sweep of :func:`kernels.gates_backward` that adds each
-        step's dh and dc into the leading columns of the step before.  What
-        that sweep reads, each step's gates, tanh c and c, is kept on a tape
-        with ``grad`` only; it reads h_prev from the output, and never reads
-        proj's value, which the caller may :meth:`release` once this returns.
+        ``proj`` (k4d x N) stacks k tracks' input projections W x + b, and
+        ``u`` (at least k4d x d) whole tracks' U, in the same order; k is
+        len(proj) // 4d, and the rows of u past the first k4d are not read
+        and get a zero gradient.  In proj the steps run back to back: step t
+        owns the next ``widths[t]`` columns, one per sequence still running,
+        and the widths never grow.  Every track starts from zero h and c, and
+        step t runs :func:`kernels.gates_forward` once for all tracks, on
+        (k x 4d x w) views: each track's columns of proj plus its U @ h, where
+        h and c keep their first ``widths[t]`` columns, so a sequence that
+        ends drops out of the state.  The tracks share nothing, so each gets
+        the values a one-track node gives it, bit for bit.  The backward is
+        one reverse-time sweep of :func:`kernels.gates_backward` that adds
+        each step's dh and dc into the leading columns of the step before.
+        What that sweep reads, each step's gates, tanh c and c, is kept on a
+        tape with ``grad`` only; it reads h_prev from the output, and never
+        reads proj's value, which the caller may :meth:`release` once this
+        returns.
         """
         pv, uv = proj.value, u.value
         d = uv.shape[-1] if uv.ndim == 2 else 0
@@ -458,18 +459,19 @@ class Tape:
         if (
             pv.ndim != 2
             or not d
-            or not len(uv)
+            or not len(pv)
             or len(uv) % (4 * d)
-            or len(pv) != len(uv)
+            or len(pv) % (4 * d)
+            or len(pv) > len(uv)
             or not widths
             or widths[-1] < 1
             or sum(widths) != N
             or widths != sorted(widths, reverse=True)
         ):
             raise ShapeError(f"lstm_gates shapes: {pv.shape} and {uv.shape} at widths {widths}")
-        k = len(uv) // (4 * d)
+        k = len(pv) // (4 * d)
         # (k x 4d x .) views of the tracks' row blocks
-        p3, u3 = pv.reshape(k, 4 * d, N), uv.reshape(k, 4 * d, d)
+        p3, u3 = pv.reshape(k, 4 * d, N), uv[: 4 * d * k].reshape(k, 4 * d, d)
         # each step's h goes into its columns of the output, which the
         # backward reads as h_prev, so no second copy of h is kept
         out = np.empty((k, d, N), self.dtype)
@@ -491,8 +493,8 @@ class Tape:
             s += w
 
         def backward(g):
-            dproj, du = np.empty((len(uv), N), uv.dtype), np.zeros_like(uv)
-            dp3, du3, ut3 = dproj.reshape(k, 4 * d, N), du.reshape(k, 4 * d, d), u3.transpose(0, 2, 1)
+            dproj, du = np.empty((k, 4 * d, N), uv.dtype), np.zeros_like(uv)
+            du3, ut3 = du[: 4 * d * k].reshape(k, 4 * d, d), u3.transpose(0, 2, 1)
             g = g.reshape(k, d, N)
             dh = dc = np.zeros((k, d, widths[-1]), uv.dtype)
             for s, gates, tc, c_prev, h_prev in reversed(steps):
@@ -504,10 +506,10 @@ class Tape:
                     dh[..., :live] += dh_later
                     dc = np.concatenate([dc, np.zeros((k, d, w - live), uv.dtype)], axis=-1)
                 dz, dc = kernels.gates_backward(dh, dc, gates, tc, c_prev)
-                dp3[..., s : s + w] = dz
+                dproj[..., s : s + w] = dz
                 du3 += dz @ h_prev.transpose(0, 2, 1)
                 dh = ut3 @ dz
-            return dproj, du
+            return dproj.reshape(4 * d * k, N), du
 
         return self._record("lstm_gates", out.reshape(k * d, N), (proj, u), backward)
 

@@ -405,23 +405,22 @@ def cmd_synth(args):
         seed=args.seed,
     )
     started = time.perf_counter()
-    ds, oracle = gen_synthetic(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        {"student_id": sid, "timestamp": ts, "prob": repr(p)}
-        for (sid, ts), p in sorted(oracle.items())
-    ]
-    # the old manifest goes only with a failed data write, so that a rerun
-    # with the same flags whose manifest write alone fails leaves the
-    # directory as it was
-    try:
-        save_dataset(ds, out / DATASET_CSV)
-        _write_csv(out / ORACLE_CSV, ["student_id", "timestamp", "prob"], rows)
-    except BaseException:
-        _drop_manifest(out)
-        raise
-    _write_manifest(out, "synth", args, {}, [DATASET_CSV, ORACLE_CSV], started)
+    with _output_dir(args.out) as out:
+        ds, oracle = gen_synthetic(cfg)
+        rows = [
+            {"student_id": sid, "timestamp": ts, "prob": repr(p)}
+            for (sid, ts), p in sorted(oracle.items())
+        ]
+        # the old manifest goes only with a failed data write, so that a
+        # rerun with the same flags whose manifest write alone fails leaves
+        # the directory as it was
+        try:
+            save_dataset(ds, out / DATASET_CSV)
+            _write_csv(out / ORACLE_CSV, ["student_id", "timestamp", "prob"], rows)
+        except BaseException:
+            _drop_manifest(out)
+            raise
+        _write_manifest(out, "synth", args, {}, [DATASET_CSV, ORACLE_CSV], started)
     print(f"wrote {len(ds.sequences)} sequences, {ds.n_interactions} interactions to {out}")
 
 
@@ -520,30 +519,30 @@ def _run_fold_metrics(run_dir, raw, digest, data, whole_log):
 def cmd_eval(args):
     started = time.perf_counter()
     # each run is named by its directory's name, or by its path where an
-    # earlier run took that name
+    # earlier run took that name; no directory may be named twice, by any
+    # spelling of its path
     names = []
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
         names.append(str(run_dir) if name in names else name)
-    if len(set(names)) != len(names):
+    if len(set(names)) != len(names) or len({Path(d).resolve() for d in args.run}) != len(names):
         raise ConfigError(f"--run names a run twice: {names}")
-    raw, digest = _read_data(args.data)
-    whole_log = cache(lambda: parse_log(raw, args.data))  # parsed once for the runs that need it
-    per_run = {name: _run_fold_metrics(run_dir, raw, digest, args.data, whole_log)
-               for name, run_dir in zip(names, args.run)}
-    counts = {len(rows) for rows in per_run.values()}
-    if len(per_run) >= 2 and (len(counts) != 1 or counts == {1}):
-        raise DataError("p-value matrix needs the same number of folds (>= 2) in every run")
+    with _output_dir(args.out) as out:
+        raw, digest = _read_data(args.data)
+        whole_log = cache(lambda: parse_log(raw, args.data))  # parsed once for the runs that need it
+        per_run = {name: _run_fold_metrics(run_dir, raw, digest, args.data, whole_log)
+                   for name, run_dir in zip(names, args.run)}
+        counts = {len(rows) for rows in per_run.values()}
+        if len(per_run) >= 2 and (len(counts) != 1 or counts == {1}):
+            raise DataError("p-value matrix needs the same number of folds (>= 2) in every run")
 
-    for name, rows in per_run.items():
-        mean_auc = mean_std([r["auc"] for r in rows])[0]
-        mean_acc = mean_std([r["acc"] for r in rows])[0]
-        print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _drop_manifest(out)
-    outputs = _write_fold_tables(out, "run", per_run)
-    _write_manifest(out, "eval", args, {args.data: digest}, outputs, started)
+        for name, rows in per_run.items():
+            mean_auc = mean_std([r["auc"] for r in rows])[0]
+            mean_acc = mean_std([r["acc"] for r in rows])[0]
+            print(f"{name}: auc {mean_auc:.4f} acc {mean_acc:.4f} ({len(rows)} folds)")
+        _drop_manifest(out)
+        outputs = _write_fold_tables(out, "run", per_run)
+        _write_manifest(out, "eval", args, {args.data: digest}, outputs, started)
 
 
 def cmd_export(args):
@@ -558,49 +557,48 @@ def cmd_export(args):
         raise ConfigError(f"--kcs must name KC ids in [0, {n_kcs}), got {kc_subset}")
     if len(set(kc_subset)) != len(kc_subset):
         raise ConfigError(f"--kcs names a KC id twice: {kc_subset}")
-    raw, digest = _read_data(args.data)
-    run.require_trained_on(digest, args.data)
-    params = run.load(run.checkpoints[0][1])  # the lowest fold's
-    rows = parse_log(raw, args.data, students={args.student}, label_tables=run.label_tables)
-    chunks = preprocess(rows, min_len=run.min_len, max_len=run.max_len).sequences
-    if bool(chunks) != any(args.student in fold for fold in run.test_students):
-        raise DataError(f"the dataset block of {MANIFEST} of run {args.run} does not match {args.data}")
-    if not chunks:
-        if rows.n_interactions:
+    with _output_dir(args.out) as out:
+        raw, digest = _read_data(args.data)
+        run.require_trained_on(digest, args.data)
+        params = run.load(run.checkpoints[0][1])  # the lowest fold's
+        rows = parse_log(raw, args.data, students={args.student}, label_tables=run.label_tables)
+        chunks = preprocess(rows, min_len=run.min_len, max_len=run.max_len).sequences
+        if bool(chunks) != any(args.student in fold for fold in run.test_students):
+            raise DataError(f"the dataset block of {MANIFEST} of run {args.run} does not match {args.data}")
+        if not chunks:
+            if rows.n_interactions:
+                raise DataError(
+                    f"student {args.student!r} has {rows.n_interactions} interactions, "
+                    f"fewer than the run's min_len {run.min_len}"
+                )
             raise DataError(
-                f"student {args.student!r} has {rows.n_interactions} interactions, "
-                f"fewer than the run's min_len {run.min_len}"
+                f"unknown student id {args.student!r}; dataset has {run.students} students"
             )
-        raise DataError(
-            f"unknown student id {args.student!r}; dataset has {run.students} students"
-        )
-    seq = chunks[0]
+        seq = chunks[0]
 
-    outputs = sequence_outputs(params, seq)
-    values = (outputs.r_hat.value, outputs.alpha.value, outputs.beta.value, outputs.zeta.value,
-              outputs.mastery)
-    if not all(np.isfinite(v).all() for v in values):
-        raise TrainingError(
-            f"the model of {run.checkpoints[0][1]} diverged: non-finite outputs for student "
-            f"{args.student!r}; retrain the run"
-        )
-    steps = export_module_outputs(params, seq, outputs=outputs)
-    states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
+        outputs = sequence_outputs(params, seq)
+        values = (outputs.r_hat.value, outputs.alpha.value, outputs.beta.value, outputs.zeta.value,
+                  outputs.mastery)
+        if not all(np.isfinite(v).all() for v in values):
+            raise TrainingError(
+                f"the model of {run.checkpoints[0][1]} diverged: non-finite outputs for student "
+                f"{args.student!r}; retrain the run"
+            )
+        steps = export_module_outputs(params, seq, outputs=outputs)
+        states = export_knowledge_states(params, seq, kc_subset, outputs=outputs)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _drop_manifest(out)
-    _write_csv(
-        out / STEPS_CSV,
-        ["step", "question", "response", "r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta"],
-        steps,
-    )
-    _write_rows(
-        out / STATES_CSV,
-        ["step"] + [f"kc_{k}" for k in kc_subset],
-        ([t, *row] for t, row in enumerate(states.tolist(), start=1)),
-    )
-    _write_manifest(out, "export", args, {args.data: digest}, [STEPS_CSV, STATES_CSV], started)
+        _drop_manifest(out)
+        _write_csv(
+            out / STEPS_CSV,
+            ["step", "question", "response", "r_hat", "sigma_alpha", "sigma_beta", "sigma_zeta"],
+            steps,
+        )
+        _write_rows(
+            out / STATES_CSV,
+            ["step"] + [f"kc_{k}" for k in kc_subset],
+            ([t, *row] for t, row in enumerate(states.tolist(), start=1)),
+        )
+        _write_manifest(out, "export", args, {args.data: digest}, [STEPS_CSV, STATES_CSV], started)
     print(f"exported {len(steps)} steps for student {args.student!r} to {out}")
 
 
@@ -615,19 +613,17 @@ def cmd_ablate(args):
     ds, digest = _load_dataset(args)
     mcfg = _model_config(args, ds)
     tcfg = _train_config(args)
-
-    cvs = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
-    for variant, cv in cvs.items():
-        print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _drop_manifest(out)
-    per_variant = {
-        v: [{"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc} for f in cv.folds]
-        for v, cv in cvs.items()
-    }
-    outputs = _write_fold_tables(out, "variant", per_variant)
-    _write_manifest(out, "ablate", args, {args.data: digest}, outputs, started)
+    with _output_dir(args.out) as out:
+        cvs = run_ablation(ds, mcfg, tcfg, k=args.k, variants=variants, jobs=args.jobs)
+        for variant, cv in cvs.items():
+            print(f"{variant}: auc {cv.mean_auc:.4f} +/- {cv.std_auc:.4f}")
+        _drop_manifest(out)
+        per_variant = {
+            v: [{"fold": f.fold, "auc": f.test_auc, "acc": f.test_acc} for f in cv.folds]
+            for v, cv in cvs.items()
+        }
+        outputs = _write_fold_tables(out, "variant", per_variant)
+        _write_manifest(out, "ablate", args, {args.data: digest}, outputs, started)
 
 
 # -- parser ------------------------------------------------------------------

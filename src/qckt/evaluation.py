@@ -1,8 +1,10 @@
 """Metrics, significance testing, and per-step interpretability exports.
 
 All metric functions are pure.  The paired t-test evaluates its own
-t-distribution tail by Gauss-Legendre integration so the package does not
-depend on scipy at runtime; the test suite cross-checks against scipy.
+t-distribution tail, exactly: for the integer degrees of freedom of a
+paired test the tail is a finite series (Abramowitz & Stegun 26.7.3-4), so
+the package does not depend on scipy at runtime; the test suite
+cross-checks against scipy.
 """
 
 import math
@@ -73,29 +75,24 @@ def accuracy(ps, threshold=0.5):
 
 
 def _t_tail(x, df):
-    """P(T >= x) for x >= 0 under Student's t with ``df`` degrees of freedom.
+    """P(T >= x) for x >= 0 under Student's t with an integer ``df`` >= 1
+    degrees of freedom, in closed form (Abramowitz & Stegun 26.7.3-4).
 
-    Maps [x, inf) onto [0, 1) via t = x + u/(1-u) and integrates the pdf with
-    composite Gauss-Legendre panels.
+    With theta = atan(x / sqrt(df)) and c = cos(theta), S sums the terms
+    e = df mod 2, df mod 2 + 2, ..., df - 2 of a series that starts at
+    c^(df mod 2) and steps by c^2 (e + 1) / (e + 2); P(|T| < x) is
+    sin(theta) S for even df and (2/pi)(theta + sin(theta) S) for odd df.
     """
-    log_norm = (
-        math.lgamma((df + 1.0) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-    )
-
-    def pdf(t):
-        return np.exp(log_norm - (df + 1.0) / 2.0 * np.log1p(t * t / df))
-
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    total = 0.0
-    panels = np.linspace(0.0, 1.0, 9)
-    for lo, hi in zip(panels[:-1], panels[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        u = mid + half * nodes
-        t = x + u / (1.0 - u)
-        total += half * np.sum(weights * pdf(t) / (1.0 - u) ** 2)
-    return float(total)
+    theta = math.atan(x / math.sqrt(df))
+    odd, c = df % 2, math.cos(theta)
+    term, total = c**odd, 0.0
+    for e in range(odd, df - 1, 2):
+        total += term
+        term *= c * c * (e + 1) / (e + 2)
+    inside = math.sin(theta) * total
+    if odd:
+        inside = 2.0 / math.pi * (theta + inside)
+    return (1.0 - inside) / 2.0
 
 
 def paired_t_test(a, b):

@@ -443,8 +443,8 @@ def _recurrence(tape, nodes, inputs, widths):
     track's if it runs.  Track t projects all its input columns (W x + b)
     with the t-th W and b blocks in one :meth:`Tape.matmul`, into its row
     block of one array that a :meth:`Tape.vstack` takes without a copy; the
-    recurrence reads the U block whole, or a :meth:`Tape.rows` view of it for
-    one track, and :meth:`Tape.rows` views hand back each track's hidden
+    recurrence reads the U block whole, running as many tracks as there are
+    projections, and :meth:`Tape.rows` views hand back each track's hidden
     states.  No backward reads the projections, so they are released as soon
     as the recurrence has run: otherwise both tracks' projections would stay
     live through the heads, whose alpha layer makes the update's memory peak.
@@ -456,7 +456,7 @@ def _recurrence(tape, nodes, inputs, widths):
     projs = [tape.matmul(nodes[w], x, nodes[b], out=buf[4 * d * t : 4 * d * (t + 1)])
              for t, (x, (w, b)) in enumerate(zip(inputs, gates))]
     proj = tape.vstack(projs, out=buf)
-    h = tape.lstm_gates(proj, U if len(inputs) == 2 else tape.rows(U, 0, 4 * d), widths)
+    h = tape.lstm_gates(proj, U, widths)
     tape.release(proj, *projs)
     return [tape.rows(h, d * t, d * (t + 1)) for t in range(len(inputs))]
 
@@ -511,23 +511,19 @@ def build_graph(tape, nodes, batch, config, export=False):
         k_next = tape.embed_mean_flat(n["K"], *batch.kc_next, P)
         u = tape.vstack([h_ks, q_next, k_next])
         hidden_p = tape.matmul(n["W_p1"], u, n["b_p1"], relu=True)
-        zeta = tape.add_scalar(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
+        zeta = tape.add(tape.relu_pool(n["W_p2"], hidden_p, n["b_p2"], n["w_p"]), n["b_p"])
 
+    scores = [alpha] + [beta] * config.uses_beta + [zeta] * config.uses_zeta
     if config.variant == "no_irt":
-        stacked = tape.vstack([tape.as_row(alpha), tape.as_row(beta), tape.as_row(zeta)])
-        logit = tape.add_scalar(tape.dot_columns(n["irt_w"], stacked), n["irt_b"])
+        logit = tape.add(tape.dot_columns(n["irt_w"], tape.vstack(scores)), n["irt_b"])
     else:
-        logit = alpha
-        if config.uses_beta:
-            logit = tape.add(logit, beta)
-        if config.uses_zeta:
-            logit = tape.add(logit, zeta)
+        logit = tape.add(*scores)
     r_hat = tape.sigmoid(logit)
 
     loss = None
     if tape.with_grad:
         lam = config.lambda_aux / P
-        aux = [alpha] + [beta] * config.uses_beta + [zeta] * config.uses_zeta if lam else []
+        aux = scores if lam else []
         loss = tape.logistic_loss([logit] + aux, batch.responses[P:], [1 / P] + [lam] * len(aux))
     return GraphOutputs(loss, r_hat, alpha, beta, zeta, mastery)
 

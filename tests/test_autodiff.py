@@ -194,8 +194,8 @@ class TestPrecision:
         u = tape.vstack([h, k, tape.embed(tape.leaf(rng.normal(size=(4, 2))), [0, 3, 1, 1, 2])])
         a = tape.relu_pool(tape.leaf(rng.normal(size=(6, 10))), u,
                            tape.leaf(rng.normal(size=6)), tape.leaf(rng.normal(size=6)))
-        z = tape.add_scalar(tape.dot_columns(tape.leaf(rng.normal(size=10)), u), tape.leaf(0.3))
-        f = tape.dot_columns(tape.leaf(rng.normal(size=2)), tape.vstack([tape.as_row(a), tape.as_row(z)]))
+        z = tape.add(tape.dot_columns(tape.leaf(rng.normal(size=10)), u), tape.leaf(0.3))
+        f = tape.dot_columns(tape.leaf(rng.normal(size=2)), tape.vstack([a, z]))
         logit = tape.add(f, z)
         tape.sigmoid(logit)
         return tape.logistic_loss([logit, a], [1.0, 0.0, 1.0, 0.0, 1.0], [0.2, 0.1])
@@ -293,15 +293,21 @@ class TestStraightLineOracle:
         np.testing.assert_allclose(xn.grad, w.T @ ds, rtol=1e-12)
 
     def test_concat_routes_gradient_segments(self):
+        # a vector part is one row of the stack, and its gradient comes back
+        # as a vector
         tape = Tape()
-        a = tape.leaf([1.0, 2.0])
-        b = tape.leaf([3.0])
+        a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
+        b = tape.leaf([5.0, 6.0])
         joined = tape.vstack([a, b])
-        weights = tape.leaf([10.0, 20.0, 30.0])
-        loss = tape.sum_pool(tape.mul(joined, weights))
+        np.testing.assert_array_equal(joined.value, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        weights = tape.leaf([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        loss = _matrix_sum(tape, tape.mul(joined, weights))
         tape.backward(loss)
-        np.testing.assert_array_equal(a.grad, [10.0, 20.0])
-        np.testing.assert_array_equal(b.grad, [30.0])
+        np.testing.assert_array_equal(a.grad, [[10.0, 20.0], [30.0, 40.0]])
+        np.testing.assert_array_equal(b.grad, [50.0, 60.0])
+        # vectors of unequal length are not rows of one matrix
+        with pytest.raises(ValueError):
+            tape.vstack([tape.leaf([1.0, 2.0]), tape.leaf([3.0])])
 
     def test_add_inputs_never_share_a_gradient_buffer(self):
         # the add's backward gives a and b their first gradients; the mul,
@@ -315,18 +321,29 @@ class TestStraightLineOracle:
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_add_ops_pass_the_gradient_on_without_a_copy(self):
-        # add and add_scalar hand the output's gradient to their non-reduced
-        # inputs as it is: one buffer, no copy, so both leaves of the add end
-        # up with the same buffer; the sweep keeps gradients on the leaves
-        # only
+        # add hands the output's gradient to its parts that are not 0-d as
+        # it is: one buffer, no copy, so both matrix leaves end up with the
+        # same buffer; the 0-d part gets its sum.  The sweep keeps gradients
+        # on the leaves only
         tape = Tape()
         x, y = tape.leaf(np.ones((2, 3))), tape.leaf(np.full((2, 3), 0.5))
         s = tape.leaf(0.3)
-        zs = tape.add_scalar(tape.add(x, y), s)
+        zs = tape.add(x, y, s)
         tape.backward(_matrix_sum(tape, tape.tanh(zs)))
         assert np.shares_memory(x.grad, y.grad)
         np.testing.assert_allclose(x.grad, 1.0 - np.tanh(zs.value) ** 2, rtol=1e-15)
+        assert s.grad == x.grad.sum()
         assert all(node.grad is None for node in tape.nodes if node.op != "leaf")
+
+    def test_add_sums_left_to_right_and_checks_shapes(self):
+        tape = Tape()
+        a, b, c = (tape.leaf(v) for v in ([1e16, 1.0], [-1e16, 1.0], [1.0, 1.0]))
+        s = tape.leaf(2.0)
+        np.testing.assert_array_equal(tape.add(a, b, c).value, [1.0, 3.0])  # not a + (b + c)
+        np.testing.assert_array_equal(tape.add(s, a).value, [1e16 + 2.0, 3.0])
+        assert tape.add(a) is a  # one part records nothing
+        with pytest.raises(ShapeError, match="add shapes differ"):
+            tape.add(a, s, tape.leaf([1.0, 2.0, 3.0]))
 
     def test_unreachable_parameter_gets_zero_gradient(self):
         tape = Tape()
@@ -446,7 +463,7 @@ class TestFiniteDifferenceBattery:
                 y = tape.matmul(n["W"], n["X"], n["bias"])
                 y = tape.split_by_response(tape.tanh(y), coeffs)
                 per_col = tape.dot_columns(n["dotw"], y)
-                stacked = tape.vstack([tape.as_row(per_col), tape.as_row(tape.tanh(per_col))])
+                stacked = tape.vstack([per_col, tape.tanh(per_col)])
                 return tape.sum_pool(tape.dot_columns(n["roww"], stacked))
 
             report = grad_check(build, params)
@@ -556,11 +573,43 @@ class TestFiniteDifferenceBattery:
         }
 
         def build(tape, n):
-            y = tape.add_scalar(n["x"], n["t"])
+            y = tape.add(n["x"], n["t"], tape.tanh(n["x"]))
             return tape.sum_pool(tape.scale_const(tape.tanh(y), 0.7))
 
         report = grad_check(build, params)
         assert report.passed, report
+        # with the 0-d part first; it gets the sum of the output's gradient
+        G = rng.normal(size=4)
+        tape = Tape()
+        x, t = tape.leaf(params["x"]), tape.leaf(params["t"])
+        tape.backward(tape.sum_pool(tape.mul(tape.add(t, x), tape.leaf(G))))
+        np.testing.assert_array_equal(x.grad, G)
+        assert t.grad.shape == () and t.grad == G.sum()
+
+    def test_vstack_of_vectors(self):
+        # (N,) parts stack as rows, as np.vstack stacks them, and each gets
+        # back a gradient of its own shape, also when its value is released
+        rng = np.random.default_rng(47)
+        params = {"a": rng.normal(size=4), "b": rng.normal(size=4), "M": rng.normal(size=(2, 4))}
+        tape = Tape()
+        a, b, M = (tape.leaf(params[k]) for k in ("a", "b", "M"))
+        np.testing.assert_array_equal(tape.vstack([a, b]).value, np.vstack([params["a"], params["b"]]))
+        np.testing.assert_array_equal(tape.vstack([a, M, b]).value,
+                                      np.vstack([params["a"], params["M"], params["b"]]))
+
+        def build(tape, n):
+            return _matrix_sum(tape, tape.tanh(tape.vstack([n["a"], n["M"], n["b"]])))
+
+        report = grad_check(build, params)
+        assert report.passed, report
+        tape = Tape()
+        w, X = tape.leaf(params["a"]), tape.leaf(params["M"].T)
+        v = tape.dot_columns(w, X)
+        stacked = tape.vstack([v, tape.tanh(v)])
+        tape.release(v)
+        tape.backward(_matrix_sum(tape, stacked))
+        assert w.grad.shape == (4,) and X.grad.shape == (4, 2)
+        np.testing.assert_allclose(w.grad, X.value @ (2.0 - np.tanh(w.value @ X.value) ** 2), rtol=1e-14)
 
     def test_vstack_and_embed_ops(self):
         rng = np.random.default_rng(23)
@@ -719,11 +768,33 @@ class TestStackedTracks:
         u_two, u_odd = tape.leaf(np.zeros((8 * d, d))), tape.leaf(np.zeros((6 * d, d)))
         for proj, u in (
             (tape.leaf(np.zeros((6 * d, 3))), u_odd),  # 6d rows: not a multiple of 4d
-            (tape.leaf(np.zeros((4 * d, 3))), u_two),  # proj and u rows differ
-            (tape.leaf(np.zeros((12 * d, 3))), u_two),
+            (tape.leaf(np.zeros((12 * d, 3))), u_two),  # more tracks in proj than in u
         ):
             with pytest.raises(ShapeError):
                 tape.lstm_gates(proj, u, (1, 1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_track_reads_the_first_track_of_a_two_track_u(self, dtype):
+        # a one-track proj on a two-track U block runs what a rows view of
+        # U's first 4d rows runs, bit for bit; the second track's rows of U
+        # get a zero gradient
+        rng = np.random.default_rng(43)
+        d, widths = 3, (4, 4, 2, 1)
+        N = sum(widths)
+        proj, U, G = rng.normal(size=(4 * d, N)), rng.normal(size=(8 * d, d)), rng.normal(size=(d, N))
+        results = []
+        for view in (False, True):
+            tape = Tape(dtype)
+            p, u = tape.leaf(proj), tape.leaf(U)
+            h = tape.lstm_gates(p, tape.rows(u, 0, 4 * d) if view else u, widths)
+            tape.backward(_matrix_sum(tape, tape.mul(h, tape.leaf(G))))
+            results.append((h.value, p.grad, u.grad))
+        whole, viewed = results
+        assert whole[0].shape == (d, N) and whole[2].shape == (8 * d, d)
+        for a, b in zip(whole, viewed):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+        assert whole[2][: 4 * d].all() and not whole[2][4 * d :].any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matmul_into_row_blocks_then_vstack_without_a_copy(self, dtype):

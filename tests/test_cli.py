@@ -311,27 +311,30 @@ class TestEval:
     def test_single_fold_runs_exit_2_before_writing(self, workspace, tmp_path):
         # two one-fold runs cannot give a p-value matrix; eval must fail
         # before it writes anything, not after report.csv
-        out = tmp_path / "cmp"
+        out, copy = tmp_path / "cmp", tmp_path / "copy"
+        shutil.copytree(workspace["run0"], copy)
         rc = main(
             ["eval", "--data", str(workspace["data"]),
-             "--run", str(workspace["run0"]), "--run", str(workspace["run0"]), "--out", str(out)]
+             "--run", str(workspace["run0"]), "--run", str(copy), "--out", str(out)]
         )
         assert rc == 2
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("first", ["run0", "abs"])
+    @pytest.mark.parametrize("runs", [("run0", "run0"), ("abs", "run0"), ("abs", "abs"), ("run0", "./run0")],
+                             ids=["run0", "abs", "abs-abs", "run0-dot"])
     def test_a_repeated_run_name_exits_1_before_the_data_is_read(self, workspace, tmp_path,
-                                                                 monkeypatch, capsys, first):
+                                                                 monkeypatch, capsys, runs):
         # run0 twice, or run0 after the same run by its absolute path, whose
-        # name run0 the second entry's fallback name repeats; an absent
-        # --data would exit 2 if it were read first
+        # name run0 the second entry's fallback name repeats, or one run
+        # under two spellings of its path, which the names do not repeat;
+        # an absent --data would exit 2 if it were read first
         monkeypatch.chdir(workspace["root"])
         monkeypatch.setattr(qckt.cli, "_run_fold_metrics", None)
-        first = str(workspace["run0"]) if first == "abs" else "run0"
+        first, second = (str(workspace["run0"]) if run == "abs" else run for run in runs)
         out = tmp_path / "o"
         capsys.readouterr()
         rc = main(["eval", "--data", str(tmp_path / "absent.csv"), "--run", first,
-                   "--run", "run0", "--out", str(out)])
+                   "--run", second, "--out", str(out)])
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: --run names a run twice"), err
@@ -1047,6 +1050,17 @@ class TestAblate:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: --variants names a variant twice"), err
         assert not out.exists()
+
+    def test_an_out_under_a_regular_file_exits_2_before_training(self, workspace, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.setattr(qckt.cli, "run_ablation", None)
+        (tmp_path / "notadir").write_text("")
+        capsys.readouterr()
+        rc = main(["ablate", "--data", str(workspace["data"]), "--variants", "full,no_irt",
+                   "--out", str(tmp_path / "notadir" / "x")] + TRAIN_FAST)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "Not a directory" in err[0], err
 
     def test_unknown_variant_is_validation_error(self, workspace, tmp_path):
         rc = main(

@@ -151,8 +151,8 @@ class TestPairedTTest:
             qe.paired_t_test([1.0], [2.0])
 
     def test_tail_integration_against_scipy_sf(self):
-        for df in (1, 2, 4, 9, 30):
-            for x in (0.0, 0.5, 1.0, 2.5, 6.0):
+        for df in (*range(1, 61), 99, 100, 500):
+            for x in (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 6.0, 15.0, 40.0, 100.0):
                 np.testing.assert_allclose(
                     qe._t_tail(x, df), scipy.stats.t.sf(x, df), atol=1e-9
                 )
