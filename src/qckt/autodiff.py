@@ -5,9 +5,10 @@ Tensors are C-contiguous numpy arrays of the tape's one float dtype
 append-only list of nodes, so the node list is already topologically ordered
 and :meth:`Tape.backward` is a single reverse sweep.  Tapes are cheap and
 rebuilt for every sequence batch, and distinct tapes share nothing.  Ops are
-recorded and swept on the calling thread.  Only :meth:`Tape.relu_pool` hands
-work to other threads: its row blocks run on the process's lanes, one per
-CPU it may run on (:func:`lane_count`), and the caller takes their results
+recorded and swept on the calling thread.  :meth:`Tape.relu_pool` and the
+large GEMMs of :meth:`Tape.matmul` hand work to other threads: their blocks
+run on the process's lanes, one per CPU it may run on (:func:`lane_count`).
+The blocks are fixed by the shapes alone and the caller takes their results
 back in block order, so no value depends on the lane count.  What runs on a
 lane calls numpy only.
 
@@ -42,14 +43,17 @@ a node that is not a leaf, it drops that node's gradient and backward closure
 gradients remain on the leaves only.
 
 The first :class:`Tape` of a process sets glibc's allocator to keep freed
-memory in its heap (:func:`_keep_freed_memory_in_heap`); importing the
-module changes nothing.
+memory in its heap (:func:`_keep_freed_memory_in_heap`) and numpy's bundled
+OpenBLAS to one thread (:func:`_one_blas_thread`), so that the lanes are the
+only threads the tape's work runs on and no value depends on the BLAS thread
+count either; importing the module changes nothing.
 """
 
 import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +64,13 @@ from .errors import ShapeError
 # float64 (r_k x N) activation, so no (r x N) float array outlives a block; a
 # float32 tape takes blocks of the same rows, half the bytes
 RELU_POOL_BLOCK_BYTES = 2 << 20
+# matmul runs a GEMM of at least this many multiply-adds (r x c x N) as
+# blocks on the lanes: train-long's input projections and zeta head (W of
+# 256 x 256, 256 x 128 and 192 x 192 at N near 1568) reach it, while every
+# GEMM at the d = 16, B = 64 shapes (r x c at most 64 x 64, N at most 3136)
+# and the d = 64 heads' 64 x 64 stay one call, where lanes cost more than
+# they save
+MATMUL_SPLIT_WORK = 1 << 25
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -74,9 +85,10 @@ _lane_share = 1
 
 
 def lane_count():
-    """The lanes :meth:`Tape.relu_pool` spreads its row blocks over in this
-    process: the CPUs it may run on, split evenly between the processes
-    started together with it (:func:`share_lanes`), and at least one."""
+    """The lanes :meth:`Tape.relu_pool` and :meth:`Tape.matmul` spread their
+    blocks over in this process: the CPUs it may run on, split evenly between
+    the processes started together with it (:func:`share_lanes`), and at
+    least one."""
     return _lane_pool()[0]
 
 
@@ -100,25 +112,84 @@ def _lane_pool():
     return _lanes[1:]
 
 
-def _in_lanes(blocks, work, done):
-    """work(k, lane) for each block k, then done(k, lane) on the calling
-    thread, in block order.
+def _in_lanes(blocks, work, done=None):
+    """work(k, lane) for each block k, then done(k, lane), if given, on the
+    calling thread, in block order.
 
     The blocks go out in rounds of one per lane: lane 0 is the calling
     thread and each other lane a thread of the process's pool, so at most one
     block is in flight per lane, and a lane's scratch is free again once its
     ``done`` has run.  With one lane the blocks run inline, one after the
-    other.  ``work`` calls numpy only.
+    other, and one block runs inline without a look at the lanes.  ``work``
+    calls numpy only.
     """
-    count, pool = _lane_pool()
+    count, pool = _lane_pool() if len(blocks) > 1 else (1, None)
     for lo in range(0, len(blocks), count):
         first, rest = blocks[lo], blocks[lo + 1 : lo + count]
         jobs = [pool.submit(work, k, lane) for lane, k in enumerate(rest, 1)]
         work(first, 0)
-        done(first, 0)
+        if done:
+            done(first, 0)
         for lane, (k, job) in enumerate(zip(rest, jobs), 1):
             job.result()
-            done(k, lane)
+            if done:
+                done(k, lane)
+
+
+def _gemm_blocks(work, length):
+    """The blocks a GEMM of ``work`` multiply-adds splits an axis of
+    ``length`` entries into: None below :data:`MATMUL_SPLIT_WORK`, else
+    slices of a power-of-two count, at least two, of which each holds at
+    least half that work.  Their edges fall on multiples of 16 entries, so a
+    float32 column block starts on a 64-byte line.  The shape alone sets
+    them, never the lane count: a split GEMM rounds as its blocks do, not
+    always as the whole GEMM does, so the same blocks give the same bits on
+    any host.
+    """
+    if work < MATMUL_SPLIT_WORK:
+        return None
+    count = 1 << max(1, (work // MATMUL_SPLIT_WORK).bit_length() - 1)
+    step = -(-length // (16 * count)) * 16
+    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+
+
+@functools.cache
+def _openblas():
+    """(thread-count setter, thread-count getter) of numpy's bundled
+    OpenBLAS, found once per process; (None, None) where that library or
+    either function is not found."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            lib = ctypes.CDLL(str(lib))
+            setter, getter = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        return setter, getter
+    return None, None
+
+
+def blas_threads():
+    """The thread count numpy's bundled OpenBLAS runs at now, or None where
+    it is not found."""
+    getter = _openblas()[1]
+    return None if getter is None else getter()
+
+
+@functools.cache
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS to one thread, once per process.
+
+    A GEMM with a long inner dimension, such as a weight gradient, rounds
+    differently at two BLAS threads than at one, so an unpinned run's bits
+    would follow the host's CPU count; the lanes take back the speed of the
+    other threads.  The setting is process-wide; where the setter is not
+    found nothing is pinned.
+    """
+    setter = _openblas()[0]
+    if setter is not None:
+        setter(1)
 
 
 @functools.cache
@@ -189,6 +260,7 @@ class Tape:
 
     def __init__(self, dtype=np.float64, grad=True):
         _keep_freed_memory_in_heap()
+        _one_blas_thread()
         self.dtype = np.dtype(dtype)
         self.with_grad = grad
         self.nodes = []
@@ -219,19 +291,62 @@ class Tape:
         result and becomes the node's value; it rounds as a fresh array
         does.  ``relu`` applies max(., 0) in place, so the node keeps only
         the activation; the backward passes g where it is positive (a
-        preactivation of exactly 0 gets no gradient)."""
+        preactivation of exactly 0 gets no gradient).
+
+        A GEMM of r c N below :data:`MATMUL_SPLIT_WORK` is one numpy call.
+        A larger one runs as blocks on the process's lanes
+        (:func:`_in_lanes`), fixed by the shape alone (:func:`_gemm_blocks`):
+        the forward by row blocks of W into row blocks of the value, the
+        backward as dW and db by row blocks of g and dx by column blocks of
+        g.  No block's result is summed with another's, so every value is
+        the one-lane loop's bit for bit on any number of lanes.
+        """
         wv, xv, bv = w.value, x.value, b.value
         if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or bv.shape != (len(wv),):
             raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape} and add {bv.shape}")
-        out = np.matmul(wv, xv, out=out)
-        out += bv[:, None]
+        (r, c), N = wv.shape, xv.shape[1]
+        rows = _gemm_blocks(r * c * N, r)
+        if rows is None:
+            out = np.matmul(wv, xv, out=out)
+            out += bv[:, None]
+            if relu:
+                np.maximum(out, 0.0, out=out)
+        else:
+            if out is None:
+                out = np.empty((r, N), np.result_type(wv, xv))
+
+            def forward(k, lane):
+                block = np.matmul(wv[k], xv, out=out[k])
+                block += bv[k, None]
+                if relu:
+                    np.maximum(block, 0.0, out=block)
+
+            _in_lanes(rows, forward)
         # only a relu's backward reads the value, which Tape.release may free
-        active = np.maximum(out, 0.0, out=out) if relu else None
+        active = out if relu else None
 
         def backward(g):
-            if active is not None:
-                g = g * (active > 0)
-            return g @ xv.T, wv.T @ g, g.sum(axis=1)
+            if rows is None:
+                if active is not None:
+                    g = g * (active > 0)
+                return g @ xv.T, wv.T @ g, g.sum(axis=1)
+            dtype = np.result_type(wv, xv, g)
+            dW, dx, db = np.empty((r, c), dtype), np.empty((c, N), dtype), np.empty(r, dtype)
+            # g where the relu passes it, written by the row blocks
+            gm = g if active is None else np.empty_like(g)
+
+            def by_rows(k, lane):
+                if active is not None:
+                    np.multiply(g[k], active[k] > 0, out=gm[k])
+                np.matmul(gm[k], xv.T, out=dW[k])
+                gm[k].sum(axis=1, out=db[k])
+
+            def by_columns(k, lane):
+                np.matmul(wv.T, gm[:, k], out=dx[:, k])
+
+            _in_lanes(rows, by_rows)
+            _in_lanes(_gemm_blocks(r * c * N, N), by_columns)
+            return dW, dx, db
 
         return self._record("matmul", out, (w, x, b), backward)
 
@@ -325,7 +440,9 @@ class Tape:
         on the calling thread.  A block writes its own rows of the mask, dW,
         db and dw; its share of the output and of dx goes to its lane's
         scratch and is summed here in block order, so every value is the
-        one-lane loop's bit for bit.
+        one-lane loop's bit for bit.  A call of one block, such as every
+        B = 1 export's, runs inline without a look at the lanes, and its
+        forward writes the output directly.
         """
         Wv, xv, bv, wv = W.value, x.value, b.value, w.value
         if (
@@ -341,10 +458,13 @@ class Tape:
         Wb, x1 = np.hstack([Wv, bv[:, None]]), np.vstack([xv, np.ones(N, dtype)])
         step = max(1, RELU_POOL_BLOCK_BYTES // (8 * max(N, 1)))
         blocks = [slice(lo, min(lo + step, r)) for lo in range(0, r, step)]
-        lanes, rows = min(_lane_pool()[0], len(blocks)), min(step, r)
+        one = len(blocks) == 1
+        lanes, rows = 1 if one else min(lane_count(), len(blocks)), min(step, r)
         mask = np.empty((r, N), dtype=bool) if self.with_grad else None
-        out = np.zeros(N, dtype)
-        acts, parts = np.empty((lanes, rows, N), dtype), np.empty((lanes, N), dtype)
+        # one block writes the output itself; more write their shares into
+        # their lanes' rows of parts, which are summed in block order
+        out = np.empty(N, dtype) if one else np.zeros(N, dtype)
+        acts, parts = np.empty((lanes, rows, N), dtype), out[None] if one else np.empty((lanes, N), dtype)
 
         def forward(k, lane):
             act = np.matmul(Wb[k], x1, out=acts[lane, : k.stop - k.start])
@@ -353,7 +473,7 @@ class Tape:
             np.maximum(act, 0.0, out=act)
             np.matmul(wv[k], act, out=parts[lane])
 
-        _in_lanes(blocks, forward, lambda k, lane: np.add(out, parts[lane], out=out))
+        _in_lanes(blocks, forward, None if one else lambda k, lane: np.add(out, parts[lane], out=out))
 
         def backward(g):
             xg = (xv * g).T

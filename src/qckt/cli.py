@@ -12,7 +12,6 @@ fold's test students in the manifest, so eval parses only their rows.
 
 import argparse
 import csv
-import ctypes
 import hashlib
 import json
 import os
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import lane_count
+from .autodiff import blas_threads, lane_count
 from .data import (
     SynthConfig,
     atomic_write,
@@ -122,28 +121,16 @@ def _write_fold_tables(out, key, per_fold):
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@cache
-def _blas_thread_getter():
-    """The thread-count getter of numpy's bundled OpenBLAS, found once per
-    process; None where that library or the getter is not found."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in libs.glob("libscipy_openblas64_*.so"):
-        with suppress(OSError, AttributeError):
-            return ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-    return None
-
-
 def _environment():
     """The numeric environment a run's figures depend on: Python, numpy and
     its BLAS, the thread-count variables (None where unset), the thread count
-    BLAS runs at, the CPUs, the lanes a tape runs relu_pool's row blocks on
+    BLAS runs at, the CPUs, the lanes a tape runs its blocks on
     and the dtype training runs at."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (KeyError, TypeError):  # the layout of numpy's build report varies
         blas = {"name": None, "version": None}
-    blas_threads = _blas_thread_getter()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -151,7 +138,7 @@ def _environment():
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
         "tape_lanes": lane_count(),
-        "blas_threads": None if blas_threads is None else blas_threads(),
+        "blas_threads": blas_threads(),
         "train_dtype": np.dtype(TRAIN_DTYPE).name,
     }
 
@@ -518,13 +505,16 @@ def _run_fold_metrics(run_dir, raw, digest, data, whole_log):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    # each run is named by its directory's name, or by its path where an
-    # earlier run took that name; no directory may be named twice, by any
+    # each run is named by its directory's name, by its path as typed where
+    # an earlier run took that name, or by its resolved path where an
+    # earlier run took that too; no directory may be named twice, by any
     # spelling of its path
     names = []
     for run_dir in args.run:
         name = Path(run_dir).name or str(run_dir)
-        names.append(str(run_dir) if name in names else name)
+        if name in names:
+            name = str(run_dir) if str(run_dir) not in names else str(Path(run_dir).resolve())
+        names.append(name)
     if len(set(names)) != len(names) or len({Path(d).resolve() for d in args.run}) != len(names):
         raise ConfigError(f"--run names a run twice: {names}")
     with _output_dir(args.out) as out:

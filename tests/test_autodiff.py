@@ -28,21 +28,30 @@ class TestScalarHelpers:
 
 
 class TestForwardValues:
-    def test_matmul_adds_its_bias_after_the_gemm(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (64, 64, 3136)], ids=["tiny", "d16-B64"])
+    def test_matmul_adds_its_bias_after_the_gemm(self, dtype, relu, shape):
         # the product first, then the bias added in place: the same
-        # summation order as a GEMM followed by a separate bias add
-        rng = np.random.default_rng(5)
-        w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 6)), rng.normal(size=3)
-        g = rng.normal(size=(3, 6))
-        tape = Tape()
-        wn, xn, bn = tape.leaf(w), tape.leaf(x), tape.leaf(b)
-        out = tape.matmul(wn, xn, bn)
-        np.testing.assert_array_equal(out.value, w @ x + b[:, None])
-        # out reaches the loss times g exactly, so its gradient is g bit for bit
-        tape.backward(_matrix_sum(tape, tape.mul(out, tape.leaf(g))))
-        np.testing.assert_array_equal(wn.grad, g @ x.T)
-        np.testing.assert_array_equal(xn.grad, w.T @ g)
-        np.testing.assert_array_equal(bn.grad, g.sum(axis=1))
+        # summation order as a GEMM followed by a separate bias add.  Below
+        # MATMUL_SPLIT_WORK, as is the largest GEMM at d = 16 and B = 64 (a
+        # 64 x 64 W over at most 3136 columns), that is one inline np.matmul
+        # and its three gradients, bit for bit
+        (r, c, N), rng = shape, np.random.default_rng(5)
+        assert r * c * N < ad.MATMUL_SPLIT_WORK
+        w, x, b, g = (rng.normal(size=s).astype(dtype) for s in ((r, c), (c, N), (r,), (r, N)))
+        tape = Tape(dtype)
+        out = tape.matmul(*map(tape.leaf, (w, x, b)), relu=relu)
+        value = np.matmul(w, x)
+        value += b[:, None]
+        if relu:
+            np.maximum(value, 0.0, out=value)
+            assert 0 < (value > 0).mean() < 1
+        np.testing.assert_array_equal(out.value, value)
+        gm = g * (value > 0) if relu else g
+        for got, want in zip(out._backward(g), (gm @ x.T, w.T @ gm, gm.sum(axis=1))):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
         tape = Tape()
         w, x = tape.leaf([[1.0, 2.0], [3.0, 4.0]]), tape.leaf([[5.0], [6.0]])
@@ -564,6 +573,58 @@ class TestFiniteDifferenceBattery:
         for a, b in zip(one, three):
             assert a.dtype == b.dtype == dtype
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("into", [False, True], ids=["fresh", "row-block"])
+    def test_matmul_on_lanes_is_the_one_lane_loop_bit_for_bit(self, monkeypatch, dtype, relu, into):
+        # 40 x 24 x 45 multiply-adds are four times the constant: four
+        # blocks of 16 entries, so W's 40 rows, and g's, go in blocks of 16,
+        # 16 and 8, and g's 45 columns (not a multiple of 8) in blocks of
+        # 16, 16 and 13, run inline on one lane and as one round on three
+        # lanes; the value and all three gradients are the same arrays, and
+        # the unsplit GEMM's up to rounding.  With ``into`` the value is
+        # written into rows 8..47 of a larger buffer, as _recurrence passes
+        # its row blocks
+        monkeypatch.setattr(ad, "MATMUL_SPLIT_WORK", 40 * 24 * 45 // 4)
+        rng = np.random.default_rng(37)
+        w, x, b, g = (rng.normal(size=s).astype(dtype) for s in ((40, 24), (24, 45), (40,), (40, 45)))
+        submitted, results = [], []
+        with ThreadPoolExecutor(2) as pool:
+            submit = pool.submit
+            pool.submit = lambda *a: submitted.append(a[1]) or submit(*a)
+            for lanes in ((os.getpid(), 1, None), (os.getpid(), 3, pool)):
+                monkeypatch.setattr(ad, "_lanes", lanes)
+                tape = ad.Tape(dtype)
+                buf = np.full((56, 45), np.nan, dtype)
+                out = tape.matmul(*map(tape.leaf, (w, x, b)), out=buf[8:48] if into else None, relu=relu)
+                assert np.shares_memory(out.value, buf) == into
+                assert np.isnan(buf[:8]).all() and np.isnan(buf[48:]).all()
+                results.append([out.value, *out._backward(g)])
+        # blocks 1 and 2 ran on the pool's threads: W's rows in the forward,
+        # then g's rows and g's columns in the backward
+        rows, columns = [slice(16, 32), slice(32, 40)], [slice(16, 32), slice(32, 45)]
+        assert submitted == rows + rows + columns
+        value = w @ x + b[:, None]
+        if relu:
+            value = np.maximum(value, 0.0)
+            assert 0 < (value > 0).mean() < 1
+        gm = g * (value > 0) if relu else g
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for one, three, want in zip(*results, (value, gm @ x.T, w.T @ gm, gm.sum(axis=1))):
+            assert one.dtype == three.dtype == dtype
+            np.testing.assert_array_equal(one, three)
+            np.testing.assert_allclose(one, want, rtol=tol, atol=tol)
+
+    def test_the_large_gemms_split_in_two(self):
+        # train-long's input projections and zeta layer (d = 64, N near 1568)
+        # run as two blocks of rows; its 64 x 64 heads stay one call
+        for r, c in ((256, 256), (256, 128), (192, 192)):
+            assert ad._gemm_blocks(r * c * 1568, r) == [slice(0, r // 2), slice(r // 2, r)]
+        assert ad._gemm_blocks(256 * 256 * 1568, 1568) == [slice(0, 784), slice(784, 1568)]
+        assert ad._gemm_blocks(64 * 64 * 1568, 64) is None
+        # four blocks once a GEMM holds four times the constant
+        assert len(ad._gemm_blocks(4 * ad.MATMUL_SPLIT_WORK, 256)) == 4
 
     def test_scalar_param_ops(self):
         rng = np.random.default_rng(19)

@@ -12,7 +12,10 @@ import os
 import platform
 import shutil
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +128,54 @@ def test_manifest_reads_the_blas_thread_count_in_effect(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = "import json, qckt.cli; print(json.dumps(qckt.cli._environment()['blas_threads']))"
     assert run_python(code) == 1
+
+
+def test_train_manifest_reads_the_pinned_blas_thread_count(tmp_path, monkeypatch):
+    # synth, which records no tape, runs first in the same process with no
+    # thread variable set; train's tape pins BLAS to one thread, and its
+    # manifest, written after, must say so
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    data, run = tmp_path / "data", tmp_path / "run"
+    code = f"""
+import contextlib, io, json
+from qckt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({SYNTH + ["--out", str(data)]!r}) == 0
+    assert main({["train", "--data", str(data / "dataset.csv"), "--fold", "0", "--out", str(run)] + TRAIN_FAST!r}) == 0
+print(json.dumps([json.load(open(d + "/manifest.json"))["environment"]["blas_threads"]
+                  for d in ({str(data)!r}, {str(run)!r})]))
+"""
+    synth_threads, train_threads = run_python(code)
+    assert synth_threads >= 1
+    assert train_threads == 1
+
+
+def test_training_bits_do_not_depend_on_blas_threads_or_jobs(tmp_path):
+    # the smallest corpus tried on which, before BLAS was pinned, a run with
+    # OPENBLAS_NUM_THREADS unset (a thread per CPU, two on a 2-CPU host) or
+    # 2 wrote other checkpoints than one thread's: 42 students at d = 16,
+    # two folds of one epoch
+    assert main(["synth", "--students", "42", "--questions", "100", "--kcs", "10", "--seed", "1",
+                 "--out", str(tmp_path / "data")]) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(qckt.cli.__file__).parents[1])
+    files = ("checkpoint_fold0.bin", "checkpoint_fold1.bin", "report.csv", "epochs.csv")
+    runs = []
+    for threads, jobs in ((None, "1"), ("1", "1"), ("2", "1"), (None, "2")):
+        out = tmp_path / f"run-{threads}-{jobs}"
+        subprocess.run(
+            [sys.executable, "-m", "qckt.cli", "train", "--data", str(tmp_path / "data" / "dataset.csv"),
+             "--d", "16", "--k", "2", "--fold", "all", "--max-epochs", "1", "--seed", "1",
+             "--jobs", jobs, "--out", str(out)],
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+            check=True, capture_output=True, timeout=120,
+        )
+        runs.append([(out / name).read_bytes() for name in files])
+    for run in runs[1:]:
+        for name, first, other in zip(files, runs[0], run):
+            assert first == other, name
 
 
 class TestTrain:
@@ -339,6 +390,22 @@ class TestEval:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: --run names a run twice"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("runs", [("a/x", "x"), ("x", "a/x")], ids=["nested-first", "nested-second"])
+    def test_two_runs_of_one_directory_name_are_both_scored(self, reused, tmp_path, monkeypatch, runs):
+        # two distinct --fold all runs in directories named x: the second
+        # takes its path as typed for a name, or, where that is the first's
+        # name too, its resolved path
+        shutil.copytree(reused["clean"], tmp_path / "x")
+        shutil.copytree(reused["reused"], tmp_path / "a" / "x")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["eval", "--data", str(reused["data"]), "--run", runs[0], "--run", runs[1],
+                     "--out", str(out)]) == 0
+        names = ["x", "a/x" if runs[1] == "a/x" else str((tmp_path / "x").resolve())]
+        assert list(dict.fromkeys(r["run"] for r in read_csv(out / "report.csv"))) == names
+        pmatrix = read_csv(out / "pmatrix.csv")
+        assert [r["run"] for r in pmatrix] == names and list(pmatrix[0])[1:] == names
 
     def test_run_dir_without_manifest_is_runtime_error(self, workspace, tmp_path):
         empty = tmp_path / "empty"
