@@ -65,10 +65,10 @@ from .errors import ShapeError
 # float32 tape takes blocks of the same rows, half the bytes
 RELU_POOL_BLOCK_BYTES = 2 << 20
 # matmul runs a GEMM of at least this many multiply-adds (r x c x N) as
-# blocks on the lanes: train-long's input projections and zeta head (W of
+# two blocks on the lanes: train-long's input projections and zeta head (W of
 # 256 x 256, 256 x 128 and 192 x 192 at N near 1568) reach it, while every
 # GEMM at the d = 16, B = 64 shapes (r x c at most 64 x 64, N at most 3136)
-# and the d = 64 heads' 64 x 64 stay one call, where lanes cost more than
+# and the d = 64 heads' 64 x 64 stay one block, where lanes cost more than
 # they save
 MATMUL_SPLIT_WORK = 1 << 25
 
@@ -123,7 +123,12 @@ def _in_lanes(blocks, work, done=None):
     other, and one block runs inline without a look at the lanes.  ``work``
     calls numpy only.
     """
-    count, pool = _lane_pool() if len(blocks) > 1 else (1, None)
+    if len(blocks) == 1:
+        work(blocks[0], 0)
+        if done:
+            done(blocks[0], 0)
+        return
+    count, pool = _lane_pool()
     for lo in range(0, len(blocks), count):
         first, rest = blocks[lo], blocks[lo + 1 : lo + count]
         jobs = [pool.submit(work, k, lane) for lane, k in enumerate(rest, 1)]
@@ -138,19 +143,17 @@ def _in_lanes(blocks, work, done=None):
 
 def _gemm_blocks(work, length):
     """The blocks a GEMM of ``work`` multiply-adds splits an axis of
-    ``length`` entries into: None below :data:`MATMUL_SPLIT_WORK`, else
-    slices of a power-of-two count, at least two, of which each holds at
-    least half that work.  Their edges fall on multiples of 16 entries, so a
-    float32 column block starts on a 64-byte line.  The shape alone sets
-    them, never the lane count: a split GEMM rounds as its blocks do, not
-    always as the whole GEMM does, so the same blocks give the same bits on
-    any host.
+    ``length`` entries into: the whole axis below :data:`MATMUL_SPLIT_WORK`,
+    else two halves with the edge on a multiple of 16 entries (one block
+    where the axis is shorter than 17), so a float32 column block starts on
+    a 64-byte line.  The shape alone sets them, never the lane count: a
+    split GEMM rounds as its blocks do, not always as the whole GEMM does,
+    so the same blocks give the same bits on any host.
     """
     if work < MATMUL_SPLIT_WORK:
-        return None
-    count = 1 << max(1, (work // MATMUL_SPLIT_WORK).bit_length() - 1)
-    step = -(-length // (16 * count)) * 16
-    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+        return [slice(0, length)]
+    half = -(-length // 32) * 16
+    return [slice(lo, min(lo + half, length)) for lo in range(0, length, half)]
 
 
 @functools.cache
@@ -293,43 +296,34 @@ class Tape:
         the activation; the backward passes g where it is positive (a
         preactivation of exactly 0 gets no gradient).
 
-        A GEMM of r c N below :data:`MATMUL_SPLIT_WORK` is one numpy call.
-        A larger one runs as blocks on the process's lanes
-        (:func:`_in_lanes`), fixed by the shape alone (:func:`_gemm_blocks`):
-        the forward by row blocks of W into row blocks of the value, the
+        The forward runs by row blocks of W into row blocks of the value, the
         backward as dW and db by row blocks of g and dx by column blocks of
-        g.  No block's result is summed with another's, so every value is
-        the one-lane loop's bit for bit on any number of lanes.
+        g, each block on one of the process's lanes (:func:`_in_lanes`).
+        The shape alone fixes the blocks (:func:`_gemm_blocks`): a GEMM of
+        r c N below :data:`MATMUL_SPLIT_WORK` is one block, run inline as
+        one numpy call per product, and a larger one two.  No block's result
+        is summed with another's, so every value is the one-lane loop's bit
+        for bit on any number of lanes.
         """
         wv, xv, bv = w.value, x.value, b.value
         if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[0] or bv.shape != (len(wv),):
             raise ShapeError(f"cannot multiply {wv.shape} by {xv.shape} and add {bv.shape}")
         (r, c), N = wv.shape, xv.shape[1]
         rows = _gemm_blocks(r * c * N, r)
-        if rows is None:
-            out = np.matmul(wv, xv, out=out)
-            out += bv[:, None]
+        if out is None:
+            out = np.empty((r, N), np.result_type(wv, xv))
+
+        def forward(k, lane):
+            block = np.matmul(wv[k], xv, out=out[k])
+            block += bv[k, None]
             if relu:
-                np.maximum(out, 0.0, out=out)
-        else:
-            if out is None:
-                out = np.empty((r, N), np.result_type(wv, xv))
+                np.maximum(block, 0.0, out=block)
 
-            def forward(k, lane):
-                block = np.matmul(wv[k], xv, out=out[k])
-                block += bv[k, None]
-                if relu:
-                    np.maximum(block, 0.0, out=block)
-
-            _in_lanes(rows, forward)
+        _in_lanes(rows, forward)
         # only a relu's backward reads the value, which Tape.release may free
         active = out if relu else None
 
         def backward(g):
-            if rows is None:
-                if active is not None:
-                    g = g * (active > 0)
-                return g @ xv.T, wv.T @ g, g.sum(axis=1)
             dtype = np.result_type(wv, xv, g)
             dW, dx, db = np.empty((r, c), dtype), np.empty((c, N), dtype), np.empty(r, dtype)
             # g where the relu passes it, written by the row blocks

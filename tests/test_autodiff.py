@@ -49,9 +49,18 @@ class TestForwardValues:
             assert 0 < (value > 0).mean() < 1
         np.testing.assert_array_equal(out.value, value)
         gm = g * (value > 0) if relu else g
-        for got, want in zip(out._backward(g), (gm @ x.T, w.T @ gm, gm.sum(axis=1))):
+        wants = gm @ x.T, w.T @ gm, gm.sum(axis=1)
+        for got, want in zip(out._backward(g), wants):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
+        # the same through a whole sweep: out reaches the loss times g
+        # exactly, so its gradient is g bit for bit, and so are the leaves'
+        tape = Tape(dtype)
+        leaves = [tape.leaf(v) for v in (w, x, b)]
+        out = tape.matmul(*leaves, relu=relu)
+        tape.backward(_matrix_sum(tape, tape.mul(out, tape.leaf(g))))
+        for leaf, want in zip(leaves, wants):
+            np.testing.assert_array_equal(leaf.grad, want)
 
         tape = Tape()
         w, x = tape.leaf([[1.0, 2.0], [3.0, 4.0]]), tape.leaf([[5.0], [6.0]])
@@ -578,15 +587,15 @@ class TestFiniteDifferenceBattery:
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("into", [False, True], ids=["fresh", "row-block"])
     def test_matmul_on_lanes_is_the_one_lane_loop_bit_for_bit(self, monkeypatch, dtype, relu, into):
-        # 40 x 24 x 45 multiply-adds are four times the constant: four
-        # blocks of 16 entries, so W's 40 rows, and g's, go in blocks of 16,
-        # 16 and 8, and g's 45 columns (not a multiple of 8) in blocks of
-        # 16, 16 and 13, run inline on one lane and as one round on three
-        # lanes; the value and all three gradients are the same arrays, and
-        # the unsplit GEMM's up to rounding.  With ``into`` the value is
+        # 40 x 24 x 45 multiply-adds reach the constant: two blocks with the
+        # edge on a multiple of 16, so W's 40 rows, and g's, go in blocks of
+        # 32 and 8, and g's 45 columns (not a multiple of 8) in blocks of 32
+        # and 13, run inline on one lane and as one round on three lanes;
+        # the value and all three gradients are the same arrays, and the
+        # unsplit GEMM's up to rounding.  With ``into`` the value is
         # written into rows 8..47 of a larger buffer, as _recurrence passes
         # its row blocks
-        monkeypatch.setattr(ad, "MATMUL_SPLIT_WORK", 40 * 24 * 45 // 4)
+        monkeypatch.setattr(ad, "MATMUL_SPLIT_WORK", 40 * 24 * 45)
         rng = np.random.default_rng(37)
         w, x, b, g = (rng.normal(size=s).astype(dtype) for s in ((40, 24), (24, 45), (40,), (40, 45)))
         submitted, results = [], []
@@ -601,10 +610,9 @@ class TestFiniteDifferenceBattery:
                 assert np.shares_memory(out.value, buf) == into
                 assert np.isnan(buf[:8]).all() and np.isnan(buf[48:]).all()
                 results.append([out.value, *out._backward(g)])
-        # blocks 1 and 2 ran on the pool's threads: W's rows in the forward,
-        # then g's rows and g's columns in the backward
-        rows, columns = [slice(16, 32), slice(32, 40)], [slice(16, 32), slice(32, 45)]
-        assert submitted == rows + rows + columns
+        # block 1 ran on a pool thread: W's rows in the forward, then g's
+        # rows and g's columns in the backward
+        assert submitted == [slice(32, 40), slice(32, 40), slice(32, 45)]
         value = w @ x + b[:, None]
         if relu:
             value = np.maximum(value, 0.0)
@@ -618,13 +626,14 @@ class TestFiniteDifferenceBattery:
 
     def test_the_large_gemms_split_in_two(self):
         # train-long's input projections and zeta layer (d = 64, N near 1568)
-        # run as two blocks of rows; its 64 x 64 heads stay one call
+        # run as two blocks of rows; its 64 x 64 heads stay one block
         for r, c in ((256, 256), (256, 128), (192, 192)):
             assert ad._gemm_blocks(r * c * 1568, r) == [slice(0, r // 2), slice(r // 2, r)]
         assert ad._gemm_blocks(256 * 256 * 1568, 1568) == [slice(0, 784), slice(784, 1568)]
-        assert ad._gemm_blocks(64 * 64 * 1568, 64) is None
-        # four blocks once a GEMM holds four times the constant
-        assert len(ad._gemm_blocks(4 * ad.MATMUL_SPLIT_WORK, 256)) == 4
+        assert ad._gemm_blocks(64 * 64 * 1568, 64) == [slice(0, 64)]
+        # two blocks however large the GEMM; one where the axis is too short
+        assert ad._gemm_blocks(64 * ad.MATMUL_SPLIT_WORK, 256) == [slice(0, 128), slice(128, 256)]
+        assert ad._gemm_blocks(ad.MATMUL_SPLIT_WORK, 16) == [slice(0, 16)]
 
     def test_scalar_param_ops(self):
         rng = np.random.default_rng(19)
